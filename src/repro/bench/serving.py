@@ -22,10 +22,11 @@ Jobs are *generators*: each ``yield`` is a preemption point (a charge
 boundary where the kernel would check ``need_resched``), and yielding
 a :class:`~repro.kernel.task.WaitQueue` blocks the worker until a
 waker fires (``mpk_end`` waking ``mpk_begin_wait`` sleepers, for
-example).  The :class:`~repro.kernel.sched.QuantumSink` on the clock
-decides *when* preemption happens; the run-queue rotation decides who
-runs next.  Nothing consults wall time or unseeded randomness, so two
-runs with the same arrival schedule are bit-identical.
+example).  At each yield the engine compares the clock against the
+slice's start cycle: the quantum decides *when* preemption happens;
+the run-queue rotation decides who runs next.  Nothing consults wall
+time or unseeded randomness, so two runs with the same arrival
+schedule are bit-identical.
 
 Scaling: the event calendar
 ---------------------------
@@ -368,9 +369,9 @@ class ServingReport:
 class ServingEngine:
     """Drive generator jobs over time-sliced cores, deterministically.
 
-    Construction installs a :class:`~repro.kernel.sched.QuantumSink`
-    on the machine clock; :meth:`run` removes it.  Engines are
-    single-use: build, ``add_worker``, ``offer``, ``run``.
+    A worker is preempted at a yield point once its slice has charged
+    ``quantum`` cycles (``clock.now - slice_start >= quantum``).
+    Engines are single-use: build, ``add_worker``, ``offer``, ``run``.
 
     ``retain_records=False`` switches the engine to streaming
     accounting: completed connections feed bounded latency digests and
@@ -400,7 +401,8 @@ class ServingEngine:
         self.cores = list(cores)
         self.quantum = (kernel.costs.sched_quantum
                         if quantum is None else quantum)
-        self.sink = kernel.scheduler.enable_time_slicing(self.quantum)
+        if self.quantum <= 0:
+            raise ValueError("quantum must be positive")
         self.core_time: dict[int, float] = {c: 0.0 for c in self.cores}
         self.workers: list[_Worker] = []
         self._by_tid: dict[int, _Worker] = {}
@@ -539,7 +541,6 @@ class ServingEngine:
             while self._tick(horizon):
                 pass
         finally:
-            self.kernel.scheduler.disable_time_slicing()
             self._park_workers()
         return self._report()
 
@@ -644,7 +645,6 @@ class ServingEngine:
 
     def stop(self) -> ServingReport:
         """End an externally stepped run: teardown and report."""
-        self.kernel.scheduler.disable_time_slicing()
         self._park_workers()
         return self._report()
 
@@ -835,8 +835,9 @@ class ServingEngine:
                 return
             self._by_tid[task.tid].state = _RUNNING
         worker = self._by_tid[task.tid]
-        sink = self.sink
-        sink.begin_slice()
+        clock = self.kernel.clock
+        quantum = self.quantum
+        slice_start = clock.now
         self._current_worker = worker
         try:
             while True:
@@ -875,16 +876,15 @@ class ServingEngine:
                 if step is not None:
                     self._block(worker, core_id, step)
                     return
-                if sink.need_resched:
+                if clock.now - slice_start >= quantum:
                     if sched.runnable_count(core_id) > 0:
                         sched.preempt(core_id)
                         worker.state = _READY
                         return
                     # Alone on the core: keep running, fresh slice.
-                    sink.begin_slice()
+                    slice_start = clock.now
         finally:
             self._current_worker = None
-            sink.end_slice()
 
     def _step(self, worker: _Worker):
         """Advance the worker's job one yield.  A worker resuming from

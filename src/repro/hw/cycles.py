@@ -109,14 +109,6 @@ class CostModel:
     sigreturn: float = 380.0        # sigcontext (incl. PKRU) restore
     signal_kill: float = 2400.0     # unhandled signal: task teardown
 
-    # ---- mpk_begin_wait backoff (capped exponential, §4.2's "sleeps
-    # until a key is available" strategy).  Base is a fraction of a
-    # context switch; the cap bounds the longest sleep at 8 switches.
-    # Retained for cost-model compatibility; the wait path now blocks
-    # on a futex (below) instead of burning scripted backoff. ----
-    begin_wait_base: float = 450.0
-    begin_wait_cap: float = 14_400.0
-
     # ---- Futex-style wait queues (mpk_begin_wait blocking) and the
     # serving engine's time-sliced cores (repro.bench.serving). ----
     futex_block: float = 450.0      # enter the kernel and park on a queue
@@ -152,33 +144,26 @@ class Clock:
     bracket regions of interest with :meth:`snapshot` deltas.
 
     Every charge carries a *site* — a dotted ``layer.op.component``
-    attribution label (see :mod:`repro.obs`) — and is broadcast to the
-    registered sinks, which is how per-site accounting, ring-buffer
-    logs, and the conservation audit observe the cost model without
-    the cost model knowing about them.
+    attribution label (see :mod:`repro.obs`).  The clock keeps the
+    per-site ledger itself: each label is interned to a small dense id
+    on first use, and :meth:`charge` adds to the flat
+    :attr:`site_cycles`/:attr:`site_counts` slots of that id, so the
+    always-on :class:`~repro.obs.SiteAggregator` is only a read-only
+    view and ``sum(site_cycles) == now`` holds from cycle zero.
 
-    Site labels are **interned**: the first charge against a label
-    assigns it a small dense integer id, and sinks that implement
-    ``on_charge_id(site_id, cycles, now, seq)`` receive the id instead
-    of the string.  The hot sinks (the always-on
-    :class:`~repro.obs.SiteAggregator`, the scheduler's quantum sink)
-    then index flat arrays rather than hashing a string per charge;
-    sinks that want the label (ring logs, fault injectors) keep the
-    plain ``on_charge(site, ...)`` signature and are handed the string.
+    Optional sinks (ring logs, fault injectors) registered with
+    :meth:`add_sink` then get ``on_charge(site, cycles, now, seq)`` for
+    every charge, in registration order.
     """
 
     now: float = 0.0
     _events: int = field(default=0, repr=False)
     _sinks: list = field(default_factory=list, repr=False)
-    # site label <-> dense id interning (shared with id-capable sinks).
+    # site label <-> dense id, and the per-id ledger slots.
     _site_ids: dict = field(default_factory=dict, repr=False)
     _site_names: list = field(default_factory=list, repr=False)
-    # (callback, wants_id) pairs, in registration order.
-    _dispatch: list = field(default_factory=list, repr=False)
-
-    # ------------------------------------------------------------------
-    # Site interning.
-    # ------------------------------------------------------------------
+    site_cycles: list = field(default_factory=list, repr=False)
+    site_counts: list = field(default_factory=list, repr=False)
 
     def site_id(self, site: str) -> int:
         """The dense integer id for ``site`` (interning it if new)."""
@@ -187,21 +172,13 @@ class Clock:
             sid = len(self._site_names)
             self._site_ids[site] = sid
             self._site_names.append(site)
+            self.site_cycles.append(0.0)
+            self.site_counts.append(0)
         return sid
 
     def site_name(self, site_id: int) -> str:
         """The label interned as ``site_id``."""
         return self._site_names[site_id]
-
-    def find_site(self, site: str) -> int | None:
-        """The id for ``site`` if it has been interned (no interning)."""
-        return self._site_ids.get(site)
-
-    @property
-    def site_count(self) -> int:
-        return len(self._site_names)
-
-    # ------------------------------------------------------------------
 
     def charge(self, cycles: float, site: str = "unattributed") -> None:
         """Advance time by ``cycles`` (non-negative), attributed to
@@ -212,53 +189,29 @@ class Clock:
             raise ValueError(f"negative cycle charge: {cycles}")
         self.now += cycles
         self._events += 1
-        dispatch = self._dispatch
-        if not dispatch:
-            return
         sid = self._site_ids.get(site)
         if sid is None:
             sid = self.site_id(site)
-        if len(dispatch) == 1:
-            # The common shape — just the always-on aggregator — taken
-            # on every single charge; skip the loop and the tuple
-            # locals for it.
-            callback, wants_id = dispatch[0]
-            callback(sid if wants_id else site, cycles, self.now,
-                     self._events)
-            return
-        now, events = self.now, self._events
-        for callback, wants_id in dispatch:
-            if wants_id:
-                callback(sid, cycles, now, events)
-            else:
-                callback(site, cycles, now, events)
+        self.site_cycles[sid] += cycles
+        self.site_counts[sid] += 1
+        if self._sinks:
+            now, seq = self.now, self._events
+            for sink in self._sinks:
+                sink.on_charge(site, cycles, now, seq)
 
     def add_sink(self, sink) -> None:
-        """Register a charge sink, called on every charge in
-        registration order.  Sinks providing
-        ``on_charge_id(site_id, cycles, now, seq)`` get the interned
-        id (fast path); otherwise ``on_charge(site, cycles, now, seq)``
-        gets the label.  A sink with a ``bind_clock`` method is handed
-        this clock first, so it can resolve ids back to labels."""
+        """Register a charge sink: ``sink.on_charge(site, cycles, now,
+        seq)`` runs on every charge, in registration order."""
         if sink in self._sinks:
             raise ValueError("sink is already registered")
-        bind = getattr(sink, "bind_clock", None)
-        if bind is not None:
-            bind(self)
         self._sinks.append(sink)
-        self._dispatch.append(self._entry_for(sink))
-
-    def _entry_for(self, sink) -> tuple:
-        fast = getattr(sink, "on_charge_id", None)
-        if fast is not None:
-            return (fast, True)
-        return (sink.on_charge, False)
 
     def remove_sink(self, sink) -> None:
-        """Unregister ``sink`` (no-op when not registered)."""
+        """Unregister ``sink`` (no-op when not registered).  The list
+        is rebuilt, not edited, so a charge already iterating it still
+        reaches every sink it started with."""
         if sink in self._sinks:
-            self._sinks.remove(sink)
-            self._dispatch = [self._entry_for(s) for s in self._sinks]
+            self._sinks = [s for s in self._sinks if s is not sink]
 
     @property
     def sinks(self) -> tuple:

@@ -1,15 +1,15 @@
-"""Deterministic scheduler: core assignment, run queues, IPIs, slicing.
+"""Deterministic scheduler: core assignment, run queues, IPIs, preemption.
 
 Tests and benchmarks may still place tasks on cores explicitly — the
 "concurrency" the paper depends on (which sibling threads are
 *currently running* when an mprotect needs a TLB shootdown or a
 do_pkey_sync needs rescheduling IPIs) stays fully deterministic.  On
-top of that, the scheduler now carries per-core FIFO run queues and an
-opt-in time-slicing mode: a :class:`QuantumSink` charge-sink on the
-cycle clock accumulates the running slice's cycles and raises
-``need_resched`` when the quantum expires, so preemption points are a
-pure function of cycle state (the serving engine in
-``repro.bench.serving`` polls the flag at its jobs' yield points).
+top of that, the scheduler carries per-core FIFO run queues and
+:meth:`Scheduler.preempt`, which requeues the running task at the tail.
+The scheduler keeps no slice timer: the serving engine in
+``repro.bench.serving`` compares the clock against its slice start at
+its jobs' yield points, so preemption points are a pure function of
+cycle state.
 
 Two IPI flavours matter for the paper's measurements:
 
@@ -27,7 +27,6 @@ import typing
 from collections import deque
 
 from repro.hw.machine import Machine
-from repro.obs import ChargeSink
 
 if typing.TYPE_CHECKING:
     from repro.kernel.kcore import Process
@@ -36,52 +35,6 @@ if typing.TYPE_CHECKING:
 
 def _task_tid(task: "Task") -> int:
     return task.tid
-
-
-class QuantumSink(ChargeSink):
-    """Clock sink that watches the running time slice.
-
-    Between :meth:`begin_slice` and :meth:`end_slice` every charged
-    cycle accrues to the slice; once ``slice_used`` reaches the quantum
-    the sink latches ``need_resched``.  It never forces a switch itself
-    — tasks are preempted only at their own yield points, where the
-    engine polls the flag — so interleavings depend on nothing but the
-    cycle totals the simulation already produces deterministically.
-    """
-
-    def __init__(self, quantum: float) -> None:
-        if quantum <= 0:
-            raise ValueError("quantum must be positive")
-        self.quantum = quantum
-        self.slice_used = 0.0
-        self.need_resched = False
-        self.active = False
-        self.slices = 0
-        self.expirations = 0
-
-    def begin_slice(self) -> None:
-        self.slice_used = 0.0
-        self.need_resched = False
-        self.active = True
-        self.slices += 1
-
-    def end_slice(self) -> None:
-        self.active = False
-
-    def on_charge_id(self, site_id: int, cycles: float, now: float,
-                     seq: int) -> None:
-        """Fast path: the sink never looks at the site label, so it
-        takes the interned-id dispatch (see Clock.add_sink)."""
-        if not self.active:
-            return
-        self.slice_used += cycles
-        if not self.need_resched and self.slice_used >= self.quantum:
-            self.need_resched = True
-            self.expirations += 1
-
-    def on_charge(self, site: str, cycles: float, now: float,
-                  seq: int) -> None:
-        self.on_charge_id(-1, cycles, now, seq)
 
 
 class Scheduler:
@@ -94,7 +47,6 @@ class Scheduler:
         self.context_switches = 0
         self.preemptions = 0
         self.run_queues: dict[int, deque["Task"]] = {}
-        self._quantum_sink: QuantumSink | None = None
 
     # ------------------------------------------------------------------
     # Placement.
@@ -120,7 +72,7 @@ class Scheduler:
         self._core_task[core_id] = task
         task.core_id = core_id
         task.state = "running"
-        self._kernel_exit(task)
+        self.kernel_exit(task)
         return core_id
 
     def unschedule(self, task: "Task") -> None:
@@ -152,32 +104,8 @@ class Scheduler:
         raise RuntimeError("no free core")
 
     # ------------------------------------------------------------------
-    # Run queues + time slicing.
+    # Run queues + preemption.
     # ------------------------------------------------------------------
-
-    def enable_time_slicing(self, quantum: float) -> QuantumSink:
-        """Install a :class:`QuantumSink` on the cycle clock.
-
-        Returns the sink; callers bracket execution with
-        ``begin_slice``/``end_slice`` and poll ``need_resched`` at
-        their yield points.
-        """
-        if self._quantum_sink is not None:
-            raise RuntimeError("time slicing is already enabled")
-        sink = QuantumSink(quantum)
-        self.machine.clock.add_sink(sink)
-        self._quantum_sink = sink
-        return sink
-
-    def disable_time_slicing(self) -> None:
-        if self._quantum_sink is None:
-            return
-        self.machine.clock.remove_sink(self._quantum_sink)
-        self._quantum_sink = None
-
-    @property
-    def quantum_sink(self) -> QuantumSink | None:
-        return self._quantum_sink
 
     def enqueue(self, task: "Task", core_id: int) -> None:
         """Append ``task`` to ``core_id``'s FIFO run queue."""
@@ -246,7 +174,7 @@ class Scheduler:
         self.machine.clock.charge(self.machine.costs.resched_ipi,
                                   site="kernel.sched.resched_ipi")
         self.ipis_sent += 1
-        self._kernel_exit(task)
+        self.kernel_exit(task)
         return True
 
     def tlb_shootdown(self, process: "Process", initiator: "Task | None",
@@ -332,6 +260,3 @@ class Scheduler:
                                       site="kernel.sched.task_work_run")
         if task.running:
             self.machine.core(task.core_id).load_pkru(task.pkru)
-
-    # Backwards-compatible private alias.
-    _kernel_exit = kernel_exit

@@ -393,34 +393,45 @@ class Task:
     #: handler that keeps claiming success while the fault persists.
     _SIGNAL_RETRIES = 4
 
-    def _with_fault_handler(self, operation):
-        try:
-            return operation()
-        except MachineFault as fault:
-            handler = self._fault_handler
-            if handler is not None and handler(self, fault):
-                return operation()  # retry once after the handler fixed it
-            if self.signals_enabled:
-                for _ in range(self._SIGNAL_RETRIES):
-                    if not self.kernel.deliver_fault(self, fault):
-                        break  # handler declined: surface the raw fault
-                    try:
-                        return operation()
-                    except MachineFault as again:
-                        fault = again
-            raise fault
+    def _recover(self, fault: MachineFault, retry):
+        """Resolve a faulted load/store, or re-raise.
+
+        The fault handler gets the first say: if it claims success the
+        access is retried once (a second fault propagates).  Otherwise,
+        with signals enabled, each delivery the handler accepts retries
+        the access, up to :attr:`_SIGNAL_RETRIES` times.  ``retry``
+        re-runs the access; it is built only on this slow path.
+        """
+        handler = self._fault_handler
+        if handler is not None and handler(self, fault):
+            return retry()  # retry once after the handler fixed it
+        if self.signals_enabled:
+            for _ in range(self._SIGNAL_RETRIES):
+                if not self.kernel.deliver_fault(self, fault):
+                    break  # handler declined: surface the raw fault
+                try:
+                    return retry()
+                except MachineFault as again:
+                    fault = again
+        raise fault
 
     def read(self, addr: int, length: int) -> bytes:
-        """MMU-checked userspace load."""
-        return self._with_fault_handler(
-            lambda: self._core().read(self.process.page_table, addr,
-                                      length))
+        """MMU-checked userspace load: straight to the core's MMU; a
+        fault goes through :meth:`_recover`."""
+        try:
+            return self._core().read(self.process.page_table, addr, length)
+        except MachineFault as fault:
+            return self._recover(fault, lambda: self._core().read(
+                self.process.page_table, addr, length))
 
     def write(self, addr: int, data: bytes) -> None:
-        """MMU-checked userspace store."""
-        self._with_fault_handler(
-            lambda: self._core().write(self.process.page_table, addr,
-                                       data))
+        """MMU-checked userspace store: straight to the core's MMU; a
+        fault goes through :meth:`_recover`."""
+        try:
+            self._core().write(self.process.page_table, addr, data)
+        except MachineFault as fault:
+            self._recover(fault, lambda: self._core().write(
+                self.process.page_table, addr, data))
 
     def fetch(self, addr: int, length: int = 1) -> bytes:
         """MMU-checked instruction fetch (PKRU-exempt)."""

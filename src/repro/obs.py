@@ -7,10 +7,10 @@ Every simulated cycle enters the system through
 ``libmpk.keycache.lookup``).  This module turns that stream into
 observable structure:
 
-* :class:`SiteAggregator` — always-on per-site cycle/event counters
-  with a coarse magnitude histogram.  Attached to the machine's clock
-  at construction, so ``aggregator.total() == clock.now`` holds from
-  cycle zero (the *conservation invariant* the test suite audits).
+* :class:`SiteAggregator` — per-site cycle/event totals: a read-only
+  view of the ledger the clock keeps inline on every charge, so
+  ``aggregator.total() == clock.now`` holds from cycle zero (the
+  *conservation invariant* the test suite audits).
 * :class:`RingLog` — a bounded ring buffer of raw charge events for
   post-mortem debugging; overflow evicts the oldest events and counts
   them in ``dropped``.
@@ -80,119 +80,45 @@ class ChargeSink:
         raise NotImplementedError
 
 
-class SiteAggregator(ChargeSink):
-    """Per-site cycle totals, event counts, and magnitude histograms.
+class SiteAggregator:
+    """Read-only per-site view of a clock's ledger: cycle totals and
+    charge counts, keyed by site label.
 
-    The histogram buckets a charge by the bit length of its integer
-    part (bucket 0 holds sub-cycle and zero-cost charges), enough to
-    tell "many cheap charges" from "few dear ones" per site without
-    storing samples.
-
-    Storage is indexed by the clock's interned site ids (see
-    :meth:`~repro.hw.cycles.Clock.site_id`): the per-charge hot path
-    (:meth:`on_charge_id`) appends to and indexes flat lists instead of
-    probing string-keyed dicts.  The dict-shaped views (:attr:`cycles`,
-    :attr:`counts`) are rebuilt on access — they are read on report
-    boundaries, never per charge.  A standalone aggregator (no clock)
-    keeps a private intern table so direct :meth:`on_charge` calls
-    still work.
+    The clock itself keeps the ledger (flat lists indexed by interned
+    site id, updated inline by :meth:`~repro.hw.cycles.Clock.charge`);
+    this view resolves ids back to labels.  The dict-shaped views
+    (:attr:`cycles`, :attr:`counts`) are rebuilt on access — they are
+    read on report boundaries, never per charge.
     """
 
-    def __init__(self) -> None:
-        self._clock = None
-        self._names: list[str] = []          # private table (unbound use)
-        self._ids: dict[str, int] = {}
-        self._cycles: list[float] = []
-        self._counts: list[int] = []
-        # Per-site magnitude histograms as flat bucket lists (index =
-        # bit-length bucket); allocated on a site's first charge and
-        # grown on demand.  :meth:`histogram` rebuilds the dict view.
-        self._histograms: list[list[int] | None] = []
-
-    def bind_clock(self, clock) -> None:
-        """Share ``clock``'s intern table (called by ``add_sink``)."""
+    def __init__(self, clock) -> None:
         self._clock = clock
-
-    # -- the hot path ---------------------------------------------------
-
-    def on_charge_id(self, site_id: int, cycles: float, now: float,
-                     seq: int) -> None:
-        cy = self._cycles
-        if site_id >= len(cy):
-            grow = site_id + 1 - len(cy)
-            cy.extend([0.0] * grow)
-            self._counts.extend([0] * grow)
-            self._histograms.extend([None] * grow)
-        cy[site_id] += cycles
-        self._counts[site_id] += 1
-        bucket = int(cycles).bit_length()
-        hist = self._histograms[site_id]
-        if hist is None:
-            # 24 buckets covers charges up to 2**23 cycles; larger
-            # ones grow the list below.
-            hist = self._histograms[site_id] = [0] * 24
-        if bucket >= len(hist):
-            hist.extend([0] * (bucket + 1 - len(hist)))
-        hist[bucket] += 1
-
-    def on_charge(self, site: str, cycles: float, now: float,
-                  seq: int) -> None:
-        self.on_charge_id(self._site_id(site), cycles, now, seq)
-
-    # -- id <-> name plumbing -------------------------------------------
-
-    def _site_id(self, site: str) -> int:
-        if self._clock is not None:
-            return self._clock.site_id(site)
-        sid = self._ids.get(site)
-        if sid is None:
-            sid = len(self._names)
-            self._ids[site] = sid
-            self._names.append(site)
-        return sid
-
-    def _site_name(self, site_id: int) -> str:
-        if self._clock is not None:
-            return self._clock.site_name(site_id)
-        return self._names[site_id]
 
     def _items(self, values: list) -> typing.Iterator[tuple[str, object]]:
         """(site, value) pairs for every site that has seen a charge."""
-        counts = self._counts
-        for sid, value in enumerate(values):
-            if counts[sid]:
-                yield self._site_name(sid), value
+        clock = self._clock
+        for sid, count in enumerate(clock.site_counts):
+            if count:
+                yield clock.site_name(sid), values[sid]
 
     # -- dict-shaped views (report boundaries, not per charge) ----------
 
     @property
     def cycles(self) -> dict[str, float]:
-        return dict(self._items(self._cycles))
+        return dict(self._items(self._clock.site_cycles))
 
     @property
     def counts(self) -> dict[str, int]:
-        return dict(self._items(self._counts))
+        return dict(self._items(self._clock.site_counts))
 
     # ------------------------------------------------------------------
 
     def total(self) -> float:
-        return sum(self._cycles)
+        return sum(self._clock.site_cycles)
 
     def sites(self) -> list[str]:
-        return sorted(site for site, _ in self._items(self._counts))
-
-    def histogram(self, site: str) -> dict[int, int]:
-        """Bucket -> count for ``site``; bucket ``b`` covers charges in
-        ``[2**(b-1), 2**b)`` cycles (bucket 0: below one cycle)."""
-        sid = self._ids.get(site) if self._clock is None else \
-            self._clock.find_site(site)
-        if sid is None or sid >= len(self._histograms):
-            return {}
-        hist = self._histograms[sid]
-        if hist is None:
-            return {}
-        return {bucket: count for bucket, count in enumerate(hist)
-                if count}
+        return sorted(site for site, _ in
+                      self._items(self._clock.site_counts))
 
     def breakdown(self, depth: int | None = None) -> dict[str, float]:
         """Cycles aggregated by label prefix of ``depth`` components
@@ -200,7 +126,7 @@ class SiteAggregator(ChargeSink):
         if depth is None:
             return self.cycles
         grouped: dict[str, float] = {}
-        for site, cycles in self._items(self._cycles):
+        for site, cycles in self._items(self._clock.site_cycles):
             label = ".".join(site.split(".")[:depth])
             grouped[label] = grouped.get(label, 0.0) + cycles
         return grouped
@@ -209,13 +135,6 @@ class SiteAggregator(ChargeSink):
         """(label, cycles) pairs, most expensive first."""
         grouped = self.breakdown(depth)
         return sorted(grouped.items(), key=lambda kv: (-kv[1], kv[0]))
-
-    def reset(self) -> None:
-        """Forget everything (breaks the conservation invariant against
-        a clock that has already advanced — benchmark use only)."""
-        self._cycles = [0.0] * len(self._cycles)
-        self._counts = [0] * len(self._counts)
-        self._histograms = [None] * len(self._histograms)
 
 
 class RingLog(ChargeSink):
@@ -388,15 +307,14 @@ class Observability:
     """Per-machine instrumentation facade: sinks, spans, audits.
 
     Constructed by :class:`~repro.hw.machine.Machine` and reachable as
-    ``machine.obs`` (``kernel.machine.obs`` from the kernel).  The
-    default :class:`SiteAggregator` is registered before the clock can
-    move, so per-site counters account for *every* cycle.
+    ``machine.obs`` (``kernel.machine.obs`` from the kernel).  Its
+    :class:`SiteAggregator` views the clock's own per-site ledger, so
+    per-site counters account for *every* cycle.
     """
 
     def __init__(self, clock) -> None:
         self.clock = clock
-        self.aggregator = SiteAggregator()
-        clock.add_sink(self.aggregator)
+        self.aggregator = SiteAggregator(clock)
         self._span_stack: list[_Span] = []
         self._span_seq = 0
         self._span_subscribers: list = []
@@ -562,7 +480,7 @@ class Observability:
 
         Returns ``(ok, delta)``; ``delta`` is the absolute cycle
         discrepancy.  Tolerance covers float summation order only — a
-        real leak (a charge bypassing the sink, a reset aggregator)
+        real leak (a ledger slot edited behind the clock's back)
         shows up as a delta many orders of magnitude above it.  A
         failing registered invariant makes ``ok`` False regardless of
         the cycle delta; :meth:`invariant_failures` lists the details.

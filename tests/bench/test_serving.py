@@ -148,6 +148,24 @@ class TestServingEngine:
         # service time apart.
         spread = abs(report.latencies[0] - report.latencies[1])
         assert spread < 10 * 2000.0
+        # A slice that lands exactly on the quantum preempts (>=).  With
+        # quantum == accept + one step, each worker's first slice ends
+        # after one step and the later ones after two: four preemptions.
+        # One cycle more and every slice runs two steps: two.
+        exact = kernel.costs.accept_cycles + 1000.0
+        for quantum, preemptions in ((exact, 4), (exact + 1.0, 2)):
+            engine = self._engine(kernel, process, cores=(1,), workers=2,
+                                  quantum=quantum)
+            engine.offer(ArrivalSchedule((0.0, 0.0)),
+                         _charging_job(kernel, 1000.0, steps=3))
+            before = kernel.scheduler.preemptions
+            assert engine.run().completed == 2
+            assert kernel.scheduler.preemptions - before == preemptions
+
+    def test_nonpositive_quantum_rejected(self, kernel):
+        for quantum in (0.0, -1.0):
+            with pytest.raises(ValueError, match="quantum"):
+                ServingEngine(kernel, cores=[1], quantum=quantum)
 
     def test_no_preemption_when_alone_on_core(self, kernel, process):
         engine = self._engine(kernel, process, cores=(1,), workers=1,
@@ -275,7 +293,6 @@ class TestServingEngine:
         engine.offer(ArrivalSchedule((0.0, 0.0, 0.0)),
                      _charging_job(kernel, 50.0, steps=2))
         engine.run()
-        assert kernel.scheduler.quantum_sink is None
         assert kernel.scheduler.running_task(1) is None
         assert kernel.scheduler.runnable_count(1) == 0
         for worker in engine.workers:

@@ -124,9 +124,12 @@ class TestFaultHandlers:
             return True  # claims resolved but did nothing
 
         task.set_fault_handler(liar)
-        with pytest.raises(PkeyFault):
-            task.read(addr, 1)
-        assert len(calls) == 1  # retried once, no infinite loop
+        for access in (lambda: task.read(addr, 1),
+                       lambda: task.write(addr, b"x")):
+            calls.clear()
+            with pytest.raises(PkeyFault):
+                access()
+            assert calls == [addr]  # retried once, no infinite loop
         task.set_fault_handler(None)
 
     def test_try_read_respects_the_handler(self, lib, kernel, task):

@@ -110,9 +110,12 @@ class TestSigreturn:
             return True  # claims success, fixes nothing
 
         task.sigaction(SIGSEGV, handler)
-        with pytest.raises(PkeyFault):
-            task.read(protected, 1)
-        assert len(calls) == task._SIGNAL_RETRIES
+        for access in (lambda: task.read(protected, 1),
+                       lambda: task.write(protected, b"x")):
+            calls.clear()
+            with pytest.raises(PkeyFault):
+                access()
+            assert len(calls) == task._SIGNAL_RETRIES
 
     def test_handler_raise_unwinds_past_the_access(self, lib, task,
                                                    protected):

@@ -4,7 +4,6 @@ import pytest
 
 from repro.consts import PAGE_SIZE, PROT_READ, PROT_WRITE
 from repro.hw.pkru import KEY_RIGHTS_NONE, KEY_RIGHTS_READ, PKRU
-from repro.kernel.sched import QuantumSink
 from repro.kernel.task import WaitQueue
 
 RW = PROT_READ | PROT_WRITE
@@ -359,24 +358,34 @@ class TestRunQueuesAndSlicing:
         assert sched.dispatch(3) is b        # a went to the tail
         assert sched.runnable_count(3) == 1
 
-    def test_quantum_sink_latches_need_resched(self, kernel):
-        sink = kernel.scheduler.enable_time_slicing(quantum=1000.0)
-        sink.begin_slice()
-        kernel.clock.charge(600.0, site="test.work")
-        assert not sink.need_resched
-        kernel.clock.charge(600.0, site="test.work")
-        assert sink.need_resched
-        assert sink.expirations == 1
-        sink.end_slice()
-        kernel.clock.charge(5000.0, site="test.work")  # inactive: ignored
-        assert sink.slice_used == 1200.0
-        kernel.scheduler.disable_time_slicing()
+    def test_quantum_sink_latches_need_resched(self, kernel, process):
+        """The serving engine polls ``clock.now - slice_start`` at each
+        yield point: a slice keeps running while under the quantum, is
+        preempted at the first yield at or past it, and every dispatch
+        starts a fresh slice."""
+        from repro.bench.serving import ArrivalSchedule, ServingEngine
 
-    def test_double_enable_rejected(self, kernel):
-        kernel.scheduler.enable_time_slicing(quantum=10.0)
-        with pytest.raises(RuntimeError):
-            kernel.scheduler.enable_time_slicing(quantum=10.0)
-        kernel.scheduler.disable_time_slicing()
+        steps = []
+
+        def factory(task, conn_id):
+            def job():
+                for _ in range(3):
+                    kernel.clock.charge(600.0, site="test.work")
+                    steps.append(task.tid)
+                    yield
+            return job()
+
+        # accept + 600 stays under the quantum; accept + 1200 crosses it.
+        engine = ServingEngine(kernel, cores=[3],
+                               quantum=kernel.costs.accept_cycles + 1000.0)
+        a, b = process.spawn_task(), process.spawn_task()
+        engine.add_worker(a, core_id=3)
+        engine.add_worker(b, core_id=3)
+        engine.offer(ArrivalSchedule((0.0, 0.0)), factory)
+        before = kernel.scheduler.preemptions
+        assert engine.run().completed == 2
+        assert steps == [a.tid, a.tid, b.tid, b.tid, a.tid, b.tid]
+        assert kernel.scheduler.preemptions - before == 2
 
 
 class TestShootdownRegressions:

@@ -14,78 +14,79 @@ RW = PROT_READ | PROT_WRITE
 class TestSinkRegistration:
     def test_sinks_receive_charges(self):
         clock = Clock()
-        agg = SiteAggregator()
-        clock.add_sink(agg)
+        log = RingLog(capacity=8)
+        clock.add_sink(log)
         clock.charge(10.0, site="hw.test.a")
-        assert agg.cycles["hw.test.a"] == pytest.approx(10.0)
+        clock.charge(2.0, site="hw.test.b")
+        assert [(e.site, e.cycles, e.now, e.seq) for e in log.events()] \
+            == [("hw.test.a", 10.0, 10.0, 1), ("hw.test.b", 2.0, 12.0, 2)]
 
     def test_duplicate_registration_rejected(self):
         clock = Clock()
-        agg = SiteAggregator()
-        clock.add_sink(agg)
+        log = RingLog()
+        clock.add_sink(log)
         with pytest.raises(ValueError):
-            clock.add_sink(agg)
+            clock.add_sink(log)
 
     def test_unregistered_sink_stops_receiving(self):
         clock = Clock()
-        agg = SiteAggregator()
-        clock.add_sink(agg)
+        log = RingLog()
+        clock.add_sink(log)
         clock.charge(10.0, site="hw.test.a")
-        clock.remove_sink(agg)
+        clock.remove_sink(log)
         clock.charge(10.0, site="hw.test.a")
-        assert agg.cycles["hw.test.a"] == pytest.approx(10.0)
-        clock.remove_sink(agg)  # removing twice is a no-op
+        assert len(log) == 1
+        clock.remove_sink(log)  # removing twice is a no-op
 
     def test_multiple_sinks_see_the_same_stream(self):
+        """Sinks run in registration order and get the same record."""
         clock = Clock()
-        agg = SiteAggregator()
-        log = RingLog(capacity=8)
-        clock.add_sink(agg)
-        clock.add_sink(log)
+        seen = []
+
+        class Recorder:
+            def __init__(self, name):
+                self.name = name
+
+            def on_charge(self, site, cycles, now, seq):
+                seen.append((self.name, site, cycles, now, seq))
+
+        first, second = Recorder("first"), Recorder("second")
+        clock.add_sink(first)
+        clock.add_sink(second)
         clock.charge(3.0, site="hw.test.a")
-        assert agg.total() == pytest.approx(3.0)
-        assert len(log) == 1
+        assert seen == [("first", "hw.test.a", 3.0, 3.0, 1),
+                        ("second", "hw.test.a", 3.0, 3.0, 1)]
 
 
 class TestSiteAggregator:
     def test_per_site_totals_and_counts(self):
-        agg = SiteAggregator()
+        clock = Clock()
+        agg = SiteAggregator(clock)
         for cycles in (2.0, 3.0):
-            agg.on_charge("kernel.mprotect.base", cycles, 0.0, 0)
-        agg.on_charge("hw.tlb.flush_full", 10.0, 0.0, 0)
-        assert agg.cycles["kernel.mprotect.base"] == pytest.approx(5.0)
-        assert agg.counts["kernel.mprotect.base"] == 2
-        assert agg.total() == pytest.approx(15.0)
+            clock.charge(cycles, site="kernel.mprotect.base")
+        clock.charge(10.0, site="hw.tlb.flush_full")
+        clock.site_id("hw.test.never_charged")  # interned, not charged
+        assert agg.cycles == {"kernel.mprotect.base": pytest.approx(5.0),
+                              "hw.tlb.flush_full": pytest.approx(10.0)}
+        assert agg.counts == {"kernel.mprotect.base": 2,
+                              "hw.tlb.flush_full": 1}
+        assert agg.total() == pytest.approx(15.0) == clock.now
         assert agg.sites() == ["hw.tlb.flush_full",
                                "kernel.mprotect.base"]
 
     def test_breakdown_groups_by_prefix_depth(self):
-        agg = SiteAggregator()
-        agg.on_charge("kernel.mprotect.base", 1.0, 0.0, 0)
-        agg.on_charge("kernel.mprotect.pte_update", 2.0, 0.0, 0)
-        agg.on_charge("kernel.mmap.body", 4.0, 0.0, 0)
-        agg.on_charge("hw.tlb.flush_full", 8.0, 0.0, 0)
+        clock = Clock()
+        agg = SiteAggregator(clock)
+        clock.charge(1.0, site="kernel.mprotect.base")
+        clock.charge(2.0, site="kernel.mprotect.pte_update")
+        clock.charge(4.0, site="kernel.mmap.body")
+        clock.charge(8.0, site="hw.tlb.flush_full")
         assert agg.breakdown(depth=1) == {
             "kernel": pytest.approx(7.0), "hw": pytest.approx(8.0)}
         assert agg.breakdown(depth=2)["kernel.mprotect"] == \
             pytest.approx(3.0)
         # rows are ordered most expensive first
         assert agg.rows(depth=1)[0][0] == "hw"
-
-    def test_histogram_buckets_by_magnitude(self):
-        agg = SiteAggregator()
-        site = "hw.test.a"
-        agg.on_charge(site, 0.5, 0.0, 0)   # bucket 0
-        agg.on_charge(site, 1.0, 0.0, 0)   # bucket 1
-        agg.on_charge(site, 700.0, 0.0, 0)  # bucket 10
-        assert agg.histogram(site) == {0: 1, 1: 1, 10: 1}
-
-    def test_reset_forgets_everything(self):
-        agg = SiteAggregator()
-        agg.on_charge("hw.test.a", 5.0, 0.0, 0)
-        agg.reset()
-        assert agg.total() == 0.0
-        assert agg.sites() == []
 
 
 class TestRingLog:
@@ -264,30 +265,22 @@ class TestSiteInterning:
         assert (a, b) == (0, 1)
         assert clock.site_id("hw.test.a") == a  # stable on re-intern
         assert clock.site_name(b) == "hw.test.b"
-        assert clock.find_site("hw.test.c") is None
-        assert clock.site_count == 2
 
     def test_bound_aggregator_shares_the_clock_table(self):
-        """The aggregator's fast path receives interned ids; its
-        dict-shaped views still resolve them back to labels."""
+        """The aggregator is a view of its clock's site ledger: it sees
+        charges made before it was built, and two views agree."""
         clock = Clock()
-        agg = SiteAggregator()
-        clock.add_sink(agg)
         clock.charge(5.0, site="kernel.test.x")
+        early = SiteAggregator(clock)
+        late_id = clock.site_id("kernel.test.y")
         clock.charge(7.0, site="kernel.test.x")
-        assert agg.cycles == {"kernel.test.x": pytest.approx(12.0)}
-        assert agg.counts == {"kernel.test.x": 2}
-        assert agg.histogram("kernel.test.x") != {}
-
-    def test_string_and_id_paths_agree(self):
-        """A direct on_charge call and a clock-dispatched charge land
-        in the same per-site slot."""
-        clock = Clock()
-        agg = SiteAggregator()
-        clock.add_sink(agg)
-        clock.charge(1.0, site="hw.test.a")
-        agg.on_charge("hw.test.a", 2.0, 0.0, 0)
-        assert agg.cycles["hw.test.a"] == pytest.approx(3.0)
+        clock.charge(1.0, site="kernel.test.y")
+        late = SiteAggregator(clock)
+        for agg in (early, late):
+            assert agg.cycles == {"kernel.test.x": pytest.approx(12.0),
+                                  clock.site_name(late_id):
+                                  pytest.approx(1.0)}
+            assert agg.counts == {"kernel.test.x": 2, "kernel.test.y": 1}
 
 
 class TestKeyCostTables:
