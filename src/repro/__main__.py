@@ -16,11 +16,16 @@ servechaos     chaos-soak campaign: seeded fault scripts over the serving
                scenarios, with liveness, audit, and determinism gates
 keyscale       eviction-policy shootout: sweep 100..10k virtual keys over
                serving and JIT workloads, with a determinism gate
+clusterbench   healthy sharded-memcached cluster baseline over the network
+               plane (--sweep: nodes x replicas x partition grid)
+clusterchaos   cluster chaos soak: node kills, partitions, delays, with
+               determinism, audit, liveness and degradation gates
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import pathlib
 import runpy
@@ -28,6 +33,7 @@ import subprocess
 import sys
 
 import repro
+from repro.bench.harness import write_json
 from repro.hw.cycles import DEFAULT_COST_MODEL
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
@@ -154,79 +160,94 @@ def cmd_faultcampaign(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_hostbench(args: argparse.Namespace) -> int:
-    import json
+def _publish(cmd: str, produce, text, out_path, markdown=None,
+             check=None) -> int:
+    """Run one BENCH producer and publish its report; returns the exit
+    status.
 
+    A failed gate (``AssertionError``) or bad input (``ValueError``)
+    prints ``<cmd> FAILED: ...`` and writes nothing.  Otherwise print
+    ``text(report)``, write the JSON to ``out_path`` (when given),
+    append ``markdown(report)`` to the CI step summary when one is set,
+    and return ``check(report)`` (0 without a check).
+    """
+    try:
+        report = produce()
+    except (AssertionError, ValueError) as exc:
+        print(f"{cmd} FAILED: {exc}", file=sys.stderr)
+        return 1
+    print(text(report))
+    if out_path is not None:
+        write_json(report, out_path)
+        print(f"\nwrote {out_path}")
+    summary_path = os.environ.get("GITHUB_STEP_SUMMARY")
+    if summary_path and markdown is not None:
+        with open(summary_path, "a") as fh:
+            fh.write(markdown(report) + "\n")
+    return check(report) if check is not None else 0
+
+
+def cmd_hostbench(args: argparse.Namespace) -> int:
     from repro.bench import hostbench
 
     workloads = args.only.split(",") if args.only else None
-    try:
-        report = hostbench.run_hostbench(repeat=args.repeat,
-                                         workloads=workloads)
-    except AssertionError as exc:
-        print(f"hostbench FAILED: {exc}", file=sys.stderr)
-        return 1
-    print(hostbench.format_report(report))
-    out_path = pathlib.Path(args.output)
-    hostbench.write_report(report, out_path)
-    print(f"\nwrote {out_path}")
-    summary_path = os.environ.get("GITHUB_STEP_SUMMARY")
-    if summary_path:
-        with open(summary_path, "a") as fh:
-            fh.write(hostbench.format_markdown(report) + "\n")
-    if args.check_baseline:
-        baseline = json.loads(
-            pathlib.Path(args.check_baseline).read_text())
-        problems = hostbench.check_against_baseline(report, baseline)
-    else:
-        # The absolute speedup floors need no baseline file — they
-        # always gate (restricted to --only's subset when given).
-        problems = hostbench.check_speedup_floors(report,
-                                                  workloads=workloads)
-    for problem in problems:
-        print(f"REGRESSION: {problem}", file=sys.stderr)
-    if problems:
-        return 1
-    speedups = ", ".join(
-        f"{name} {row['speedup']:.2f}x"
-        for name, row in report["benchmarks"].items())
-    print(f"speedup gate passed: {speedups}")
-    return 0
+
+    def check(report) -> int:
+        if args.check_baseline:
+            baseline = json.loads(
+                pathlib.Path(args.check_baseline).read_text())
+            problems = hostbench.check_against_baseline(report, baseline)
+        else:
+            # The absolute speedup floors need no baseline file — they
+            # always gate (restricted to --only's subset when given).
+            problems = hostbench.check_speedup_floors(
+                report, workloads=workloads)
+        for problem in problems:
+            print(f"REGRESSION: {problem}", file=sys.stderr)
+        if problems:
+            return 1
+        speedups = ", ".join(
+            f"{name} {row['speedup']:.2f}x"
+            for name, row in report["benchmarks"].items())
+        print(f"speedup gate passed: {speedups}")
+        return 0
+
+    return _publish(
+        "hostbench",
+        lambda: hostbench.run_hostbench(repeat=args.repeat,
+                                        workloads=workloads),
+        hostbench.format_report, args.output,
+        markdown=hostbench.format_markdown, check=check)
 
 
 def cmd_servebench(args: argparse.Namespace) -> int:
     from repro.bench import serving
 
     ceiling_mb = args.mem_ceiling_mb
-    try:
-        report = serving.run_servebench(seed=args.seed,
-                                        connections=args.connections,
-                                        scale=args.scale,
-                                        curves=not args.no_curves)
-    except AssertionError as exc:
-        print(f"servebench FAILED: {exc}", file=sys.stderr)
-        return 1
-    finally:
-        if ceiling_mb is not None:
-            import resource
+    peak = []
 
-            # ru_maxrss is the process-lifetime high-water mark, in KiB
-            # on Linux.  A leak of per-connection state at 100k
-            # connections costs hundreds of MiB, so peak RSS separates
-            # "streaming" from "retained" without tracemalloc's ~5x
-            # wall-clock overhead.
-            peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss << 10
-    print(serving.format_report(report))
-    if args.output is None:
-        name = ("BENCH_serving.json" if args.scale == "smoke"
-                else f"BENCH_serving_{args.scale}.json")
-        out_path = REPO_ROOT / name
-    else:
-        out_path = pathlib.Path(args.output)
-    serving.write_report(report, out_path)
-    print(f"\nwrote {out_path}")
-    if ceiling_mb is not None:
-        peak_mb = peak / (1 << 20)
+    def produce():
+        try:
+            return serving.run_servebench(seed=args.seed,
+                                          connections=args.connections,
+                                          scale=args.scale,
+                                          curves=not args.no_curves)
+        finally:
+            if ceiling_mb is not None:
+                import resource
+
+                # ru_maxrss is the process-lifetime high-water mark, in
+                # KiB on Linux.  A leak of per-connection state at 100k
+                # connections costs hundreds of MiB, so peak RSS
+                # separates "streaming" from "retained" without
+                # tracemalloc's ~5x wall-clock overhead.
+                peak.append(resource.getrusage(
+                    resource.RUSAGE_SELF).ru_maxrss << 10)
+
+    def check(_report) -> int:
+        if ceiling_mb is None:
+            return 0
+        peak_mb = peak[0] / (1 << 20)
         print(f"peak RSS: {peak_mb:.1f} MiB (ceiling {ceiling_mb} MiB)")
         if peak_mb > ceiling_mb:
             print(f"servebench FAILED: peak RSS {peak_mb:.1f} MiB "
@@ -234,12 +255,17 @@ def cmd_servebench(args: argparse.Namespace) -> int:
                   f"per-connection state is leaking back in",
                   file=sys.stderr)
             return 1
-    return 0
+        return 0
+
+    out_path = args.output
+    if out_path is None:
+        out_path = REPO_ROOT / ("BENCH_serving.json" if args.scale == "smoke"
+                                else f"BENCH_serving_{args.scale}.json")
+    return _publish("servebench", produce, serving.format_report,
+                    out_path, check=check)
 
 
 def cmd_servechaos(args: argparse.Namespace) -> int:
-    import json
-
     from repro.bench import chaos
 
     script = None
@@ -249,19 +275,12 @@ def cmd_servechaos(args: argparse.Namespace) -> int:
         args.seed = recorded.get("seed", args.seed)
         print(f"replaying {len(script)}-event script from "
               f"{args.replay} (seed {args.seed})")
-    try:
-        report = chaos.run_servechaos(seed=args.seed,
-                                      connections=args.connections,
-                                      events=args.events,
-                                      script=script)
-    except AssertionError as exc:
-        print(f"servechaos FAILED: {exc}", file=sys.stderr)
-        return 1
-    print(chaos.format_chaos_report(report))
-    out_path = pathlib.Path(args.output)
-    chaos.write_chaos_report(report, out_path)
-    print(f"\nwrote {out_path}")
-    return 0
+    return _publish(
+        "servechaos",
+        lambda: chaos.run_servechaos(seed=args.seed,
+                                     connections=args.connections,
+                                     events=args.events, script=script),
+        chaos.format_chaos_report, args.output)
 
 
 def cmd_keyscale(args: argparse.Namespace) -> int:
@@ -272,79 +291,52 @@ def cmd_keyscale(args: argparse.Namespace) -> int:
         domains = tuple(int(d) for d in args.domains.split(","))
     policies = args.policies.split(",") if args.policies else None
     workloads = args.workloads.split(",") if args.workloads else None
-    try:
-        report = keyscale.run_keyscale(seed=args.seed, domains=domains,
-                                       policies=policies,
-                                       workloads=workloads,
-                                       smoke=args.smoke)
-    except AssertionError as exc:
-        print(f"keyscale FAILED: {exc}", file=sys.stderr)
-        return 1
-    print(keyscale.format_report(report))
-    out_path = pathlib.Path(args.output)
-    keyscale.write_report(report, out_path)
-    print(f"\nwrote {out_path}")
-    summary_path = os.environ.get("GITHUB_STEP_SUMMARY")
-    if summary_path:
-        with open(summary_path, "a") as fh:
-            fh.write(keyscale.format_markdown(report) + "\n")
-    return 0
+    return _publish(
+        "keyscale",
+        lambda: keyscale.run_keyscale(seed=args.seed, domains=domains,
+                                      policies=policies,
+                                      workloads=workloads,
+                                      smoke=args.smoke),
+        keyscale.format_report, args.output,
+        markdown=keyscale.format_markdown)
 
 
 def cmd_clusterbench(args: argparse.Namespace) -> int:
-    import json
-
     from repro.bench import cluster
 
-    if args.sweep:
-        nodes_axis = tuple(
-            int(n) for n in args.sweep_nodes.split(","))
-        replicas_axis = tuple(
-            int(r) for r in args.sweep_replicas.split(","))
-        partition_axis = tuple(
-            float(p) for p in args.sweep_partitions.split(","))
-        try:
-            sweep = cluster.run_cluster_sweep(
-                seed=args.seed, nodes_axis=nodes_axis,
-                replicas_axis=replicas_axis,
-                partition_axis_mcyc=partition_axis,
-                connections=args.connections)
-        except AssertionError as exc:
-            print(f"cluster sweep FAILED: {exc}", file=sys.stderr)
-            return 1
-        print(cluster.format_sweep_table(sweep))
-        if args.output:
-            # The sweep merges into the chaos payload (one
-            # BENCH_cluster.json carries both) instead of clobbering.
-            out_path = pathlib.Path(args.output)
-            payload = (json.loads(out_path.read_text())
-                       if out_path.exists() else {})
-            payload["sweep"] = sweep
-            cluster.write_cluster_report(payload, out_path)
-            print(f"\nwrote {out_path}")
-        summary_path = os.environ.get("GITHUB_STEP_SUMMARY")
-        if summary_path:
-            with open(summary_path, "a") as fh:
-                fh.write(cluster.format_sweep_table(sweep) + "\n")
-        return 0
-    try:
-        report = cluster.run_clusterbench(seed=args.seed,
-                                          nodes=args.nodes,
-                                          connections=args.connections)
-    except AssertionError as exc:
-        print(f"clusterbench FAILED: {exc}", file=sys.stderr)
-        return 1
-    print(cluster.format_cluster_report(report))
-    if args.output:
-        out_path = pathlib.Path(args.output)
-        cluster.write_cluster_report(report, out_path)
-        print(f"\nwrote {out_path}")
-    return 0
+    if not args.sweep:
+        return _publish(
+            "clusterbench",
+            lambda: cluster.run_clusterbench(seed=args.seed,
+                                             nodes=args.nodes,
+                                             connections=args.connections),
+            cluster.format_cluster_report, args.output)
+
+    def produce():
+        sweep = cluster.run_cluster_sweep(
+            seed=args.seed,
+            nodes_axis=tuple(int(n) for n in args.sweep_nodes.split(",")),
+            replicas_axis=tuple(
+                int(r) for r in args.sweep_replicas.split(",")),
+            partition_axis_mcyc=tuple(
+                float(p) for p in args.sweep_partitions.split(",")),
+            connections=args.connections)
+        # The sweep merges into the chaos payload (one
+        # BENCH_cluster.json carries both) instead of clobbering.
+        payload = {}
+        if args.output and os.path.exists(args.output):
+            payload = json.loads(pathlib.Path(args.output).read_text())
+        payload["sweep"] = sweep
+        return payload
+
+    def table(payload):
+        return cluster.format_sweep_table(payload["sweep"])
+
+    return _publish("cluster sweep", produce, table, args.output,
+                    markdown=table)
 
 
 def cmd_clusterchaos(args: argparse.Namespace) -> int:
-    import json
-
     from repro.bench import cluster
 
     script = None
@@ -358,19 +350,13 @@ def cmd_clusterchaos(args: argparse.Namespace) -> int:
         args.seed = recorded.get("seed", args.seed)
         print(f"replaying {len(script)}-event cluster script from "
               f"{args.replay} (seed {args.seed})")
-    try:
-        report = cluster.run_clusterchaos(
+    return _publish(
+        "clusterchaos",
+        lambda: cluster.run_clusterchaos(
             seed=args.seed, nodes=args.nodes,
             connections=args.connections, events=args.events,
-            script=script, rehydration_script=rehydration_script)
-    except AssertionError as exc:
-        print(f"clusterchaos FAILED: {exc}", file=sys.stderr)
-        return 1
-    print(cluster.format_cluster_report(report))
-    out_path = pathlib.Path(args.output)
-    cluster.write_cluster_report(report, out_path)
-    print(f"\nwrote {out_path}")
-    return 0
+            script=script, rehydration_script=rehydration_script),
+        cluster.format_cluster_report, args.output)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -26,11 +26,11 @@ is replayed exactly by feeding the recorded script back in
 
 from __future__ import annotations
 
-import json
 import random
 import typing
 from dataclasses import dataclass
 
+from repro.bench.harness import run_twice
 from repro.bench.serving import (
     ArrivalSchedule,
     ServingEngine,
@@ -271,9 +271,10 @@ def run_servechaos(seed: int = 13, connections: int = 32,
                    ) -> dict:
     """Soak every scenario under the (seeded or replayed) chaos script.
 
-    Each scenario runs **twice**; any divergence in the machine clock,
-    the per-site cycle ledger, or the latency vector — chaos included —
-    is an AssertionError, as are liveness or audit violations.  Returns
+    Each scenario runs **twice**; any divergence in the report's
+    fingerprint (clock, per-site ledger, latency vector, digests) or in
+    the injection firings — chaos included — is an AssertionError, as
+    are liveness or audit violations.  Returns
     the ``BENCH_chaos.json`` payload, script embedded for replay.
     """
     if script is None:
@@ -281,26 +282,9 @@ def run_servechaos(seed: int = 13, connections: int = 32,
     script = tuple(script)
     scenarios = {}
     for name, build in CHAOS_SCENARIOS.items():
-        first = _soak(lambda: build(seed, connections), script)
-        second = _soak(lambda: build(seed, connections), script)
-        a, b = first.report, second.report
-        if a.clock_cycles != b.clock_cycles:
-            raise AssertionError(
-                f"{name}: chaos run is non-deterministic — clock "
-                f"{a.clock_cycles!r} vs {b.clock_cycles!r}")
-        if a.site_cycles != b.site_cycles:
-            diff = {k: (a.site_cycles.get(k), b.site_cycles.get(k))
-                    for k in set(a.site_cycles) | set(b.site_cycles)
-                    if a.site_cycles.get(k) != b.site_cycles.get(k)}
-            raise AssertionError(
-                f"{name}: per-site totals diverge under chaos: {diff}")
-        if a.latencies != b.latencies:
-            raise AssertionError(
-                f"{name}: latency vectors diverge under chaos")
-        if first.fired != second.fired:
-            raise AssertionError(
-                f"{name}: injection firings diverge: "
-                f"{first.fired} vs {second.fired}")
+        first = run_twice(
+            name, lambda: _soak(lambda: build(seed, connections), script),
+            lambda run: {**run.report.fingerprint(), "fired": run.fired})
         if first.audit_violations:
             raise AssertionError(
                 f"{name}: consistency audit failed after chaos: "
@@ -309,7 +293,7 @@ def run_servechaos(seed: int = 13, connections: int = 32,
             raise AssertionError(
                 f"{name}: liveness violated: "
                 f"{list(first.liveness_violations)}")
-        summary = a.summary()
+        summary = first.report.summary()
         summary.update({
             "fired": list(first.fired),
             "supervisor": first.supervisor,
@@ -352,8 +336,3 @@ def format_chaos_report(report: dict) -> str:
             f"{'ok' if row['audit_ok'] else 'FAIL':>6s}")
     return "\n".join(lines)
 
-
-def write_chaos_report(report: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -46,11 +46,12 @@ The scripts are data (:class:`ClusterChaosEvent` tuples) embedded in
 
 from __future__ import annotations
 
-import json
+import functools
 import random
 import typing
 from dataclasses import dataclass
 
+from repro.bench.harness import run_twice
 from repro.bench.serving import ArrivalSchedule
 from repro.consts import CLOCK_HZ
 from repro.faults.inject import FaultInjector, kill_task
@@ -332,6 +333,16 @@ class ClusterRun:
     up_nodes: tuple
     repl_totals: dict
 
+    def fingerprint(self) -> dict:
+        """What a rerun under the same script must reproduce bit for bit."""
+        return {
+            "site_ledger": self.site_ledger,
+            "total_cycles": self.total_cycles,
+            "client_ledger": self.client_ledger,
+            "digest_state": self.digest_state,
+            "fired": self.fired,
+        }
+
 
 def _soak_cluster(build, script) -> ClusterRun:
     cluster, client = build()
@@ -384,30 +395,6 @@ def _soak_cluster(build, script) -> ClusterRun:
 # ---------------------------------------------------------------------------
 # Gates.
 # ---------------------------------------------------------------------------
-
-def _assert_identical(name: str, first: ClusterRun,
-                      second: ClusterRun) -> None:
-    if first.site_ledger != second.site_ledger:
-        diff = {k: (first.site_ledger.get(k), second.site_ledger.get(k))
-                for k in set(first.site_ledger) | set(second.site_ledger)
-                if first.site_ledger.get(k) != second.site_ledger.get(k)}
-        raise AssertionError(
-            f"{name}: cluster site ledger diverges between runs: {diff}")
-    if first.total_cycles != second.total_cycles:
-        raise AssertionError(
-            f"{name}: total cycles diverge: {first.total_cycles!r} vs "
-            f"{second.total_cycles!r}")
-    if first.client_ledger != second.client_ledger:
-        raise AssertionError(
-            f"{name}: client ledgers diverge: {first.client_ledger} vs "
-            f"{second.client_ledger}")
-    if first.digest_state != second.digest_state:
-        raise AssertionError(f"{name}: latency digests diverge")
-    if first.fired != second.fired:
-        raise AssertionError(
-            f"{name}: injection firings diverge: {first.fired} vs "
-            f"{second.fired}")
-
 
 def _check_cluster_liveness(run: ClusterRun) -> list[str]:
     violations = []
@@ -540,13 +527,10 @@ def run_clusterbench(seed: int = 29, nodes: int = 4,
     with bit-identity, audit, and liveness enforced."""
     scenarios = {}
     for name, config in CLUSTER_SCENARIOS.items():
-        def build(config=config):
-            return _build_cluster(seed, nodes=nodes,
+        build = functools.partial(_build_cluster, seed, nodes=nodes,
                                   connections=connections, **config)
-
-        first = _soak_cluster(build, script=())
-        second = _soak_cluster(build, script=())
-        _assert_identical(name, first, second)
+        first = run_twice(name, lambda: _soak_cluster(build, script=()),
+                          ClusterRun.fingerprint)
         if first.audit_violations:
             raise AssertionError(
                 f"{name}: cluster audit failed: "
@@ -600,13 +584,11 @@ def run_clusterchaos(seed: int = 29, nodes: int = 4,
     runs.append(("rehydration", {"replicas": 2}, rehydration_script,
                  (_check_rehydration,)))
     for name, config, scenario_script, extra_gates in runs:
-        def build(config=config):
-            return _build_cluster(seed, nodes=nodes,
+        build = functools.partial(_build_cluster, seed, nodes=nodes,
                                   connections=connections, **config)
-
-        first = _soak_cluster(build, scenario_script)
-        second = _soak_cluster(build, scenario_script)
-        _assert_identical(name, first, second)
+        first = run_twice(name,
+                          lambda: _soak_cluster(build, scenario_script),
+                          ClusterRun.fingerprint)
         if first.audit_violations:
             raise AssertionError(
                 f"{name}: cluster audit failed after chaos: "
@@ -695,16 +677,15 @@ def run_cluster_sweep(seed: int = 29,
                 names = [f"node{i}" for i in range(node_count)]
                 script = _sweep_script(names, partition_mcyc)
 
-                def build(node_count=node_count, replicas=replicas):
-                    return _build_cluster(seed, nodes=node_count,
+                build = functools.partial(_build_cluster, seed,
+                                          nodes=node_count,
                                           connections=connections,
                                           replicas=replicas)
-
                 label = (f"n{node_count} r{replicas} "
                          f"p{partition_mcyc:.0f}M")
-                first = _soak_cluster(build, script)
-                second = _soak_cluster(build, script)
-                _assert_identical(label, first, second)
+                first = run_twice(f"sweep {label}",
+                                  lambda: _soak_cluster(build, script),
+                                  ClusterRun.fingerprint)
                 if first.audit_violations:
                     raise AssertionError(
                         f"sweep {label}: audit failed: "
@@ -814,8 +795,3 @@ def format_cluster_report(report: dict) -> str:
             f"{'ok' if row['audit_ok'] else 'FAIL':>6s}")
     return "\n".join(lines)
 
-
-def write_cluster_report(report: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -27,10 +27,10 @@ is the min over repeats — the least-perturbed observation.
 
 from __future__ import annotations
 
-import json
 import time
 
 from repro.bench.fixtures import TestBed, make_testbed
+from repro.bench.harness import check_identical
 from repro.consts import PAGE_SIZE, PROT_READ, PROT_WRITE
 
 RW = PROT_READ | PROT_WRITE
@@ -181,26 +181,16 @@ def run_workload(name: str, repeat: int = 5) -> dict:
     """
     walls = {True: [], False: []}
     sim = {}
-    sites = {}
     for _ in range(repeat):
         for fast in (True, False):
             wall, cycles, site_totals = _run_once(name, fast)
             walls[fast].append(wall)
-            sim[fast] = cycles
-            sites[fast] = site_totals
-    if sim[True] != sim[False]:
-        raise AssertionError(
-            f"{name}: simulated time diverges — fast={sim[True]!r} "
-            f"slow={sim[False]!r}")
-    if sites[True] != sites[False]:
-        diff = {k: (sites[True].get(k), sites[False].get(k))
-                for k in set(sites[True]) | set(sites[False])
-                if sites[True].get(k) != sites[False].get(k)}
-        raise AssertionError(f"{name}: per-site totals diverge: {diff}")
+            sim[fast] = {"sim_cycles": cycles, "site_cycles": site_totals}
+    check_identical(f"{name} fast vs slow MMU", sim[True], sim[False])
     wall_fast = min(walls[True])
     wall_slow = min(walls[False])
     return {
-        "sim_cycles": sim[True],
+        "sim_cycles": sim[True]["sim_cycles"],
         "wall_fast_s": round(wall_fast, 6),
         "wall_slow_s": round(wall_slow, 6),
         "wall_fast_all_s": [round(w, 6) for w in walls[True]],
@@ -212,6 +202,10 @@ def run_workload(name: str, repeat: int = 5) -> dict:
 
 def run_hostbench(repeat: int = 5, workloads=None) -> dict:
     names = list(workloads or WORKLOADS)
+    unknown = [name for name in names if name not in WORKLOADS]
+    if unknown:
+        raise ValueError(f"unknown workload(s) {unknown} "
+                         f"(choices: {sorted(WORKLOADS)})")
     results = {name: run_workload(name, repeat=repeat)
                for name in names}
     return {
@@ -296,8 +290,3 @@ def format_markdown(report: dict) -> str:
     lines += ["", f"_{report['note']}_"]
     return "\n".join(lines)
 
-
-def write_report(report: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")

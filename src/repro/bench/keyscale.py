@@ -30,15 +30,14 @@ counter invariants) afterwards.  Results land in
 
 from __future__ import annotations
 
-import json
 import random
 
-from repro.consts import PAGE_SIZE, PROT_READ, PROT_WRITE
+from repro.consts import CLOCK_HZ, PAGE_SIZE, PROT_READ, PROT_WRITE
 from repro.core.keycache import EVICTION_POLICIES
 from repro.errors import MpkKeyExhaustion
+from repro.bench.harness import run_twice
 from repro.bench.report import ascii_curves
 from repro.bench.serving import (
-    CLOCK_HZ,
     ArrivalSchedule,
     ServingEngine,
     WaitSpec,
@@ -282,17 +281,11 @@ _CELL_RUNNERS = {
 }
 
 
-def _gate_identical(first: dict, second: dict, label: str) -> None:
-    """The run-twice bit-identity determinism gate."""
-    if first == second:
-        return
-    diff = {}
-    for key in sorted(set(first) | set(second)):
-        if first.get(key) != second.get(key):
-            diff[key] = (first.get(key), second.get(key))
-    raise AssertionError(
-        f"keyscale determinism violated in {label}: two identical "
-        f"runs diverged: {diff}")
+def _cell_fingerprint(cell: dict) -> dict:
+    """The gate's view of a cell: its ``_fingerprint`` plus every
+    reported figure (under ``"cell"``)."""
+    return {**cell["_fingerprint"],
+            "cell": {k: v for k, v in cell.items() if k != "_fingerprint"}}
 
 
 # ---------------------------------------------------------------------------
@@ -334,15 +327,12 @@ def run_keyscale(seed: int = 11,
         for policy in policies:
             curve = []
             for count in domains:
-                label = (f"{workload} policy={policy} "
-                         f"domains={count}")
-                first = runner(policy, count, seed, scale)
-                second = runner(policy, count, seed, scale)
-                _gate_identical(first["_fingerprint"],
-                                second["_fingerprint"], label)
+                first = run_twice(
+                    f"keyscale {workload} policy={policy} "
+                    f"domains={count}",
+                    lambda: runner(policy, count, seed, scale),
+                    _cell_fingerprint)
                 first.pop("_fingerprint")
-                second.pop("_fingerprint")
-                _gate_identical(first, second, label)
                 curve.append(first)
             results[workload][policy] = curve
 
@@ -486,8 +476,3 @@ def format_markdown(report: dict) -> str:
                      f"rate at >=1k domains ({workload})")
     return "\n".join(lines)
 
-
-def write_report(report: dict, path) -> None:
-    with open(path, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")

@@ -59,24 +59,22 @@ latency vectors it no longer retains.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 import random
 import typing
 from collections import deque
 from dataclasses import dataclass, field
 
+from repro.consts import CLOCK_HZ
 from repro.errors import MpkKeyExhaustion, MpkTimeout, TaskKilled
 from repro.kernel.task import WaitQueue
 from repro.apps.sslserver.workers import RequestAborted
 from repro.bench.digest import LatencyDigest
+from repro.bench.harness import run_twice
 
 if typing.TYPE_CHECKING:
     from repro.kernel.kcore import Kernel
     from repro.kernel.task import Task
-
-#: Paper testbed frequency (Xeon Gold 5115): converts cycles to seconds.
-CLOCK_HZ = 2.4e9
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +314,18 @@ class ServingReport:
         if self.makespan_cycles <= 0:
             return 0.0
         return self.completed / (self.makespan_cycles / CLOCK_HZ)
+
+    def fingerprint(self) -> dict:
+        """What a same-seed rerun must reproduce bit for bit: clock,
+        per-site ledger, latency vector (empty when streaming) and both
+        digest states."""
+        latency, wait = (None if digest is None else digest.state()
+                         for digest in (self.latency_digest,
+                                        self.queue_wait_digest))
+        return {"clock_cycles": self.clock_cycles,
+                "site_cycles": self.site_cycles,
+                "latencies": self.latencies,
+                "latency_digest": latency, "queue_wait_digest": wait}
 
     def summary(self) -> dict:
         """JSON-ready digest (cycles; latencies also in ms)."""
@@ -1256,41 +1266,32 @@ def _run_memcached_scenario(seed: int, connections: int,
     return engine.run()
 
 
-SCENARIOS = {
-    # 4 workers over 2 cores: two runnable workers per core, so the
-    # quantum actually preempts (1 worker/core would never time-slice).
-    "httpd": lambda seed, connections: _run_httpd_scenario(
-        seed, connections, requests_per_connection=4,
-        response_size=4096, workers=4, num_cores=2,
-        rate_per_sec=60_000.0),
-    # The paper's 4 twemperf workers; offered rate above the 2-core
-    # service capacity so backlog (queue depth) builds open-loop.
-    "memcached": lambda seed, connections: _run_memcached_scenario(
-        seed, connections, workers=4, num_cores=2,
-        rate_per_sec=3_000.0),
+#: Offered rates by scale.  Smoke: above each scenario's 2-core service
+#: capacity, so backlog (queue depth) builds open-loop.  Large: ≈75–80%
+#: of the measured 2-core capacity (httpd ≈24.6k conn/s, memcached
+#: ≈5.6k conn/s at the large shapes) so the open-loop backlog (the only
+#: O(connections) state left) stays bounded for the whole run.
+_BASE_RATES = {
+    "smoke": {"httpd": 60_000.0, "memcached": 3_000.0},
+    "large": {"httpd": 19_000.0, "memcached": 4_300.0},
 }
 
-#: Offered rates for the 100k+-connection scale, chosen ≈75–80% of each
-#: scenario's measured 2-core service capacity (httpd ≈24.6k conn/s,
-#: memcached ≈5.6k conn/s at these per-connection shapes) so the
-#: open-loop backlog (the only O(connections) state left) stays bounded
-#: for the whole run.
-HTTPD_LARGE_RATE = 19_000.0
-MEMCACHED_LARGE_RATE = 4_300.0
-
-#: Streaming-mode variants of the paper scenarios, slimmed per
-#: connection (1 request / 1 KiB responses for httpd, 2 requests for
-#: memcached) so 100k+ connections finish within a CI wall budget.
-LARGE_SCENARIOS = {
-    "httpd": lambda seed, connections: _run_httpd_scenario(
-        seed, connections, requests_per_connection=1,
-        response_size=1024, workers=4, num_cores=2,
-        rate_per_sec=HTTPD_LARGE_RATE, retain_records=False),
-    "memcached": lambda seed, connections: _run_memcached_scenario(
-        seed, connections, workers=4, num_cores=2,
-        rate_per_sec=MEMCACHED_LARGE_RATE,
-        requests_per_connection=2, retain_records=False),
+#: Per-connection shapes by scale, all on the paper's 4 workers over 2
+#: cores (two runnable workers per core, so the quantum actually
+#: preempts).  The large scale slims them (1 request / 1 KiB responses
+#: for httpd, 2 requests for memcached) so 100k+ streaming connections
+#: finish within a CI wall budget.
+_SHAPES = {
+    "smoke": {"httpd": {"requests_per_connection": 4,
+                        "response_size": 4096},
+              "memcached": {}},
+    "large": {"httpd": {"requests_per_connection": 1,
+                        "response_size": 1024},
+              "memcached": {"requests_per_connection": 2}},
 }
+
+_RUNNERS = {"httpd": _run_httpd_scenario,
+            "memcached": _run_memcached_scenario}
 
 #: Default offered connections per scenario, by scale.
 SCALE_CONNECTIONS = {"smoke": 64, "large": 100_000}
@@ -1301,34 +1302,17 @@ SCALE_CONNECTIONS = {"smoke": 64, "large": 100_000}
 CURVE_MULTIPLIERS = (0.5, 0.75, 1.0, 1.5, 2.0)
 CURVE_MAX_CONNECTIONS = 10_000
 
-_BASE_RATES = {
-    "smoke": {"httpd": 60_000.0, "memcached": 3_000.0},
-    "large": {"httpd": HTTPD_LARGE_RATE,
-              "memcached": MEMCACHED_LARGE_RATE},
-}
 
-
-def _run_curve_point(name: str, scale: str, seed: int,
-                     connections: int, rate: float) -> ServingReport:
-    """One load-curve measurement: scenario ``name`` at an explicit
-    offered rate, always in streaming mode (bounded memory)."""
-    if name == "httpd":
-        if scale == "smoke":
-            return _run_httpd_scenario(
-                seed, connections, requests_per_connection=4,
-                response_size=4096, workers=4, num_cores=2,
-                rate_per_sec=rate, retain_records=False)
-        return _run_httpd_scenario(
-            seed, connections, requests_per_connection=1,
-            response_size=1024, workers=4, num_cores=2,
-            rate_per_sec=rate, retain_records=False)
-    if scale == "smoke":
-        return _run_memcached_scenario(
-            seed, connections, workers=4, num_cores=2,
-            rate_per_sec=rate, retain_records=False)
-    return _run_memcached_scenario(
-        seed, connections, workers=4, num_cores=2, rate_per_sec=rate,
-        requests_per_connection=2, retain_records=False)
+def _run_scenario(name: str, scale: str, seed: int, connections: int,
+                  rate: float | None = None) -> ServingReport:
+    """Scenario ``name`` in ``scale``'s shape.  At its base rate the
+    smoke scale retains per-connection records; the large scale and
+    every explicit-``rate`` load-curve point stream (bounded memory)."""
+    return _RUNNERS[name](
+        seed, connections, workers=4, num_cores=2,
+        rate_per_sec=_BASE_RATES[scale][name] if rate is None else rate,
+        retain_records=scale == "smoke" and rate is None,
+        **_SHAPES[scale][name])
 
 
 def run_load_curves(seed: int, scale: str, connections: int) -> dict:
@@ -1340,12 +1324,11 @@ def run_load_curves(seed: int, scale: str, connections: int) -> dict:
     """
     conns = min(connections, CURVE_MAX_CONNECTIONS)
     curves: dict[str, list] = {}
-    for name in _BASE_RATES[scale]:
-        base_rate = _BASE_RATES[scale][name]
+    for name, base_rate in _BASE_RATES[scale].items():
         points = []
         for multiplier in CURVE_MULTIPLIERS:
             rate = base_rate * multiplier
-            report = _run_curve_point(name, scale, seed, conns, rate)
+            report = _run_scenario(name, scale, seed, conns, rate)
             points.append({
                 "load_multiplier": multiplier,
                 "offered_rate_per_sec": rate,
@@ -1367,47 +1350,19 @@ def run_servebench(seed: int = 7, connections: int | None = None,
     """Run every scenario twice; assert bit-identical determinism.
 
     The determinism gate is the engine's whole value proposition: same
-    seed and arrival schedule must reproduce ``clock.now`` and every
-    per-site cycle total bit for bit — plus, at smoke scale, the full
-    latency vector, and at large scale (where no vector is retained)
-    the complete latency-digest state.
+    seed and arrival schedule must reproduce the report's
+    :meth:`ServingReport.fingerprint` bit for bit.
     """
     if scale not in SCALE_CONNECTIONS:
         raise ValueError(f"unknown scale: {scale!r} "
                          f"(choices: {sorted(SCALE_CONNECTIONS)})")
     if connections is None:
         connections = SCALE_CONNECTIONS[scale]
-    scenarios = SCENARIOS if scale == "smoke" else LARGE_SCENARIOS
     results = {}
-    for name, scenario in scenarios.items():
-        first = scenario(seed, connections)
-        second = scenario(seed, connections)
-        if first.clock_cycles != second.clock_cycles:
-            raise AssertionError(
-                f"{name}: clock diverges across identical runs — "
-                f"{first.clock_cycles!r} vs {second.clock_cycles!r}")
-        if first.site_cycles != second.site_cycles:
-            diff = {k: (first.site_cycles.get(k),
-                        second.site_cycles.get(k))
-                    for k in set(first.site_cycles)
-                    | set(second.site_cycles)
-                    if first.site_cycles.get(k)
-                    != second.site_cycles.get(k)}
-            raise AssertionError(f"{name}: per-site totals diverge: "
-                                 f"{diff}")
-        if first.latencies != second.latencies:
-            raise AssertionError(f"{name}: latency vectors diverge")
-        if (first.latency_digest is not None
-                and second.latency_digest is not None
-                and first.latency_digest.state()
-                != second.latency_digest.state()):
-            raise AssertionError(f"{name}: latency digests diverge")
-        if (first.queue_wait_digest is not None
-                and second.queue_wait_digest is not None
-                and first.queue_wait_digest.state()
-                != second.queue_wait_digest.state()):
-            raise AssertionError(f"{name}: queue-wait digests diverge")
-        results[name] = first
+    for name in _RUNNERS:
+        results[name] = run_twice(
+            name, lambda: _run_scenario(name, scale, seed, connections),
+            ServingReport.fingerprint)
     note_smoke = ("open-loop serving benchmark; every scenario ran "
                   "twice with identical seeds and produced bit-identical "
                   "cycle totals and latency vectors")
@@ -1446,8 +1401,3 @@ def format_report(report: dict) -> str:
             f"{row['preemptions']:>8d}")
     return "\n".join(lines)
 
-
-def write_report(report: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.bench import keyscale
+from repro.bench.harness import write_json
 from repro.core.keycache import EVICTION_POLICIES
 
 
@@ -99,10 +100,10 @@ class TestRendering:
 
     def test_write_report_round_trips(self, small_report, tmp_path):
         path = tmp_path / "keyscale.json"
-        keyscale.write_report(small_report, path)
+        write_json(small_report, path)
         assert json.loads(path.read_text()) == small_report
         # Byte-stable serialization (sorted keys, trailing newline):
         # re-writing the same report must reproduce the file exactly.
         first = path.read_bytes()
-        keyscale.write_report(small_report, path)
+        write_json(small_report, path)
         assert path.read_bytes() == first

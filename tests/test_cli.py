@@ -86,12 +86,21 @@ class TestKeyscale:
         assert set(report["workloads"]) == {"serving", "jit"}
 
     def test_unknown_policy_fails_cleanly(self, capsys, tmp_path):
-        out_path = tmp_path / "keyscale.json"
-        assert main(["keyscale", "--domains", "60",
-                     "--policies", "belady",
-                     "--output", str(out_path)]) == 1
-        assert "keyscale FAILED" in capsys.readouterr().err
-        assert not out_path.exists()
+        """Bad input to any BENCH command is a one-line FAILED and exit
+        1 with no report written, never a traceback."""
+        cases = [
+            ("keyscale", ["--domains", "60", "--policies", "belady"],
+             "belady"),
+            ("hostbench", ["--only", "nope"], "fig8_cache"),
+            ("servechaos", ["--events", "-1"], "non-negative"),
+            ("clusterchaos", ["--events", "0"], "at least 1 event"),
+        ]
+        for cmd, flags, detail in cases:
+            out_path = tmp_path / f"{cmd}.json"
+            assert main([cmd, *flags, "--output", str(out_path)]) == 1
+            err = capsys.readouterr().err
+            assert f"{cmd} FAILED" in err and detail in err
+            assert not out_path.exists()
 
 
 class TestServechaos:
@@ -114,6 +123,57 @@ class TestServechaos:
                      "--replay", str(out_path),
                      "--output", str(replay_path)]) == 0
         assert json.loads(replay_path.read_text()) == report
+
+
+    def test_nondeterministic_scenario_fails_the_gate(self, capsys,
+                                                      tmp_path,
+                                                      monkeypatch):
+        from repro.bench import chaos
+
+        builds = []
+        honest = chaos.CHAOS_SCENARIOS["httpd"]
+
+        def drifting(seed, connections):
+            built = honest(seed, connections)
+            builds.append(built)
+            if len(builds) == 2:  # the gate's second run drifts a cycle
+                built[0].clock.charge(1.0, site="apps.httpd.request")
+            return built
+
+        monkeypatch.setitem(chaos.CHAOS_SCENARIOS, "httpd", drifting)
+        out_path = tmp_path / "chaos.json"
+        assert main(["servechaos", "--connections", "4", "--events", "1",
+                     "--output", str(out_path)]) == 1
+        err = capsys.readouterr().err
+        assert "servechaos FAILED: httpd" in err
+        assert "clock_cycles" in err
+        assert not out_path.exists()
+
+
+class TestClusterbench:
+    def test_sweep_merges_and_appends_step_summary(self, capsys, tmp_path,
+                                                   monkeypatch):
+        import json
+        summary = tmp_path / "summary.md"
+        summary.write_text("earlier step\n")
+        monkeypatch.setenv("GITHUB_STEP_SUMMARY", str(summary))
+        out_path = tmp_path / "cluster.json"
+        out_path.write_text(json.dumps({"kind": "clusterchaos",
+                                        "scenarios": {"sharded": {}}}))
+        assert main(["clusterbench", "--sweep", "--sweep-nodes", "3",
+                     "--sweep-replicas", "1", "--sweep-partitions", "10",
+                     "--connections", "8",
+                     "--output", str(out_path)]) == 0
+        assert f"wrote {out_path}" in capsys.readouterr().out
+        payload = json.loads(out_path.read_text())
+        assert payload["kind"] == "clusterchaos"
+        assert payload["scenarios"] == {"sharded": {}}
+        (row,) = payload["sweep"]["rows"]
+        assert (row["nodes"], row["replicas"]) == (3, 1)
+        text = summary.read_text()
+        assert text.startswith("earlier step\n")
+        assert "### cluster sweep" in text
+        assert "| 3 | 1 | 10M |" in text
 
 
 class TestParsing:

@@ -83,7 +83,7 @@ class TestAttribution:
 
     def test_site_labels_follow_the_taxonomy(self):
         """Literal site labels are layer.op[.component] with a known
-        layer prefix (ARCHITECTURE.md; the cluster additionally
+        layer prefix (docs/ARCHITECTURE.md; the cluster additionally
         prefixes node names at merge time, which is outside this
         literal-label check)."""
         pattern = re.compile(r'site="([^"]+)"')
