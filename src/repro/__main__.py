@@ -9,7 +9,7 @@ examples       run every example script in sequence
 stats          run a sample workload, print per-site cycle attribution
 profile        run a sample workload, print the hierarchical span profile
 faultcampaign  sweep injected failures over a workload, audit every run
-hostbench      time access-heavy workloads on the host, fast vs slow MMU
+hostbench      time access-heavy workloads on the host against a baseline
 servebench     open-loop serving benchmark (latency percentiles), with a
                bit-identical determinism gate
 servechaos     chaos-soak campaign: seeded fault scripts over the serving
@@ -191,25 +191,21 @@ def cmd_hostbench(args: argparse.Namespace) -> int:
     from repro.bench import hostbench
 
     workloads = args.only.split(",") if args.only else None
+    # Read the baseline before the run: --output may overwrite it.
+    baseline = None
+    if args.check_baseline:
+        baseline = json.loads(pathlib.Path(args.check_baseline).read_text())
 
     def check(report) -> int:
-        if args.check_baseline:
-            baseline = json.loads(
-                pathlib.Path(args.check_baseline).read_text())
-            problems = hostbench.check_against_baseline(report, baseline)
-        else:
-            # The absolute speedup floors need no baseline file — they
-            # always gate (restricted to --only's subset when given).
-            problems = hostbench.check_speedup_floors(
-                report, workloads=workloads)
+        if baseline is None:
+            return 0
+        problems = hostbench.check_against_baseline(report, baseline,
+                                                    workloads=workloads)
         for problem in problems:
             print(f"REGRESSION: {problem}", file=sys.stderr)
         if problems:
             return 1
-        speedups = ", ".join(
-            f"{name} {row['speedup']:.2f}x"
-            for name, row in report["benchmarks"].items())
-        print(f"speedup gate passed: {speedups}")
+        print(f"baseline gate passed against {args.check_baseline}")
         return 0
 
     return _publish(
@@ -394,17 +390,18 @@ def main(argv: list[str] | None = None) -> int:
                           help="sample seed for --mode random")
     hostbench = sub.add_parser(
         "hostbench",
-        help="wall-clock MMU hot-path benchmark (fast vs slow path)")
+        help="wall-clock MMU hot-path benchmark (run-to-run determinism "
+             "gate, wall vs a committed baseline)")
     hostbench.add_argument("--repeat", type=int, default=5,
-                           help="interleaved fast/slow repetitions "
-                                "per workload (min wins)")
+                           help="repetitions per workload (min wins)")
     hostbench.add_argument("--only", default=None,
                            help="comma-separated workload subset")
     hostbench.add_argument("--output",
                            default=str(REPO_ROOT / "BENCH_hotpath.json"))
     hostbench.add_argument("--check-baseline", default=None,
                            help="baseline JSON to gate regressions "
-                                "against")
+                                "against (e.g. the committed "
+                                "BENCH_hotpath.json)")
     servebench = sub.add_parser(
         "servebench",
         help="open-loop serving benchmark with determinism gate")

@@ -570,6 +570,10 @@ def run_clusterchaos(seed: int = 29, nodes: int = 4,
     machine actually being stressed (retries forced, pages streamed,
     both kills landing mid-flight).
     """
+    if nodes < 2:
+        raise ValueError(f"clusterchaos needs at least 2 nodes: the "
+                         f"rehydration scenario kills node1 and syncs "
+                         f"it from node0 (got {nodes})")
     node_names = [f"node{i}" for i in range(nodes)]
     if script is None:
         script = generate_cluster_script(seed, node_names,

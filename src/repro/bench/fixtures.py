@@ -48,18 +48,11 @@ class TestBed:
 
 def make_testbed(threads: int = 1, with_libmpk: bool = True,
                  evict_rate: float = 1.0,
-                 num_cores: int = 40,
-                 mmu_fast_path: bool = True) -> TestBed:
-    """A fresh machine with ``threads`` running tasks in one process.
-
-    ``mmu_fast_path=False`` selects the reference per-page MMU walk —
-    simulated cycles are identical either way (the hostbench harness
-    asserts it); only host wall-clock differs.
-    """
+                 num_cores: int = 40) -> TestBed:
+    """A fresh machine with ``threads`` running tasks in one process."""
     if threads < 1:
         raise ValueError("need at least the calling thread")
-    kernel = Kernel(Machine(num_cores=num_cores,
-                            mmu_fast_path=mmu_fast_path))
+    kernel = Kernel(Machine(num_cores=num_cores))
     process = kernel.create_process()
     task = process.main_task
     siblings = []

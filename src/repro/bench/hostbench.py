@@ -3,26 +3,17 @@
 Simulated cycles measure the *modeled* machine; this module measures
 the *simulator itself* — how much host time the access-heavy workloads
 burn — so the perf trajectory of the hot path is tracked in CI instead
-of anecdotally.  Each workload runs twice, with the MMU fast path
-enabled and disabled, which doubles as the strongest correctness gate
-we have: the two runs must agree on final simulated time and on every
-per-site cycle total, bit for bit.
+of anecdotally.  Each workload runs ``repeat`` times, and every repeat
+must reproduce the first repeat's final simulated time and per-site
+cycle ledger bit for bit; the reported wall is the min over repeats —
+the least-perturbed observation.
 
 ``python -m repro hostbench`` writes machine-readable
-``BENCH_hotpath.json`` at the repo root.  Two gates run under
-``--check-baseline``:
-
-* **absolute floors** (:data:`SPEEDUP_FLOORS`): the fast path must win
-  — speedup >= 1.0 — on *every* workload, including the syscall-heavy
-  ones where its margin is thin;
-* **relative baseline** (:data:`BASELINE_RELATIVE_FLOORS`): workloads
-  with real headroom (fig8's cache-access loop) must also stay within
-  a fraction of their committed-baseline speedup, catching slow decay
-  that the absolute floor would miss.
-
-Repeats interleave fast and slow runs (fast, slow, fast, slow, ...)
-so both sides sample the same host conditions, and the reported wall
-is the min over repeats — the least-perturbed observation.
+``BENCH_hotpath.json`` at the repo root, and the committed file is the
+baseline that ``--check-baseline`` gates against
+(:func:`check_against_baseline`): per workload, ``sim_cycles`` must
+equal the baseline's exactly and ``baseline wall_s / wall_s`` must
+stay at or above :data:`FLOORS`.
 """
 
 from __future__ import annotations
@@ -35,21 +26,17 @@ from repro.consts import PAGE_SIZE, PROT_READ, PROT_WRITE
 
 RW = PROT_READ | PROT_WRITE
 
-#: Absolute per-workload gate: the fast path must not lose anywhere.
-#: table1 and fig14 are syscall-dominated, so their margin over 1.0 is
-#: structurally thin — the floor pins "never a regression" rather than
-#: a large win.
-SPEEDUP_FLOORS = {
-    "fig8_cache": 1.0,
-    "table1": 1.0,
-    "fig14_memcached": 1.0,
-}
-
-#: Relative gate: measured speedup must stay above this fraction of
-#: the committed baseline's speedup.  Only workloads with enough
-#: headroom for "fraction of baseline" to be meaningful are listed.
-BASELINE_RELATIVE_FLOORS = {
-    "fig8_cache": 0.75,  # >25% regression from baseline fails
+#: Per-workload wall floor: ``baseline wall_s / wall_s`` must be at
+#: least this, i.e. the measured wall may grow to ``1 / floor`` times
+#: the committed baseline's before the gate fails.  On a shared 2-vCPU
+#: host the min-of-5 wall swings by about 1.5x between quiet and busy
+#: periods, while a TLB that never serves an authoritative hit slows
+#: fig8_cache by about 1.45x: 0.5 tolerates the swing, and catches
+#: that regression only when it is measured in a busy period.
+FLOORS = {
+    "fig8_cache": 0.5,
+    "table1": 0.5,
+    "fig14_memcached": 0.5,
 }
 
 
@@ -76,7 +63,7 @@ def _fig8_cache_setup(bed: TestBed):
 def _fig8_cache_run(bed: TestBed, buffers) -> None:
     """The access-heavy half of Figure 8: every mpk_mprotect toggle is
     followed by streaming reads/writes through the protected buffers —
-    the pattern whose wall-clock the MMU fast path exists to fix."""
+    the pattern that streams the most bytes through the MMU."""
     lib, task = bed.lib, bed.task
     size = _FIG8_BUFFER_PAGES * PAGE_SIZE
     payload = b"\xa5" * size
@@ -95,11 +82,10 @@ def _table1_setup(bed: TestBed):
 
 
 def _table1_run(bed: TestBed, addr) -> None:
-    """Table-1 primitives in a loop: syscall-dominated, so the fast
-    path's margin is thin here — tracked to catch regressions in the
-    syscall path's host cost.  The iteration count keeps the wall
-    around tens of milliseconds: with sub-10ms runs, fixed host noise
-    swamps the margin and the >= 1.0 floor turns into a coin flip."""
+    """Table-1 primitives in a loop: syscall-dominated, tracked to
+    catch regressions in the syscall path's host cost.  The iteration
+    count keeps the wall around tens of milliseconds: with sub-10ms
+    runs, fixed host noise swamps any regression."""
     kernel, task = bed.kernel, bed.task
     for i in range(500):
         key = kernel.sys_pkey_alloc(task)
@@ -152,11 +138,10 @@ WORKLOADS = {
 # Harness.
 # ---------------------------------------------------------------------------
 
-def _run_once(name: str, mmu_fast_path: bool):
-    """One timed run; returns (wall_seconds, sim_cycles, site_totals)."""
+def _run_once(name: str):
+    """One timed run; returns (wall_seconds, fingerprint)."""
     setup, run, kwargs = WORKLOADS[name]
-    bed = make_testbed(num_cores=2, mmu_fast_path=mmu_fast_path,
-                       **kwargs)
+    bed = make_testbed(num_cores=2, **kwargs)
     state = setup(bed)
     start = time.perf_counter()
     run(bed, state)
@@ -165,42 +150,37 @@ def _run_once(name: str, mmu_fast_path: bool):
     ok, delta = machine.obs.audit()
     if not ok:
         raise AssertionError(
-            f"{name} (fast={mmu_fast_path}): conservation audit failed "
+            f"{name}: conservation audit failed "
             f"(delta={delta}, {machine.obs.invariant_failures()})")
-    return wall, machine.clock.now, dict(machine.obs.aggregator.cycles)
+    return wall, {"sim_cycles": machine.clock.now,
+                  "site_cycles": dict(machine.obs.aggregator.cycles)}
 
 
 def run_workload(name: str, repeat: int = 5) -> dict:
-    """Time ``name`` fast and slow; verify bit-identical simulation.
-
-    Fast and slow runs interleave within each repeat so a host
-    perturbation (frequency step, noisy neighbour) lands on both sides
-    rather than biasing whichever block it hit; the reported wall is
-    the min over repeats and the raw per-repeat walls are recorded for
-    post-hoc flakiness forensics.
-    """
-    walls = {True: [], False: []}
-    sim = {}
-    for _ in range(repeat):
-        for fast in (True, False):
-            wall, cycles, site_totals = _run_once(name, fast)
-            walls[fast].append(wall)
-            sim[fast] = {"sim_cycles": cycles, "site_cycles": site_totals}
-    check_identical(f"{name} fast vs slow MMU", sim[True], sim[False])
-    wall_fast = min(walls[True])
-    wall_slow = min(walls[False])
+    """Time ``name`` ``repeat`` times; every repeat must reproduce the
+    first one's simulated ledger.  The raw per-repeat walls are
+    recorded for post-hoc flakiness forensics."""
+    walls = []
+    first = None
+    for index in range(repeat):
+        wall, fingerprint = _run_once(name)
+        walls.append(wall)
+        if first is None:
+            first = fingerprint
+        else:
+            check_identical(f"{name} repeat {index + 1} vs 1", first,
+                            fingerprint)
     return {
-        "sim_cycles": sim[True]["sim_cycles"],
-        "wall_fast_s": round(wall_fast, 6),
-        "wall_slow_s": round(wall_slow, 6),
-        "wall_fast_all_s": [round(w, 6) for w in walls[True]],
-        "wall_slow_all_s": [round(w, 6) for w in walls[False]],
+        "sim_cycles": first["sim_cycles"],
+        "wall_s": round(min(walls), 6),
+        "wall_all_s": [round(w, 6) for w in walls],
         "repeat": repeat,
-        "speedup": round(wall_slow / wall_fast, 3),
     }
 
 
 def run_hostbench(repeat: int = 5, workloads=None) -> dict:
+    if repeat < 1:
+        raise ValueError(f"repeat must be at least 1 (got {repeat})")
     names = list(workloads or WORKLOADS)
     unknown = [name for name in names if name not in WORKLOADS]
     if unknown:
@@ -209,67 +189,52 @@ def run_hostbench(repeat: int = 5, workloads=None) -> dict:
     results = {name: run_workload(name, repeat=repeat)
                for name in names}
     return {
-        "schema": 2,
+        "schema": 3,
         "unit": {"wall": "seconds", "sim": "cycles"},
-        "note": ("speedup = slow-path wall / fast-path wall (min over "
-                 "interleaved repeats); simulated results are verified "
-                 "bit-identical between the two"),
+        "note": ("wall_s = min host wall over repeats; every repeat "
+                 "reproduces the first's simulated ledger bit for bit"),
         "benchmarks": results,
     }
 
 
-def check_speedup_floors(report: dict, workloads=None) -> list[str]:
-    """Absolute gate: every floored workload must clear its
-    :data:`SPEEDUP_FLOORS` entry.  Failure messages name the
-    regressing workload.  ``workloads`` restricts the check (the
-    ``--only`` flag runs a subset; absent workloads are a failure only
-    when they were supposed to run)."""
+def check_against_baseline(report: dict, baseline: dict,
+                           workloads=None) -> list[str]:
+    """The regression gate: per workload, ``sim_cycles`` must equal the
+    baseline's exactly and ``baseline wall_s / wall_s`` must clear
+    :data:`FLOORS`.  Returns failure messages, each naming its
+    workload (empty when every check passes).  ``workloads`` restricts
+    the check to the subset ``--only`` ran; any other workload missing
+    from the report is a failure."""
     problems = []
-    for name, floor in SPEEDUP_FLOORS.items():
+    rows = report["benchmarks"]
+    base_rows = baseline.get("benchmarks", {})
+    for name, floor in FLOORS.items():
         if workloads is not None and name not in workloads:
             continue
-        row = report["benchmarks"].get(name)
-        if row is None:
-            problems.append(f"{name}: missing from report (floor "
-                            f"{floor:.2f}x not checked)")
-            continue
-        if row["speedup"] < floor:
-            problems.append(
-                f"{name}: fast path lost — speedup {row['speedup']:.2f}x "
-                f"is below the {floor:.2f}x floor "
-                f"(fast {row['wall_fast_s']:.3f}s vs "
-                f"slow {row['wall_slow_s']:.3f}s)")
-    return problems
-
-
-def check_against_baseline(report: dict, baseline: dict) -> list[str]:
-    """Full regression gate: absolute per-workload floors plus the
-    relative-to-baseline checks.  Returns failure messages (empty when
-    every gate passes)."""
-    problems = check_speedup_floors(report)
-    for name, fraction in BASELINE_RELATIVE_FLOORS.items():
-        row = report["benchmarks"].get(name)
-        base = baseline.get("benchmarks", {}).get(name)
+        row, base = rows.get(name), base_rows.get(name)
         if row is None or base is None:
-            problems.append(f"baseline or report missing '{name}'")
+            where = "report" if row is None else "baseline"
+            problems.append(f"{name}: missing from the {where}")
             continue
-        floor = fraction * base["speedup"]
-        if row["speedup"] < floor:
+        if row["sim_cycles"] != base["sim_cycles"]:
             problems.append(
-                f"{name}: speedup {row['speedup']:.2f}x fell "
-                f"below {floor:.2f}x ({fraction:.0%} of baseline "
-                f"{base['speedup']:.2f}x)")
+                f"{name}: sim_cycles {row['sim_cycles']!r} differ from "
+                f"the baseline's {base['sim_cycles']!r}")
+        ratio = base["wall_s"] / row["wall_s"]
+        if ratio < floor:
+            problems.append(
+                f"{name}: wall {row['wall_s']:.3f}s vs baseline "
+                f"{base['wall_s']:.3f}s — ratio {ratio:.2f} is below "
+                f"the {floor:.2f} floor")
     return problems
 
 
 def format_report(report: dict) -> str:
-    lines = [f"{'workload':<18s} {'sim cycles':>16s} {'slow (s)':>10s} "
-             f"{'fast (s)':>10s} {'speedup':>8s}"]
+    lines = [f"{'workload':<18s} {'sim cycles':>16s} {'wall (s)':>10s} "
+             f"{'repeat':>6s}"]
     for name, row in report["benchmarks"].items():
         lines.append(f"{name:<18s} {row['sim_cycles']:>16,.1f} "
-                     f"{row['wall_slow_s']:>10.3f} "
-                     f"{row['wall_fast_s']:>10.3f} "
-                     f"{row['speedup']:>7.2f}x")
+                     f"{row['wall_s']:>10.3f} {row['repeat']:>6d}")
     return "\n".join(lines)
 
 
@@ -277,16 +242,10 @@ def format_markdown(report: dict) -> str:
     """GitHub-flavoured markdown table (for the CI step summary)."""
     lines = ["### MMU hot-path hostbench",
              "",
-             "| workload | sim cycles | slow (s) | fast (s) | speedup "
-             "| floor |",
-             "|---|---:|---:|---:|---:|---:|"]
+             "| workload | sim cycles | wall (s) | floor |",
+             "|---|---:|---:|---:|"]
     for name, row in report["benchmarks"].items():
-        floor = SPEEDUP_FLOORS.get(name)
-        floor_text = f"{floor:.2f}x" if floor is not None else "—"
         lines.append(f"| {name} | {row['sim_cycles']:,.1f} "
-                     f"| {row['wall_slow_s']:.3f} "
-                     f"| {row['wall_fast_s']:.3f} "
-                     f"| {row['speedup']:.2f}x | {floor_text} |")
+                     f"| {row['wall_s']:.3f} | {FLOORS[name]:.2f} |")
     lines += ["", f"_{report['note']}_"]
     return "\n".join(lines)
-

@@ -304,6 +304,9 @@ def run_keyscale(seed: int = 11,
     """
     if domains is None:
         domains = SMOKE_DOMAINS if smoke else DOMAIN_SWEEP
+    if any(count < 1 for count in domains):
+        raise ValueError(f"every domain count must be at least 1 "
+                         f"(got {list(domains)})")
     if policies is None:
         policies = DEFAULT_POLICIES
     if workloads is None:

@@ -10,26 +10,18 @@ WRPKRU is modeled with its serialization side effect (Figure 2): the
 instruction drains the pipeline, so instructions issued right after it
 lose out-of-order overlap for a window of instructions.
 
-The MMU hot path
-----------------
-Every simulated byte the workloads move funnels through the MMU, so the
-translation path exists twice:
-
-* **Fast path** (``mmu_fast_path=True``, the default): a TLB hit whose
-  generation stamp matches the page table is *authoritative* —
-  prot/pkey/frame are served from the :class:`TlbEntry` and the page
-  table is never consulted.  ``read``/``write``/``fetch`` additionally
-  batch their bookkeeping: each page is resolved once and the per-page
-  ``mem_access`` (and zero-cost ``tlb_hit``) charges are folded into a
-  single :meth:`Clock.charge` per call.
-* **Slow path** (``mmu_fast_path=False``): the original per-page
-  generator walk that validates every access against the page table.
-
-Both paths charge the same sites by the same total amounts and observe
-the same TLB-stale semantics, so simulated time and per-site attribution
-are bit-identical either way — only the *host* cost differs (the
-property suite in ``tests/properties/test_mmu_equivalence.py`` drives
-random interleavings through both and asserts exact equality).
+The MMU
+-------
+Every simulated byte the workloads move funnels through the MMU.  A TLB
+hit whose generation stamp matches the page table is *authoritative*:
+prot/pkey/frame are served from the :class:`TlbEntry` and the page
+table is never consulted.  A hit with a stale stamp validates the
+mapping against the page table (unmapped pages fault) and re-stamps the
+entry in place, keeping the cached prot/pkey: stale permissions survive
+until a shootdown, as on real hardware.  ``read``/``write``/``fetch``
+batch their bookkeeping: each page is resolved once and the per-page
+``mem_access`` and (zero-cost) ``tlb_hit`` charges are folded into one
+:meth:`Clock.charge` each per call.
 """
 
 from __future__ import annotations
@@ -51,16 +43,12 @@ class Core:
     """One logical core (hyperthread)."""
 
     def __init__(self, core_id: int, clock: Clock, costs: CostModel,
-                 meltdown_mitigated: bool = False,
-                 mmu_fast_path: bool = True) -> None:
+                 meltdown_mitigated: bool = False) -> None:
         self.core_id = core_id
         self.clock = clock
         self.costs = costs
         self.pkru = PKRU.deny_all_but_default()
         self.tlb = TLB(clock, costs)
-        # TLB-authoritative hits + batched transfer charging (host-side
-        # optimization; simulated behaviour is identical either way).
-        self.mmu_fast_path = mmu_fast_path
         # Remaining instructions that execute without out-of-order overlap
         # because a WRPKRU recently serialized the pipeline.
         self._serial_shadow = 0
@@ -192,11 +180,22 @@ class Core:
                    probed: object = _UNPROBED):
         """Resolve ``vpn`` to ``(frame, prot, pkey)`` through the TLB.
 
-        Raises :class:`SegmentationFault` when no translation exists.
-        Charges the page walk on a miss; charges the (zero-cost) TLB hit
-        unless ``defer_hit_charge`` (the batched transfer path folds hit
-        charges into one :meth:`Clock.charge`).  Returns a fourth value:
-        True when the translation was a TLB hit.
+        Three outcomes, each counting one access:
+
+        * authoritative hit (the entry's table and generation stamp
+          match): served from the TLB entry alone;
+        * stale-stamp hit: the mapping and frame are re-read from the
+          page table, prot/pkey stay the TLB's, and the entry is
+          re-stamped so the next hit is authoritative;
+        * miss: the page is walked (``hw.tlb.walk`` charged) and the
+          TLB filled.
+
+        Raises :class:`SegmentationFault` (``unmapped=True``), counting
+        no access and charging nothing, when no translation exists.  A
+        hit charges the (zero-cost) ``hw.tlb.hit`` unless
+        ``defer_hit_charge`` (the batched transfer path folds hit
+        charges into one :meth:`Clock.charge`).  Returns a fourth
+        value: True when the translation was a TLB hit.
 
         ``probed`` lets the batched transfer path hand over the raw
         result of its own TLB lookup (entry or None) so the dict is not
@@ -216,7 +215,7 @@ class Core:
             if cached is not None:
                 tlb._entries.move_to_end(vpn)
         if cached is not None:
-            if (self.mmu_fast_path and cached.table is page_table
+            if (cached.table is page_table
                     and cached.generation == page_table.generation):
                 # Authoritative hit: the generation stamp proves no
                 # structural page-table change since the fill, so the
@@ -224,11 +223,9 @@ class Core:
                 self._count_access(kind)
                 tlb.record_hit(charge=not defer_hit_charge)
                 return cached.frame, cached.prot, cached.pkey, True
-            # Validating hit (fast path off, or the stamp went stale):
-            # mapping existence and the frame come from the paging
-            # structures, but permission bits stay with the TLB entry —
-            # stale permissions survive until a shootdown, exactly as on
-            # real hardware.
+            # Stale stamp: mapping existence and the frame come from
+            # the paging structures, permission bits stay with the TLB
+            # entry (stale permissions survive until a shootdown).
             entry = page_table.lookup(vpn)
             if entry is None:
                 tlb.record_stale_hit()
@@ -237,15 +234,11 @@ class Core:
                     access=kind, unmapped=True)
             self._count_access(kind)
             tlb.record_hit(charge=not defer_hit_charge)
-            if self.mmu_fast_path:
-                # Re-stamp in place so the next hit is authoritative
-                # again (the entry is already resident — no allocation,
-                # no dict write).  The possibly-stale prot/pkey are
-                # deliberately kept: the slow path would keep serving
-                # them from the TLB too.
-                cached.restamp(entry.frame, entry.frame.number,
-                               page_table.generation, page_table)
-                tlb.note_table(page_table)
+            # Re-stamp in place: the entry is resident, so no
+            # allocation and no dict write.
+            cached.restamp(entry.frame, entry.frame.number,
+                           page_table.generation, page_table)
+            tlb.note_table(page_table)
             return entry.frame, cached.prot, cached.pkey, True
         entry = page_table.lookup(vpn)
         if entry is None:
@@ -296,46 +289,29 @@ class Core:
 
     def read(self, page_table: PageTable, addr: int, length: int) -> bytes:
         """MMU-checked read of ``length`` bytes starting at ``addr``."""
-        if not self.mmu_fast_path:
-            return b"".join(
-                entry.frame.read(offset, chunk)
-                for entry, offset, chunk in self._walk(page_table, addr,
-                                                       length, READ))
         return self._transfer(page_table, addr, length, READ, None)
 
     def write(self, page_table: PageTable, addr: int, data: bytes) -> None:
         """MMU-checked write of ``data`` starting at ``addr``."""
-        if not self.mmu_fast_path:
-            cursor = 0
-            for entry, offset, chunk in self._walk(page_table, addr,
-                                                   len(data), WRITE):
-                entry.frame.write(offset, data[cursor:cursor + chunk])
-                cursor += chunk
-            return
         self._transfer(page_table, addr, len(data), WRITE, data)
 
     def fetch(self, page_table: PageTable, addr: int, length: int) -> bytes:
         """Instruction fetch (PKRU-exempt) of ``length`` bytes."""
-        if not self.mmu_fast_path:
-            return b"".join(
-                entry.frame.read(offset, chunk)
-                for entry, offset, chunk in self._walk(page_table, addr,
-                                                       length, FETCH))
         return self._transfer(page_table, addr, length, FETCH, None)
 
     def _transfer(self, page_table: PageTable, addr: int, length: int,
                   kind: str, data: bytes | None) -> bytes | None:
-        """Fast-path transfer engine: per page, translate (TLB-first),
+        """The transfer engine: per page, translate (TLB-first),
         enforce, and move bytes; charge the accumulated ``mem_access``
         and ``tlb_hit`` costs in one batch at the end.  ``data`` is the
         payload for a write; None collects and returns bytes (read and
         fetch).
 
-        Fault semantics match the per-page slow path exactly: chunks
-        before a faulting page are already transferred (partial writes),
-        the faulting page's ``mem_access`` is charged for permission
-        faults but not for unmapped faults, and the access counters
-        reflect every page that translated successfully.
+        Faults stop the transfer at the faulting page.  Chunks before
+        it are already moved (a faulting write leaves them written).
+        Every page that translated — the faulting one included when
+        the fault is a permission fault — counts one access and pays
+        one ``mem_access``; an unmapped page counts and pays nothing.
 
         The loop body inlines the authoritative-hit case of
         :meth:`_translate` — a dict probe, an identity/generation
@@ -511,20 +487,3 @@ class Core:
         self.clock.charge(self.costs.mem_access + self.costs.cache_line_fill,
                           site="hw.mem.speculative_load")
         return entry.frame.read(addr % PAGE_SIZE, limit)
-
-    def _walk(self, page_table: PageTable, addr: int, length: int,
-              kind: str):
-        """Yield (PTE, in-page offset, chunk length) per page touched,
-        permission-checking each page (the ``mmu_fast_path=False``
-        reference path)."""
-        if length < 0:
-            raise ValueError("length must be non-negative")
-        remaining = length
-        cursor = addr
-        while remaining > 0:
-            entry = self.check_access(page_table, cursor, kind)
-            offset = cursor % PAGE_SIZE
-            chunk = min(remaining, PAGE_SIZE - offset)
-            yield entry, offset, chunk
-            cursor += chunk
-            remaining -= chunk

@@ -21,7 +21,6 @@ class Machine:
                  memory_bytes: int = 192 << 30,
                  costs: CostModel | None = None,
                  meltdown_mitigated: bool = False,
-                 mmu_fast_path: bool = True,
                  name: str = "machine") -> None:
         if num_cores <= 0:
             raise ValueError("num_cores must be positive")
@@ -34,10 +33,8 @@ class Machine:
         # before the clock can advance, so attribution is complete.
         self.obs = Observability(self.clock)
         self.memory = PhysicalMemory(total_frames=memory_bytes // PAGE_SIZE)
-        self.mmu_fast_path = mmu_fast_path
         self.cores = [Core(i, self.clock, self.costs,
-                           meltdown_mitigated=meltdown_mitigated,
-                           mmu_fast_path=mmu_fast_path)
+                           meltdown_mitigated=meltdown_mitigated)
                       for i in range(num_cores)]
         # MMU counter conservation: every architecturally-counted access
         # was served by exactly one TLB outcome (hit or charged walk).

@@ -7,12 +7,12 @@ paper's central performance argument).
 
 Entries additionally carry a *generation stamp*: the owning page table's
 ``generation`` counter at fill time, plus a reference to that page table
-and to the physical frame.  The MMU fast path
-(:meth:`repro.hw.cpu.Core.check_access`) treats a hit whose stamp still
-matches the page table as **authoritative** — prot/pkey/frame are served
-straight from the :class:`TlbEntry` without consulting the page table at
-all.  Any structural page-table change bumps the generation, so a stale
-stamp cheaply demotes the hit to the validating slow path.
+and to the physical frame.  The MMU (:meth:`repro.hw.cpu.Core._translate`
+and the batched transfer) treats a hit whose stamp still matches the
+page table as **authoritative** — prot/pkey/frame are served straight
+from the :class:`TlbEntry` without consulting the page table at all.
+Any structural page-table change bumps the generation, so a stale stamp
+cheaply demotes the hit to a validating one.
 
 Statistics are aligned with *charged events* (the shootdown-accounting
 contract):
@@ -46,11 +46,11 @@ from repro.hw.cycles import Clock, CostModel
 class TlbEntry:
     """Cached translation: frame number + permission + pkey bits.
 
-    ``frame``, ``generation`` and ``table`` exist for the MMU fast
-    path: a hit is authoritative only when ``table`` is the page table
+    ``frame``, ``generation`` and ``table`` exist for authoritative
+    hits: a hit is authoritative only when ``table`` is the page table
     being translated and ``generation`` equals its current generation
     counter.  Entries constructed without them (legacy tests, external
-    code) simply never qualify for the fast path.
+    code) are always validated against the page table.
 
     A plain ``__slots__`` class rather than a dataclass: entries are
     constructed on every TLB fill, which makes ``__init__`` one of the
@@ -79,7 +79,7 @@ class TlbEntry:
         """Revalidate in place after a structural page-table change:
         adopt the current frame and generation stamp while keeping the
         (possibly stale) prot/pkey bits — real hardware serves stale
-        permissions until a shootdown, and so does the slow path."""
+        permissions until a shootdown."""
         self.frame = frame
         self.frame_number = frame_number
         self.generation = generation

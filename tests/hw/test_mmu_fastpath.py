@@ -1,6 +1,6 @@
-"""The MMU hot-path fast path: authoritative TLB hits, generation-stamp
-invalidation, batched transfer parity, and the overlay-pruning and
-stats-contract regressions it depends on."""
+"""The MMU hot path: authoritative TLB hits, generation-stamp
+invalidation, the batched transfer's exact charges, and the
+overlay-pruning and stats-contract regressions it depends on."""
 
 import pytest
 
@@ -13,8 +13,8 @@ from repro.hw.pkru import KEY_RIGHTS_NONE, PKRU
 RW = PROT_READ | PROT_WRITE
 
 
-def make_core_and_table(mmu_fast_path=True, pages=4):
-    machine = Machine(num_cores=1, mmu_fast_path=mmu_fast_path)
+def make_core_and_table(pages=4):
+    machine = Machine(num_cores=1)
     pt = PageTable()
     for i in range(pages):
         pt.map(0x10 + i, machine.memory.alloc_frame(), RW, pkey=3)
@@ -37,7 +37,7 @@ class CountingPageTable(PageTable):
 
 class TestAuthoritativeHits:
     def test_warm_hit_skips_page_table_lookup(self):
-        machine = Machine(num_cores=1, mmu_fast_path=True)
+        machine = Machine(num_cores=1)
         pt = CountingPageTable()
         pt.map(0x10, machine.memory.alloc_frame(), RW, pkey=3)
         core = machine.core(0)
@@ -51,17 +51,22 @@ class TestAuthoritativeHits:
         assert core.tlb.stats.hits == 10
 
     def test_slow_path_validates_every_access(self):
-        machine = Machine(num_cores=1, mmu_fast_path=False)
+        """A generation bump before every access leaves no hit
+        authoritative: each one consults the page table once."""
+        machine = Machine(num_cores=1)
         pt = CountingPageTable()
         pt.map(0x10, machine.memory.alloc_frame(), RW, pkey=3)
         core = machine.core(0)
         core.load_pkru(PKRU.allow_all())
-        core.read(pt, 0x10000, 1)
-        core.read(pt, 0x10000, 1)
-        assert pt.lookups == 2
+        for i in range(5):
+            pt.map(0x30 + i, machine.memory.alloc_frame(), RW)  # bump
+            core.read(pt, 0x10000, 1)
+        assert pt.lookups == 5
+        assert core.tlb.stats.misses == 1
+        assert core.tlb.stats.hits == 4
 
     def test_generation_bump_demotes_hit_to_validation(self):
-        machine = Machine(num_cores=1, mmu_fast_path=True)
+        machine = Machine(num_cores=1)
         pt = CountingPageTable()
         pt.map(0x10, machine.memory.alloc_frame(), RW, pkey=3)
         core = machine.core(0)
@@ -75,16 +80,15 @@ class TestAuthoritativeHits:
         assert pt.lookups == baseline + 1
 
     def test_stale_permissions_served_until_shootdown(self):
-        """The fast path must preserve TLB-stale semantics: a prot
-        change without a TLB flush keeps serving the cached bits."""
-        for fast in (True, False):
-            machine, core, pt = make_core_and_table(mmu_fast_path=fast)
-            core.write(pt, 0x10000, b"x")   # TLB caches prot=RW
-            pt.set_prot(0x10, PROT_READ)    # no shootdown
-            core.write(pt, 0x10000, b"y")   # stale RW still honored
-            core.tlb.flush()
-            with pytest.raises(SegmentationFault):
-                core.write(pt, 0x10000, b"z")
+        """The MMU preserves TLB-stale semantics: a prot change
+        without a TLB flush keeps serving the cached bits."""
+        machine, core, pt = make_core_and_table()
+        core.write(pt, 0x10000, b"x")   # TLB caches prot=RW
+        pt.set_prot(0x10, PROT_READ)    # no shootdown
+        core.write(pt, 0x10000, b"y")   # stale RW still honored
+        core.tlb.flush()
+        with pytest.raises(SegmentationFault):
+            core.write(pt, 0x10000, b"z")
 
     def test_unmap_without_shootdown_faults_on_access(self):
         machine, core, pt = make_core_and_table()
@@ -98,7 +102,7 @@ class TestAuthoritativeHits:
     def test_cross_table_hit_never_authoritative(self):
         """A TLB entry from another address space must not serve its
         frame just because the generation numbers coincide."""
-        machine = Machine(num_cores=1, mmu_fast_path=True)
+        machine = Machine(num_cores=1)
         core = machine.core(0)
         core.load_pkru(PKRU.allow_all())
         pt_a, pt_b = PageTable(), PageTable()
@@ -121,56 +125,54 @@ class TestBatchedTransfer:
         assert core.read(pt, 0x10000, len(data)) == data
 
     def test_fast_and_slow_paths_charge_identical_cycles(self):
-        results = {}
-        for fast in (True, False):
-            machine, core, pt = make_core_and_table(mmu_fast_path=fast,
-                                                    pages=4)
-            data = b"\xab" * (3 * PAGE_SIZE + 100)
-            core.write(pt, 0x10000, data)
-            core.read(pt, 0x10000, len(data))
-            core.read(pt, 0x10000 + 7, 2 * PAGE_SIZE)
-            results[fast] = (machine.clock.now,
-                             dict(machine.obs.aggregator.cycles))
-        assert results[True][0] == results[False][0]
-        assert results[True][1] == results[False][1]
+        """The batched transfer charges exactly the cost model's
+        per-page ledger: one walk per first touch, one mem_access per
+        page touched, and nothing else."""
+        machine, core, pt = make_core_and_table(pages=4)
+        costs = machine.costs
+        data = b"\xab" * (3 * PAGE_SIZE + 100)
+        core.write(pt, 0x10000, data)               # 4 pages, 4 walks
+        core.read(pt, 0x10000, len(data))           # 4 pages, all hits
+        core.read(pt, 0x10000 + 7, 2 * PAGE_SIZE)   # 3 pages, all hits
+        walks, accesses = 4, 4 + 4 + 3
+        cycles = machine.obs.aggregator.cycles
+        assert cycles["hw.tlb.walk"] == walks * costs.tlb_miss_walk
+        assert cycles["hw.mem.access"] == accesses * costs.mem_access
+        assert cycles.get("hw.tlb.hit", 0.0) == \
+            (accesses - walks) * costs.tlb_hit
+        assert machine.clock.now == (walks * costs.tlb_miss_walk
+                                     + accesses * costs.mem_access
+                                     + (accesses - walks) * costs.tlb_hit)
+        assert core.data_accesses == accesses
 
     def test_partial_write_before_faulting_page_persists(self):
-        for fast in (True, False):
-            machine, core, pt = make_core_and_table(mmu_fast_path=fast,
-                                                    pages=2)
-            addr = 0x11000 + PAGE_SIZE - 4
-            with pytest.raises(SegmentationFault):
-                # Crosses from mapped 0x11 into unmapped 0x12.
-                core.write(pt, addr, b"12345678")
-            # The bytes that landed on the mapped page stay written.
-            assert core.read(pt, addr, 4) == b"1234"
+        machine, core, pt = make_core_and_table(pages=2)
+        addr = 0x11000 + PAGE_SIZE - 4
+        with pytest.raises(SegmentationFault):
+            # Crosses from mapped 0x11 into unmapped 0x12.
+            core.write(pt, addr, b"12345678")
+        # The bytes that landed on the mapped page stay written.
+        assert core.read(pt, addr, 4) == b"1234"
 
     def test_unmapped_fault_charges_only_prior_pages(self):
-        """Fault ordering parity: an unmapped fault at page k leaves
-        exactly k-1 mem_access charges, same as the per-page walk."""
-        charges = {}
-        for fast in (True, False):
-            machine, core, pt = make_core_and_table(mmu_fast_path=fast,
-                                                    pages=2)
-            with pytest.raises(SegmentationFault):
-                core.read(pt, 0x10000, 3 * PAGE_SIZE)  # 0x12 unmapped
-            charges[fast] = machine.obs.aggregator.cycles.get(
-                "hw.mem.access", 0.0)
-        assert charges[True] == charges[False]
-        assert charges[True] == pytest.approx(
-            2 * machine.costs.mem_access)
+        """Fault ordering: an unmapped fault at page k leaves exactly
+        k-1 mem_access charges."""
+        machine, core, pt = make_core_and_table(pages=2)
+        with pytest.raises(SegmentationFault):
+            core.read(pt, 0x10000, 3 * PAGE_SIZE)  # 0x12 unmapped
+        assert machine.obs.aggregator.cycles.get(
+            "hw.mem.access", 0.0) == pytest.approx(
+                2 * machine.costs.mem_access)
+        assert core.data_accesses == 2
 
     def test_perm_fault_charges_faulting_page_too(self):
-        for fast in (True, False):
-            machine, core, pt = make_core_and_table(mmu_fast_path=fast,
-                                                    pages=2)
-            core.load_pkru(
-                PKRU.allow_all().with_rights(3, KEY_RIGHTS_NONE))
-            with pytest.raises(PkeyFault):
-                core.read(pt, 0x10000, 1)
-            assert machine.obs.aggregator.cycles.get(
-                "hw.mem.access") == pytest.approx(machine.costs.mem_access)
-            assert core.data_accesses == 1
+        machine, core, pt = make_core_and_table(pages=2)
+        core.load_pkru(PKRU.allow_all().with_rights(3, KEY_RIGHTS_NONE))
+        with pytest.raises(PkeyFault):
+            core.read(pt, 0x10000, 1)
+        assert machine.obs.aggregator.cycles.get(
+            "hw.mem.access") == pytest.approx(machine.costs.mem_access)
+        assert core.data_accesses == 1
 
     def test_counter_conservation_invariant_audited(self):
         machine, core, pt = make_core_and_table()
@@ -190,13 +192,12 @@ class TestBatchedTransfer:
         # unmapped must not count a TLB miss — no walk was charged, so
         # misses would diverge from walks and the conservation audit
         # (hits + misses == accesses) would break.
-        for fast in (True, False):
-            machine, core, pt = make_core_and_table(mmu_fast_path=fast)
-            with pytest.raises(SegmentationFault):
-                core.read(pt, 0x99000, 1)
-            assert core.tlb.stats.misses == 0
-            assert core.tlb.stats.unmapped_misses == 1
-            assert machine.obs.audit()[0]
+        machine, core, pt = make_core_and_table()
+        with pytest.raises(SegmentationFault):
+            core.read(pt, 0x99000, 1)
+        assert core.tlb.stats.misses == 0
+        assert core.tlb.stats.unmapped_misses == 1
+        assert machine.obs.audit()[0]
 
 
 class TestOverlayPruning:

@@ -158,7 +158,7 @@ class TestMmResidency:
                                generation=0, table=table))
         assert tlb.may_hold(table)
         other = object()
-        tlb.note_table(other)          # fast-path restamp bypasses fill
+        tlb.note_table(other)          # the MMU's restamp bypasses fill
         assert tlb.may_hold(other)
 
     def test_residency_is_sticky_across_eviction_and_invlpg(self, tlb):

@@ -1,14 +1,13 @@
-"""The MMU fast path must be observationally invisible.
+"""The MMU's TLB and batching must be observationally invisible.
 
 Random interleavings of mmap/munmap/mprotect/pkey_mprotect/pkey_set
-and data accesses across two cores are run twice —
-``mmu_fast_path=True`` and ``False`` — and must produce identical
-per-op outcomes (bytes or fault class), an identical final
-``clock.now``, and identical per-site cycle totals.  A naive eager
+and data accesses across two cores run against a naive eager
 reference model (no TLB, no overlays, PTEs applied immediately, PKRU
-rights as a flat per-key map) independently predicts every byte and
-fault class, including the bytes a partially-faulting write leaves
-behind.
+rights as a flat per-key map).  The model independently predicts
+every byte and fault class, including the bytes a partially-faulting
+write leaves behind, and the exact access ledger: how many pages the
+MMU translates, and so what ``hw.mem.access`` charges and how many
+TLB outcomes it records.
 
 The op mix deliberately interleaves every cache-invalidation event the
 syscall-side caches react to: mmap/munmap/split/merge (the per-process
@@ -17,7 +16,7 @@ PKRU-encode memo keys on the base register value) — so a stale hit in
 either cache surfaces as an outcome or cycle divergence here.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.consts import (
     PAGE_SIZE,
@@ -66,9 +65,8 @@ ops_strategy = st.lists(op_strategy, max_size=30)
 class Run:
     """One simulator instance executing the op sequence."""
 
-    def __init__(self, mmu_fast_path):
-        self.kernel = Kernel(Machine(num_cores=2,
-                                     mmu_fast_path=mmu_fast_path))
+    def __init__(self):
+        self.kernel = Kernel(Machine(num_cores=2))
         self.process = self.kernel.create_process()
         self.tasks = [self.process.main_task]
         sibling = self.process.spawn_task()
@@ -152,11 +150,15 @@ class Reference:
         self.bytes = {}          # vpn -> bytearray
         self.key_rights = {}     # key_idx -> main task's rights bits
         self.next_base = None    # mirrors the simulator's mmap cursor
+        # Pages data accesses translate: every page up to and including
+        # a permission-faulting one; an unmapped page is never counted.
+        self.translated = 0
 
     def _fault_for(self, vpn, who, is_write):
         page = self.pages.get(vpn)
         if page is None:
             return ("fault", "SegmentationFault", True)
+        self.translated += 1
         needed = PROT_WRITE if is_write else PROT_READ
         if not page["prot"] & needed:
             return ("fault", "SegmentationFault", False)
@@ -274,31 +276,47 @@ class Reference:
 
 @settings(max_examples=25, deadline=None)
 @given(ops_strategy)
+@example([
+    ("mmap", 0, 3),
+    ("write", 0, 0, PAGE_SIZE - 8, PAGE_SIZE + 16, 7),  # 3 pages, misses
+    ("read", 0, 0, 4, 2 * PAGE_SIZE),                   # 3 pages, hits
+    ("pkey_mprotect", 0, RW, 0),
+    ("read", 1, 0, 5, 1),              # single-page pkey fault (sibling)
+    ("read", 1, 0, PAGE_SIZE - 1, 2),  # multi-page pkey fault
+    ("mprotect", 0, PROT_NONE),
+    ("read", 0, 0, 5, 1),              # single-page page-bit fault
+    ("mmap", 1, 1),
+    ("read", 0, 1, PAGE_SIZE - 4, 8),  # runs into an unmapped page
+])
 def test_fast_path_is_observationally_invisible(operations):
-    fast, slow = Run(mmu_fast_path=True), Run(mmu_fast_path=False)
+    run = Run()
     reference = Reference()
     for op in operations:
-        out_fast = fast.apply(op)
-        out_slow = slow.apply(op)
-        assert out_fast == out_slow, f"divergence on {op}"
-        # Reference-model cross-check (fault class + bytes).  The
-        # reference has no pkey-fault/segfault *ordering* subtleties to
-        # hide: the simulator checks page bits before PKRU, and so does
-        # Reference._fault_for.
-        ref_out = reference.apply(op, out_fast)
+        out = run.apply(op)
+        # The reference has no pkey-fault/segfault *ordering*
+        # subtleties to hide: the simulator checks page bits before
+        # PKRU, and so does Reference._fault_for.
+        ref_out = reference.apply(op, out)
         if op[0] == "mmap" and ref_out is None:
-            if out_fast != "occupied":
-                base, npages = fast.slots[op[1]]
+            if out != "occupied":
+                base, npages = run.slots[op[1]]
                 reference.register_mmap(op[1], base, npages)
         else:
-            assert ref_out == out_fast, f"reference diverges on {op}"
-    # Bit-identical simulated time and attribution.
-    assert fast.kernel.clock.now == slow.kernel.clock.now
-    assert dict(fast.kernel.machine.obs.aggregator.cycles) == \
-        dict(slow.kernel.machine.obs.aggregator.cycles)
-    # Both runs satisfy the conservation audit (cycles + MMU counters).
-    assert fast.kernel.machine.obs.audit()[0]
-    assert slow.kernel.machine.obs.audit()[0]
+            assert ref_out == out, f"reference diverges on {op}"
+    # The exact access ledger: one access, one mem_access and one TLB
+    # outcome per translated page; one walk per miss.
+    machine = run.kernel.machine
+    costs = machine.costs
+    cycles = machine.obs.aggregator.cycles
+    count = reference.translated
+    hits = sum(core.tlb.stats.hits for core in machine.cores)
+    misses = sum(core.tlb.stats.misses for core in machine.cores)
+    assert sum(core.data_accesses for core in machine.cores) == count
+    assert cycles.get("hw.mem.access", 0.0) == count * costs.mem_access
+    assert hits + misses == count
+    assert cycles.get("hw.tlb.walk", 0.0) == misses * costs.tlb_miss_walk
+    # The conservation audit (cycles + MMU counters) holds.
+    assert machine.obs.audit()[0]
 
 
 @settings(max_examples=10, deadline=None)
@@ -306,7 +324,7 @@ def test_fast_path_is_observationally_invisible(operations):
 def test_fault_classes_match_reference(operations):
     """Focused re-run asserting only fault classification, with the
     sibling task doing all accesses (maximum pkey-fault exposure)."""
-    run = Run(mmu_fast_path=True)
+    run = Run()
     reference = Reference()
     for op in operations:
         if op[0] in ("read", "write"):
