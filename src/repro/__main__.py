@@ -128,25 +128,28 @@ def _sample_workload(threads: int):
     return bed
 
 
+def _sample_report(threads: int, body: str) -> str:
+    """``body`` under the sample workload's one-line description."""
+    return (f"sample workload: 20 protection groups, {threads} "
+            f"thread(s), full eviction pressure\n\n{body}")
+
+
 def cmd_stats(args: argparse.Namespace) -> int:
     from repro.kernel.procfs import format_mpk_stats
 
-    bed = _sample_workload(args.threads)
-    print(f"sample workload: 20 protection groups, {args.threads} "
-          "thread(s), full eviction pressure")
-    print()
-    print(format_mpk_stats(bed.process, depth=args.depth,
-                           limit=args.limit))
-    return 0
+    return _publish(
+        "stats", lambda: _sample_workload(args.threads),
+        lambda bed: _sample_report(args.threads, format_mpk_stats(
+            bed.process, depth=args.depth, limit=args.limit)),
+        None)
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    bed = _sample_workload(args.threads)
-    print(f"sample workload: 20 protection groups, {args.threads} "
-          "thread(s), full eviction pressure")
-    print()
-    print(bed.kernel.machine.obs.format_profile())
-    return 0
+    return _publish(
+        "profile", lambda: _sample_workload(args.threads),
+        lambda bed: _sample_report(
+            args.threads, bed.kernel.machine.obs.format_profile()),
+        None)
 
 
 def cmd_faultcampaign(args: argparse.Namespace) -> int:
@@ -162,8 +165,9 @@ def cmd_faultcampaign(args: argparse.Namespace) -> int:
 
 def _publish(cmd: str, produce, text, out_path, markdown=None,
              check=None) -> int:
-    """Run one BENCH producer and publish its report; returns the exit
-    status.
+    """Run one report producer (a BENCH producer, or the ``stats`` /
+    ``profile`` sample workload) and publish its report; returns the
+    exit status.
 
     A failed gate (``AssertionError``) or bad input (``ValueError``)
     prints ``<cmd> FAILED: ...`` and writes nothing.  Otherwise print

@@ -52,12 +52,11 @@ class HashTable:
         index = _fnv1a(key) & (self.bucket_count - 1)
         return self.bucket_base + index * _BUCKET.size
 
-    def _read_bucket(self, task: "Task", key: bytes) -> int:
-        return _BUCKET.unpack(task.read(self._bucket_addr(key),
-                                        _BUCKET.size))[0]
+    def _read_bucket(self, task: "Task", bucket: int) -> int:
+        return _BUCKET.unpack(task.read(bucket, _BUCKET.size))[0]
 
-    def _write_bucket(self, task: "Task", key: bytes, addr: int) -> None:
-        task.write(self._bucket_addr(key), _BUCKET.pack(addr))
+    def _write_bucket(self, task: "Task", bucket: int, addr: int) -> None:
+        task.write(bucket, _BUCKET.pack(addr))
 
     def _read_header(self, task: "Task",
                      chunk: int) -> tuple[int, int, int, int]:
@@ -73,14 +72,16 @@ class HashTable:
         freed), as Memcached's ``set`` does.  ``expires_at`` is an
         absolute second count (0 = never), stored in the item header —
         in protected memory, like everything else about the item.
+        The key is hashed once for the whole set.
         """
-        self.assoc_delete(task, key, missing_ok=True)
+        bucket = self._bucket_addr(key)
+        self._delete_at(task, key, bucket, missing_ok=True)
         item_size = HEADER_SIZE + len(key) + len(value)
         chunk = self.slab.alloc(item_size)
-        head = self._read_bucket(task, key)
+        head = self._read_bucket(task, bucket)
         task.write(chunk, _HEADER.pack(head, len(key), len(value),
                                        expires_at) + key + value)
-        self._write_bucket(task, key, chunk)
+        self._write_bucket(task, bucket, chunk)
         self.item_count += 1
         return chunk
 
@@ -91,14 +92,15 @@ class HashTable:
         Expired items (header expiry <= ``now``) are treated as misses
         and lazily reclaimed, Memcached-style.
         """
-        chunk = self._read_bucket(task, key)
+        bucket = self._bucket_addr(key)
+        chunk = self._read_bucket(task, bucket)
         while chunk:
             next_addr, key_len, value_len, expires_at = \
                 self._read_header(task, chunk)
             stored_key = task.read(chunk + HEADER_SIZE, key_len)
             if stored_key == key:
                 if expires_at and now >= expires_at:
-                    self.assoc_delete(task, key)
+                    self._delete_at(task, key, bucket, missing_ok=False)
                     self.expired_count += 1
                     return None
                 return task.read(chunk + HEADER_SIZE + key_len,
@@ -109,14 +111,20 @@ class HashTable:
     def assoc_delete(self, task: "Task", key: bytes,
                      missing_ok: bool = False) -> bool:
         """Unlink and free ``key``'s item."""
+        return self._delete_at(task, key, self._bucket_addr(key),
+                               missing_ok)
+
+    def _delete_at(self, task: "Task", key: bytes, bucket: int,
+                   missing_ok: bool) -> bool:
+        """:meth:`assoc_delete` with ``key``'s bucket address given."""
         prev = None
-        chunk = self._read_bucket(task, key)
+        chunk = self._read_bucket(task, bucket)
         while chunk:
             next_addr, key_len, _, _ = self._read_header(task, chunk)
             stored_key = task.read(chunk + HEADER_SIZE, key_len)
             if stored_key == key:
                 if prev is None:
-                    self._write_bucket(task, key, next_addr)
+                    self._write_bucket(task, bucket, next_addr)
                 else:
                     _, pk, pv, pe = self._read_header(task, prev)
                     task.write(prev, _HEADER.pack(next_addr, pk, pv, pe))

@@ -671,7 +671,24 @@ def run_cluster_sweep(seed: int = 29,
     partition-duration) cell runs the same partition+kill script
     twice under the full gate set (bit-identity, audit, liveness,
     replication).  Cells with ``replicas > nodes`` are skipped — the
-    shard map rejects them by construction."""
+    shard map rejects them by construction.
+
+    Raises ``ValueError`` before any cell runs when a cluster size is
+    below 2 (the cell script partitions node0 from node1) or when no
+    cell would run at all (an empty report would pass vacuously)."""
+    small = [n for n in nodes_axis if n < 2]
+    if small:
+        raise ValueError(
+            f"sweep cluster sizes must be >= 2 (the cell script "
+            f"partitions node0 from node1), got {small}")
+    if not partition_axis_mcyc or not any(
+            replicas <= node_count for node_count in nodes_axis
+            for replicas in replicas_axis):
+        raise ValueError(
+            f"sweep has no runnable cell: nodes {list(nodes_axis)}, "
+            f"replicas {list(replicas_axis)}, partitions "
+            f"{list(partition_axis_mcyc)} (every cell needs replicas "
+            f"<= nodes)")
     rows = []
     for node_count in nodes_axis:
         for replicas in replicas_axis:

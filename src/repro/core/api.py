@@ -78,6 +78,8 @@ class Libmpk:
     def __init__(self, process: "Process") -> None:
         self._process = process
         self._kernel: "Kernel" = process.kernel
+        # The machine's instrumentation spine (for @traced spans).
+        self._obs = process.kernel.machine.obs
         self._cache: KeyCache | None = None
         self._groups: dict[int, PageGroup] = {}
         self._heaps: dict[int, GroupHeap] = {}
@@ -98,11 +100,6 @@ class Libmpk:
         self.key_waiters = WaitQueue("libmpk.key_waiters")
         # A thread killed by a signal implicitly ends its open domains.
         process.task_death_hooks.append(self._task_death_hook)
-
-    @property
-    def _obs(self):
-        """The machine's instrumentation spine (for @traced spans)."""
-        return self._kernel.machine.obs
 
     # ------------------------------------------------------------------
     # mpk_init
@@ -336,11 +333,18 @@ class Libmpk:
         :class:`~repro.errors.MpkKeyExhaustion` when every key is
         pinned, letting the caller decide how to wait (§4.2).
         """
-        cache = self._require_init()
-        self._charge(self._kernel.costs.mpk_cache_lookup,
-                     site="libmpk.keycache.lookup")
+        # The hit path tests attributes directly; the helpers run only
+        # to raise their errors.
+        cache = self._cache
+        if cache is None:
+            self._require_init()
+        kernel = self._kernel
+        kernel.clock.charge(kernel.costs.mpk_cache_lookup,
+                            site="libmpk.keycache.lookup")
         self._registry.verify(vkey)
-        group = self._lookup_group(vkey)
+        group = self._groups.get(vkey)
+        if group is None:
+            self._lookup_group(vkey)
         if group.exec_only:
             raise MpkError(
                 f"mpk_begin: vkey {vkey} is execute-only; change it "
@@ -548,11 +552,15 @@ class Libmpk:
     @traced("libmpk.mpk_end")
     def mpk_end(self, task: "Task", vkey: int) -> None:
         """Release the calling thread's access to the group."""
-        self._require_init()
-        self._charge(self._kernel.costs.mpk_cache_lookup,
-                     site="libmpk.keycache.lookup")
+        if self._cache is None:
+            self._require_init()
+        kernel = self._kernel
+        kernel.clock.charge(kernel.costs.mpk_cache_lookup,
+                            site="libmpk.keycache.lookup")
         self._registry.verify(vkey)
-        group = self._lookup_group(vkey)
+        group = self._groups.get(vkey)
+        if group is None:
+            self._lookup_group(vkey)
         if task.tid not in group.pinned_by:
             raise MpkError(
                 f"mpk_end: thread {task.tid} has no open mpk_begin on "

@@ -24,6 +24,7 @@ from repro.consts import PAGE_SIZE, PROT_READ
 from repro.errors import MpkMetadataTampering
 
 if typing.TYPE_CHECKING:
+    from repro.hw.phys import Frame
     from repro.kernel.kcore import Kernel, Process
     from repro.kernel.task import Task
 
@@ -37,6 +38,11 @@ assert RECORD_SIZE == 16
 # The paper pre-allocates 32 KB for the vkey hashmap, growing once the
 # application creates more than ~4,000 groups.
 INITIAL_REGION_BYTES = 32 * 1024
+
+# Records per page: region chunks are page-aligned and RECORD_SIZE
+# divides PAGE_SIZE, so slot s lives on the region's page
+# s // _RECORDS_PER_PAGE and never straddles a page.
+_RECORDS_PER_PAGE = PAGE_SIZE // RECORD_SIZE
 
 
 class MetadataRegion:
@@ -52,9 +58,17 @@ class MetadataRegion:
                  task: "Task") -> None:
         self._kernel = kernel
         self._process = process
+        self._page_table = process.mm.page_table
         self._capacity_bytes = INITIAL_REGION_BYTES
         self.user_base = kernel.sys_mmap(task, self._capacity_bytes,
                                          PROT_READ)
+        # The 32 KB chunks, in slot order (see _expand).
+        self._region_list: list[int] = [self.user_base]
+        # region page index -> (frame, page-table generation): the
+        # kernel alias write target.  Like a TLB entry, an entry is
+        # trusted only while the generation still matches.  One entry
+        # per page of the region.
+        self._page_frames: dict[int, tuple[Frame, int]] = {}
         self._slots: dict[int, int] = {}  # vkey -> slot index
         self._free_slots: list[int] = []
         self._next_slot = 0
@@ -85,7 +99,7 @@ class MetadataRegion:
             slot = self._take_slot(vkey)
         data = _RECORD.pack(vkey, -1 if pkey is None else pkey,
                             pinned, flags)
-        self._frame_write(slot * RECORD_SIZE, data)
+        self._frame_write(slot, data)
         self._kernel.clock.charge(self._kernel.costs.mpk_metadata_op,
                                   site="libmpk.metadata.update")
 
@@ -93,7 +107,7 @@ class MetadataRegion:
         slot = self._slots.pop(vkey, None)
         if slot is None:
             return
-        self._frame_write(slot * RECORD_SIZE, b"\x00" * RECORD_SIZE)
+        self._frame_write(slot, b"\x00" * RECORD_SIZE)
         self._free_slots.append(slot)
         self._kernel.clock.charge(self._kernel.costs.mpk_metadata_op,
                                   site="libmpk.metadata.remove")
@@ -123,26 +137,34 @@ class MetadataRegion:
                 "metadata expansion requires a running task")
         extra = self._kernel.sys_mmap(running[0], INITIAL_REGION_BYTES,
                                       PROT_READ)
-        self._regions.append(extra)
+        self._region_list.append(extra)
         self._capacity_bytes += INITIAL_REGION_BYTES
         self.expansions += 1
 
-    @property
-    def _regions(self) -> list[int]:
-        if not hasattr(self, "_region_list"):
-            self._region_list: list[int] = [self.user_base]
-        return self._region_list
-
     def _slot_addr(self, byte_offset: int) -> tuple[int, int]:
         region_idx, offset = divmod(byte_offset, INITIAL_REGION_BYTES)
-        return self._regions[region_idx], offset
+        return self._region_list[region_idx], offset
 
-    def _frame_write(self, byte_offset: int, data: bytes) -> None:
-        base, offset = self._slot_addr(byte_offset)
-        addr = base + offset
-        vpn = addr // PAGE_SIZE
-        entry = self._process.page_table.lookup(vpn)
-        entry.frame.write(addr % PAGE_SIZE, data)
+    def _frame_write(self, slot: int, data: bytes) -> None:
+        """Write one whole record into ``slot`` through the kernel
+        alias: straight into the physical frame, resolved through the
+        page table only when the cached frame's generation is stale.
+        Records never straddle a page, so no range check is needed."""
+        page = slot // _RECORDS_PER_PAGE
+        page_table = self._page_table
+        cached = self._page_frames.get(page)
+        if cached is not None and cached[1] == page_table.generation:
+            frame = cached[0]
+        else:
+            base, offset = self._slot_addr(slot * RECORD_SIZE)
+            frame = page_table.lookup((base + offset) // PAGE_SIZE).frame
+            # Stamped after the lookup: a demand fault bumps it.
+            self._page_frames[page] = (frame, page_table.generation)
+        offset = slot % _RECORDS_PER_PAGE * RECORD_SIZE
+        fdata = frame._data
+        if fdata is None:
+            frame._data = fdata = bytearray(PAGE_SIZE)
+        fdata[offset:offset + RECORD_SIZE] = data
 
     def kernel_read_record(
             self, vkey: int) -> tuple[int, int | None, int, int] | None:

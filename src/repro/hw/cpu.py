@@ -26,7 +26,12 @@ batch their bookkeeping: each page is resolved once and the per-page
 
 from __future__ import annotations
 
-from repro.consts import PAGE_SIZE, page_number
+from repro.consts import (
+    PAGE_SIZE,
+    PKEY_DISABLE_ACCESS,
+    PKEY_DISABLE_WRITE,
+    page_number,
+)
 from repro.errors import GeneralProtectionFault, PkeyFault, SegmentationFault
 from repro.hw.cycles import Clock, CostModel
 from repro.hw.paging import PageTable, PageTableEntry
@@ -38,6 +43,11 @@ WRITE = "write"
 FETCH = "fetch"
 _ACCESS_KINDS = (READ, WRITE, FETCH)
 
+#: Bound on each core's WRPKRU intern table (see :meth:`Core.wrpkru`):
+#: the table is cleared when full, so a thread that churns through many
+#: key assignments keeps at most this many PKRU objects per core.
+_PKRU_INTERN_LIMIT = 64
+
 
 class Core:
     """One logical core (hyperthread)."""
@@ -48,6 +58,9 @@ class Core:
         self.clock = clock
         self.costs = costs
         self.pkru = PKRU.deny_all_but_default()
+        # WRPKRU's value -> PKRU intern table, at most
+        # _PKRU_INTERN_LIMIT entries (cleared when full).
+        self._pkru_interned: dict[int, PKRU] = {}
         self.tlb = TLB(clock, costs)
         # Remaining instructions that execute without out-of-order overlap
         # because a WRPKRU recently serialized the pipeline.
@@ -83,7 +96,17 @@ class Core:
         self.wrpkru_count += 1
         value &= 0xFFFF_FFFF
         if value != self.pkru.value:
-            self.pkru = PKRU(value)
+            # PKRU values are immutable, so a value this core installed
+            # recently is shared instead of rebuilt.  A libmpk thread
+            # cycles through few values: its base PKRU plus one per
+            # domain it opens (mpk_begin/mpk_end switch between them).
+            interned = self._pkru_interned
+            pkru = interned.get(value)
+            if pkru is None:
+                if len(interned) >= _PKRU_INTERN_LIMIT:
+                    interned.clear()
+                pkru = interned[value] = PKRU(value)
+            self.pkru = pkru
         self._serial_shadow = self.costs.serialization_window
         self._stall_pending = True
 
@@ -263,7 +286,10 @@ class Core:
 
     def _enforce(self, prot: int, pkey: int, addr: int,
                  kind: str) -> None:
-        """The Figure-1 permission intersection for one page."""
+        """The Figure-1 permission intersection for one page: the page
+        bits, then (data accesses only) ``pkey``'s rights field read
+        straight out of the register value — a read needs AD clear, a
+        write needs AD and WD clear."""
         if kind == FETCH:
             # Instruction fetch ignores PKRU entirely (Figure 1).
             if not prot & 0x4:  # PROT_EXEC
@@ -271,14 +297,17 @@ class Core:
                     f"fetch from non-executable page at {addr:#x}",
                     addr=addr, access=kind)
             return
-        page_ok = bool(prot & 0x1) if kind == READ else bool(prot & 0x2)
+        if kind == READ:
+            page_ok = prot & 0x1
+            denied = PKEY_DISABLE_ACCESS
+        else:
+            page_ok = prot & 0x2
+            denied = PKEY_DISABLE_ACCESS | PKEY_DISABLE_WRITE
         if not page_ok:
             raise SegmentationFault(
                 f"{kind} denied by page permission at {addr:#x}",
                 addr=addr, access=kind)
-        pkey_ok = (self.pkru.can_read(pkey) if kind == READ
-                   else self.pkru.can_write(pkey))
-        if not pkey_ok:
+        if self.pkru.value >> 2 * pkey & denied:
             raise PkeyFault(
                 f"{kind} denied by PKRU for pkey {pkey} at {addr:#x}",
                 addr=addr, access=kind, pkey=pkey)

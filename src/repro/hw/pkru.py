@@ -14,21 +14,35 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.consts import NUM_PKEYS, PKEY_DISABLE_ACCESS, PKEY_DISABLE_WRITE
+from repro.consts import (
+    NUM_PKEYS,
+    PKEY_DISABLE_ACCESS,
+    PKEY_DISABLE_WRITE,
+    PROT_READ,
+    PROT_WRITE,
+)
 
 # Per-key rights values (the (AD, WD) pair packed as AD | WD<<1).
 KEY_RIGHTS_ALL = 0x0                    # read/write
 KEY_RIGHTS_READ = PKEY_DISABLE_WRITE    # read-only
 KEY_RIGHTS_NONE = PKEY_DISABLE_ACCESS   # no access (WD irrelevant)
 
+
 def _check_key(key: int) -> None:
     if not 0 <= key < NUM_PKEYS:
         raise ValueError(f"protection key out of range: {key}")
 
 
-def _check_rights(rights: int) -> None:
+def with_key_rights(value: int, key: int, rights: int) -> int:
+    """The register value ``value`` with ``key``'s two-bit rights field
+    replaced by ``rights``; ``ValueError`` for a bad key or bad rights
+    bits.  The one encoder of a key's rights field: :meth:`PKRU.with_rights`
+    and glibc ``pkey_set`` (``Task.pkey_set``) both go through it."""
+    _check_key(key)
     if rights & ~(PKEY_DISABLE_ACCESS | PKEY_DISABLE_WRITE):
         raise ValueError(f"invalid pkey rights bits: {rights:#x}")
+    shift = 2 * key
+    return value & ~(0x3 << shift) | rights << shift
 
 
 @dataclass(frozen=True)
@@ -81,10 +95,7 @@ class PKRU:
 
     def with_rights(self, key: int, rights: int) -> "PKRU":
         """A copy with ``key``'s rights replaced by ``rights``."""
-        _check_key(key)
-        _check_rights(rights)
-        cleared = self.value & ~(0x3 << (2 * key))
-        return PKRU(cleared | rights << (2 * key))
+        return PKRU(with_key_rights(self.value, key, rights))
 
     def __str__(self) -> str:
         denied = [k for k in range(NUM_PKEYS) if not self.can_read(k)]
@@ -95,20 +106,23 @@ class PKRU:
 
 
 class PkruEncodeMemo:
-    """Per-task memo for the PKRU right-insertion encode.
+    """Per-task memo for the kernel-side PKRU right-insertion encode.
 
     ``encode(base, key, rights)`` is a pure function of the base
     register *value* and the ``(key, rights)`` pair, but
     :meth:`PKRU.with_rights` re-validates and re-allocates a frozen
     value object on every call — measurable on the syscall side, where
-    ``pkey_alloc``'s initial-rights install and glibc ``pkey_set`` both
-    encode against a base that rarely changes.  The memo caches results
-    for exactly one base value; the stamp is compared on every encode,
-    so any write that lands a *different* PKRU on the task — WRPKRU,
-    ``pkey_set``, a context-switch restore, a signal-frame restore —
-    lazily invalidates the whole memo at the next use.  A stale hit is
-    impossible by construction: a cached result is only ever served
-    for the base value it was computed from.
+    ``pkey_alloc``'s initial-rights install
+    (``Task.set_pkru_rights_from_kernel``, the memo's one user) encodes
+    against a base that rarely changes.  glibc ``pkey_set`` does not use
+    it: the WRPKRU that follows every ``pkey_set`` would invalidate it
+    each time, so ``Task.pkey_set`` does the bit arithmetic itself.
+    The memo caches results for exactly one base value; the stamp is
+    compared on every encode, so any write that lands a *different*
+    PKRU on the task — WRPKRU, ``pkey_set``, a context-switch restore,
+    a signal-frame restore — lazily invalidates the whole memo at the
+    next use.  A stale hit is impossible by construction: a cached
+    result is only ever served for the base value it was computed from.
 
     Counters (``hits``, ``misses``, ``invalidations``, ``encodes``)
     are registered as an obs invariant per process and checked by
@@ -140,8 +154,9 @@ class PkruEncodeMemo:
         when the register takes a value other than the stamped base.
         The lazy stamp check in :meth:`encode` covers writes that
         bypass this hook (context-switch restore, signal-frame
-        restore, lazy cross-thread sync)."""
-        if value != self._base_value:
+        restore, lazy cross-thread sync).  Free when nothing is
+        stamped (an unstamped memo holds no results)."""
+        if value != self._base_value and self._base_value >= 0:
             self.invalidate()
 
     def encode(self, base: PKRU, key: int, rights: int) -> PKRU:
@@ -189,8 +204,6 @@ def rights_for_prot(prot: int) -> int:
     orthogonal (instruction fetch ignores PKRU), so only the read/write
     bits matter here.
     """
-    from repro.consts import PROT_READ, PROT_WRITE
-
     if prot & PROT_WRITE:
         return KEY_RIGHTS_ALL
     if prot & PROT_READ:

@@ -14,11 +14,14 @@ import typing
 from collections import deque
 
 from repro.errors import MachineFault, SandboxViolation
-from repro.hw.pkru import PKRU, PkruEncodeMemo
+from repro.hw.pkru import PKRU, PkruEncodeMemo, with_key_rights
 
 
 class _TrustedGate:
-    """Context manager marking execution inside a libmpk call gate."""
+    """Context manager marking execution inside a libmpk call gate.
+
+    Re-entrant: each task keeps one instance and every
+    :meth:`Task.trusted_gate` returns it, so nesting just counts."""
 
     def __init__(self, task: "Task") -> None:
         self._task = task
@@ -235,11 +238,16 @@ class Task:
         self.tid = Task._next_tid
         Task._next_tid += 1
         self.process = process
+        # The machine's fixed core list and the process's page table,
+        # resolved once: loads, stores and WRPKRU index straight in.
+        self._cores = process.kernel.machine.cores
+        self._page_table = process.mm.page_table
         self.pkru = PKRU.deny_all_but_default()
-        # Memoized PKRU encode for this thread's right-insertion paths
-        # (pkey_set, the kernel's initial-rights install).  Invalidated
-        # eagerly by wrpkru/pkey_set and lazily whenever the base value
-        # diverges from the stamp (task switch, signal restore, sync).
+        # Memoized PKRU encode for the kernel-side right-insertion path
+        # (set_pkru_rights_from_kernel: pkey_alloc's initial-rights
+        # install).  Invalidated eagerly by every userspace WRPKRU and
+        # lazily whenever the base value diverges from the stamp (task
+        # switch, signal restore, sync).
         self._pkru_memo = PkruEncodeMemo()
         self.core_id: int | None = None
         self._task_works: deque[typing.Callable[["Task"], None]] = deque()
@@ -255,6 +263,7 @@ class Task:
         # when sandboxed, WRPKRU may only execute inside a trusted gate.
         self.wrpkru_sandboxed = False
         self._gate_depth = 0
+        self._gate = _TrustedGate(self)
         # Signal state (the fault plane): registered handlers, whether a
         # handler is currently on the (conceptual) signal stack, and the
         # siginfo the task died from, if any.
@@ -280,7 +289,7 @@ class Task:
         if self.core_id is None:
             raise RuntimeError(
                 f"task {self.tid} is not running on any core")
-        return self.kernel.machine.core(self.core_id)
+        return self._cores[self.core_id]
 
     # ------------------------------------------------------------------
     # task_work (kernel-side API).
@@ -313,17 +322,25 @@ class Task:
         Models the binary-scan guarantee that the only executable
         WRPKRU instructions live behind libmpk's entry points.
         """
-        return _TrustedGate(self)
+        return self._gate
 
     def wrpkru(self, value: int) -> None:
         """Userspace WRPKRU — updates this thread's PKRU only."""
+        self._wrpkru(value)
+
+    def _wrpkru(self, value: int, core=None) -> None:
+        """WRPKRU behind the sandbox gate, on ``core`` when the caller
+        already resolved this task's core.  The gate is checked first,
+        so a sandboxed WRPKRU outside a gate is a
+        :class:`SandboxViolation` even when the task is off-core."""
         if self.wrpkru_sandboxed and self._gate_depth == 0:
             raise SandboxViolation(
                 f"task {self.tid}: WRPKRU outside a trusted call gate")
-        core = self._core()
+        if core is None:
+            core = self._core()
         core.wrpkru(value)
-        self.pkru = core.pkru
-        self._pkru_memo.note_pkru_write(self.pkru.value)
+        self.pkru = pkru = core.pkru
+        self._pkru_memo.note_pkru_write(pkru.value)
 
     def rdpkru(self) -> int:
         return self._core().rdpkru()
@@ -337,9 +354,17 @@ class Task:
             self._core().load_pkru(self.pkru)
 
     def pkey_set(self, pkey: int, rights: int) -> None:
-        """glibc pkey_set(): read-modify-write of this thread's PKRU."""
-        new = self._pkru_memo.encode(self._core().pkru, pkey, rights)
-        self.wrpkru(new.value)
+        """glibc pkey_set(): read-modify-write of this thread's PKRU.
+
+        The new value comes from :func:`with_key_rights` on the core's
+        register value (the :class:`PkruEncodeMemo` serves only the
+        kernel-side :meth:`set_pkru_rights_from_kernel`: the WRPKRU that
+        follows every ``pkey_set`` would invalidate it each time).  A
+        bad key or bad rights bits raise ``ValueError``, as
+        :meth:`PKRU.with_rights` does.
+        """
+        core = self._core()
+        self._wrpkru(with_key_rights(core.pkru.value, pkey, rights), core)
 
     def pkey_get(self, pkey: int) -> int:
         """glibc pkey_get(): RDPKRU and extract one key's rights."""
@@ -418,24 +443,30 @@ class Task:
     def read(self, addr: int, length: int) -> bytes:
         """MMU-checked userspace load: straight to the core's MMU; a
         fault goes through :meth:`_recover`."""
+        core_id = self.core_id
+        if core_id is None:
+            self._core()  # raises: not on a core
         try:
-            return self._core().read(self.process.page_table, addr, length)
+            return self._cores[core_id].read(self._page_table, addr, length)
         except MachineFault as fault:
             return self._recover(fault, lambda: self._core().read(
-                self.process.page_table, addr, length))
+                self._page_table, addr, length))
 
     def write(self, addr: int, data: bytes) -> None:
         """MMU-checked userspace store: straight to the core's MMU; a
         fault goes through :meth:`_recover`."""
+        core_id = self.core_id
+        if core_id is None:
+            self._core()  # raises: not on a core
         try:
-            self._core().write(self.process.page_table, addr, data)
+            self._cores[core_id].write(self._page_table, addr, data)
         except MachineFault as fault:
             self._recover(fault, lambda: self._core().write(
-                self.process.page_table, addr, data))
+                self._page_table, addr, data))
 
     def fetch(self, addr: int, length: int = 1) -> bytes:
         """MMU-checked instruction fetch (PKRU-exempt)."""
-        return self._core().fetch(self.process.page_table, addr, length)
+        return self._core().fetch(self._page_table, addr, length)
 
     def try_read(self, addr: int, length: int) -> bytes | None:
         """Read that returns None instead of faulting (attack probing)."""

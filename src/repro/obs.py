@@ -559,13 +559,19 @@ def traced(label: str):
     The decorated class must expose ``self._obs`` returning the
     machine's :class:`Observability` (the kernel and libmpk do).  The
     method's arguments (minus ``self``) become the span's lazily
-    summarized ``args``.
+    summarized ``args``.  The wrapper drives the :class:`_Span` itself
+    (``try``/``finally`` instead of ``with obs.span(...)``): traced
+    entry points sit on the domain-switch hot path.
     """
     def decorator(fn):
         @functools.wraps(fn)
         def wrapper(self, *args, **kwargs):
-            with self._obs.span(label, call_args=(args, kwargs)):
+            span = _Span(self._obs, label, (args, kwargs))
+            span.__enter__()
+            try:
                 return fn(self, *args, **kwargs)
+            finally:
+                span.__exit__()
         wrapper._repro_traced = label
         return wrapper
     return decorator

@@ -1,6 +1,8 @@
 """The clusterbench sweep grid: cell scripts, gating, and the
 markdown table the CI step summary renders."""
 
+import pytest
+
 from repro.bench.cluster import (
     _sweep_script,
     format_sweep_table,
@@ -20,12 +22,31 @@ class TestSweepPlumbing:
 
     def test_impossible_cells_are_skipped(self):
         # replicas > nodes is rejected by the shard map, so the sweep
-        # never builds those cells (no soak runs: rows come back
-        # empty, not an exception).
-        sweep = run_cluster_sweep(nodes_axis=(2,), replicas_axis=(3,),
+        # never builds those cells; the runnable cell beside it still
+        # runs.
+        sweep = run_cluster_sweep(nodes_axis=(3,), replicas_axis=(2, 4),
                                   partition_axis_mcyc=(10.0,),
                                   connections=8)
-        assert sweep["rows"] == []
+        assert [(row["nodes"], row["replicas"])
+                for row in sweep["rows"]] == [(3, 2)]
+
+    def test_sweep_without_a_runnable_cell_is_rejected(self):
+        # An all-skipped grid would report "rows": [] and pass
+        # vacuously; it is bad input instead.
+        with pytest.raises(ValueError, match="no runnable cell"):
+            run_cluster_sweep(nodes_axis=(2,), replicas_axis=(3,),
+                              partition_axis_mcyc=(10.0,),
+                              connections=8)
+        with pytest.raises(ValueError, match="no runnable cell"):
+            run_cluster_sweep(nodes_axis=(3,), replicas_axis=(1,),
+                              partition_axis_mcyc=(), connections=8)
+
+    def test_single_node_cluster_is_rejected(self):
+        # The cell script partitions node0 from node1.
+        with pytest.raises(ValueError, match=">= 2"):
+            run_cluster_sweep(nodes_axis=(1, 3), replicas_axis=(1,),
+                              partition_axis_mcyc=(10.0,),
+                              connections=8)
 
     def test_single_cell_passes_the_gates(self):
         sweep = run_cluster_sweep(nodes_axis=(3,), replicas_axis=(2,),

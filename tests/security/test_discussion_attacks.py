@@ -112,6 +112,20 @@ class TestWrpkruHijack:
         with pytest.raises(SandboxViolation):
             task.pkey_set(lib.group(100).pkey, KEY_RIGHTS_ALL)
 
+    def test_gadget_on_an_off_core_task_is_blocked_by_the_sandbox(self):
+        """The sandbox gate is checked before the core is resolved: a
+        sandboxed task that is not running still reports the gadget as
+        a sandbox violation, not as an off-core error."""
+        kernel, process, task, lib, addr = self._setup()
+        sibling = process.spawn_task()
+        install_wrpkru_sandbox(sibling)
+        assert sibling.core_id is None
+        with pytest.raises(SandboxViolation):
+            sibling.wrpkru(0)
+        result = wrpkru_hijack_attack(sibling, addr)
+        assert not result.succeeded
+        assert "sandbox" in result.detail
+
     def test_sandbox_is_per_task_and_removable(self):
         kernel, process, task, lib, addr = self._setup()
         sibling = process.spawn_task()

@@ -45,6 +45,13 @@ class TestStats:
         out = capsys.readouterr().out
         assert "kernel.mprotect.pte_update" in out
 
+    def test_zero_threads_fails_cleanly(self, capsys):
+        assert main(["stats", "--threads", "0"]) == 1
+        captured = capsys.readouterr()
+        assert "stats FAILED: need at least the calling thread" \
+            in captured.err
+        assert captured.out == ""
+
 
 class TestProfile:
     def test_prints_span_tree(self, capsys):
@@ -52,6 +59,13 @@ class TestProfile:
         out = capsys.readouterr().out
         assert "libmpk.mpk_mmap" in out
         assert "inclusive" in out and "self" in out
+
+    def test_zero_threads_fails_cleanly(self, capsys):
+        assert main(["profile", "--threads", "0"]) == 1
+        captured = capsys.readouterr()
+        assert "profile FAILED: need at least the calling thread" \
+            in captured.err
+        assert captured.out == ""
 
 
 class TestServebench:
@@ -177,6 +191,21 @@ class TestClusterbench:
         assert text.startswith("earlier step\n")
         assert "### cluster sweep" in text
         assert "| 3 | 1 | 10M |" in text
+
+
+    @pytest.mark.parametrize("axes, detail", [
+        (["--sweep-nodes", "1"], ">= 2"),
+        (["--sweep-nodes", "3", "--sweep-replicas", "5"],
+         "no runnable cell"),
+    ])
+    def test_bad_sweep_axes_fail_cleanly(self, capsys, tmp_path, axes,
+                                         detail):
+        out_path = tmp_path / "cluster.json"
+        assert main(["clusterbench", "--sweep", *axes, "--connections",
+                     "8", "--output", str(out_path)]) == 1
+        err = capsys.readouterr().err
+        assert "cluster sweep FAILED" in err and detail in err
+        assert not out_path.exists()
 
 
 class TestParsing:
