@@ -15,6 +15,12 @@ latency vector (that is O(connections) host memory); it records a
   bit-identical digest state — the property the servebench determinism
   gate compares.
 
+The P² estimators are fed lazily: exact mode already holds every
+value, so the estimators stay unfed until the flip past the cutoff
+(or a :meth:`LatencyDigest.state` call), which replays the retained
+values in arrival order.  Their state is therefore exactly what eager
+feeding would have produced.
+
 Nothing here consults wall time or unseeded randomness.
 """
 
@@ -137,6 +143,7 @@ class LatencyDigest:
         self.maximum = -math.inf
         self.exact_cutoff = exact_cutoff
         self._exact: list[float] | None = []
+        # Unfed while exact; see the module docstring.
         self._estimators = {q: P2Quantile(q) for q in quantiles}
 
     @property
@@ -155,12 +162,25 @@ class LatencyDigest:
             self.minimum = value
         if value > self.maximum:
             self.maximum = value
-        for estimator in self._estimators.values():
-            estimator.add(value)
-        if self._exact is not None:
-            self._exact.append(value)
-            if self.count > self.exact_cutoff:
-                self._exact = None      # flip to streaming: O(1) from here
+        exact = self._exact
+        if exact is None:
+            for estimator in self._estimators.values():
+                estimator.add(value)
+            return
+        exact.append(value)
+        if self.count > self.exact_cutoff:
+            # Flip to streaming: O(1) memory from here.
+            self._estimators = self._replay(exact)
+            self._exact = None
+
+    def _replay(self, values: list[float]) -> dict[float, P2Quantile]:
+        """Fresh estimators for the tracked quantiles, fed ``values``
+        in order."""
+        estimators = {q: P2Quantile(q) for q in self._estimators}
+        for value in values:
+            for estimator in estimators.values():
+                estimator.add(value)
+        return estimators
 
     def percentile(self, p: float) -> float:
         """Nearest-rank percentile (exact mode) or P² estimate.
@@ -191,11 +211,14 @@ class LatencyDigest:
         servebench determinism gate compares these instead of the
         latency vectors it no longer retains.
         """
-        exact = tuple(self._exact) if self._exact is not None else None
+        if self._exact is None:
+            exact, estimators = None, self._estimators
+        else:
+            exact, estimators = tuple(self._exact), \
+                self._replay(self._exact)
         return (self.count, self.total, self.minimum, self.maximum,
                 exact,
-                tuple(self._estimators[q].state()
-                      for q in sorted(self._estimators)))
+                tuple(estimators[q].state() for q in sorted(estimators)))
 
     def summary(self) -> dict:
         """JSON-safe digest summary (no infinities)."""

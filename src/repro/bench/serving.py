@@ -233,6 +233,9 @@ _RUNNING = "running"
 _BLOCKED = "blocked"
 _DEAD = "dead"
 
+#: ServingEngine's next-event memo when it must be recomputed.
+_STALE = object()
+
 
 @dataclass
 class _Worker:
@@ -437,6 +440,9 @@ class ServingEngine:
         # merged with the static offer stream at _peek_arrival.
         self._pushed: list[tuple] = []
         self._popped = 0
+        # next_time()'s memo, cleared by every call that can move the
+        # next event: step(), push() and _on_wake().
+        self._next_memo = _STALE
         self.retain_records = retain_records
         self.records: list[Connection] = []
         self.latency_digest = LatencyDigest()
@@ -629,29 +635,42 @@ class ServingEngine:
         self._next_conn_id += 1
         self._offered_total += 1
         heapq.heappush(self._pushed, (arrival, conn_id, job_factory))
+        self._next_memo = _STALE
         return conn_id
 
     def next_time(self) -> float | None:
         """Virtual time of the engine's next event — the earliest busy
         core, else the next arrival or earliest wait deadline — or None
         when the engine is fully idle (nothing will happen until the
-        driver pushes more work)."""
+        driver pushes more work).
+
+        Memoized: only :meth:`step`, :meth:`push` and a wait-queue wake
+        (``_on_wake``) can move the next event, and each clears the
+        memo.  The cluster driver polls every node once per event, so
+        an engine nothing touched answers without recomputing."""
+        memo = self._next_memo
+        if memo is _STALE:
+            memo = self._next_memo = self._compute_next_time()
+        return memo
+
+    def _compute_next_time(self) -> float | None:
         head = self._calendar_head()
         if head is not None:
             return head[0]
         conn = self._peek_arrival()
         waiter = self._earliest_deadline_worker()
-        times = []
-        if conn is not None:
-            times.append(conn.arrival)
-        if waiter is not None:
-            times.append(waiter.wait_deadline)
-        return min(times) if times else None
+        if waiter is None:
+            return None if conn is None else conn.arrival
+        if conn is None or waiter.wait_deadline < conn.arrival:
+            return waiter.wait_deadline
+        return conn.arrival
 
     def step(self) -> bool:
         """Advance one event of an externally stepped run; False when
         idle (never raises on a stall — see :meth:`_tick`)."""
-        return self._tick(None, strict=False)
+        more = self._tick(None, strict=False)
+        self._next_memo = _STALE
+        return more
 
     def stop(self) -> ServingReport:
         """End an externally stepped run: teardown and report."""
@@ -809,8 +828,8 @@ class ServingEngine:
             idle = [w for w in self.workers if w.state == _IDLE]
             if not idle:
                 return
-            worker = min(idle, key=lambda w: (self.core_time[w.core_id],
-                                              self.workers.index(w)))
+            # min keeps the first minimum: ties go to worker order.
+            worker = min(idle, key=lambda w: self.core_time[w.core_id])
             conn = self._accept.popleft()
             self._start_conn(worker, conn)
             # An idle worker "sleeps" until its connection arrives.
@@ -954,6 +973,7 @@ class ServingEngine:
                        now=self.kernel.clock.now)
 
     def _on_wake(self, worker: _Worker) -> None:
+        self._next_memo = _STALE
         worker.wait_spec = None
         worker.wait_deadline = None
         if worker.task.state == "dead":
@@ -967,13 +987,16 @@ class ServingEngine:
     def _earliest_deadline_worker(self) -> _Worker | None:
         """The blocked worker whose deadline expires first (ties broken
         by tid, so expiry order is deterministic)."""
-        candidates = [w for w in self.workers
-                      if w.state == _BLOCKED
-                      and w.wait_deadline is not None]
-        if not candidates:
-            return None
-        return min(candidates,
-                   key=lambda w: (w.wait_deadline, w.task.tid))
+        best = None
+        for w in self.workers:
+            deadline = w.wait_deadline
+            if w.state != _BLOCKED or deadline is None:
+                continue
+            if (best is None or deadline < best.wait_deadline
+                    or (deadline == best.wait_deadline
+                        and w.task.tid < best.task.tid)):
+                best = w
+        return best
 
     def _fire_due_timeouts(self) -> None:
         """Expire blocked waits whose core timeline already passed the

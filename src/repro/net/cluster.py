@@ -79,6 +79,7 @@ import typing
 from dataclasses import dataclass, field
 
 from repro.apps.kvstore.memcached import CONNECTION_SETUP_CYCLES
+from repro.apps.kvstore.twemperf import request_plan
 from repro.bench.digest import LatencyDigest
 from repro.net.plane import NetworkPlane
 from repro.net.shard import ShardMap
@@ -313,7 +314,6 @@ class FleetClient:
     # -- the request plan (shared with Twemperf) ------------------------
 
     def _request(self, conn_id: int, req: int) -> tuple[str, bytes]:
-        from repro.apps.kvstore.twemperf import request_plan
         return request_plan(conn_id, req, self.requests_per_connection)
 
     # -- connection lifecycle -------------------------------------------
@@ -497,6 +497,7 @@ class Cluster:
         self.injector = None
         self.vnow = 0.0
         self.kills = 0
+        self._deaths_pending = False   # kill_node flagged a node
         self.restarts = 0
         self.kill_times: list[tuple[str, float]] = []
         self.restart_times: list[tuple[str, float]] = []
@@ -556,6 +557,7 @@ class Cluster:
         if not node.up or node.dying:
             return False
         node.dying = True
+        self._deaths_pending = True
         return True
 
     def _shutdown(self, node: Node) -> None:
@@ -1043,33 +1045,32 @@ class Cluster:
     def run(self) -> None:
         """Drive plane and engines to quiescence.  Each iteration picks
         the earliest next event cluster-wide — plane first on ties,
-        then node boot order — and advances exactly one of them."""
+        then node boot order — and advances exactly one of them.  The
+        strict ``<`` below is that tie rule: a node displaces the plane
+        or an earlier-booted node only when strictly earlier."""
+        plane = self.plane
+        nodes = self.nodes.values()
         while True:
-            self._finalize_deaths()
-            best = None
-            best_key = None
-            plane_next = self.plane.next_time()
-            if plane_next is not None:
-                best_key = (plane_next, 0)
-                best = ("plane", None)
-            for index, node in enumerate(self.nodes.values()):
+            if self._deaths_pending:
+                self._finalize_deaths()
+            best_time = plane.next_time()
+            best = None                  # None: the plane
+            for node in nodes:
                 if not node.up:
                     continue
                 node_next = node.engine.next_time()
-                if node_next is None:
-                    continue
-                key = (node_next, index + 1)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = ("node", node)
-            if best is None:
+                if node_next is not None and (best_time is None
+                                              or node_next < best_time):
+                    best_time = node_next
+                    best = node
+            if best_time is None:
                 break
-            if best_key[0] > self.vnow:
-                self.vnow = best_key[0]
-            if best[0] == "plane":
-                self.plane.step()
+            if best_time > self.vnow:
+                self.vnow = best_time
+            if best is None:
+                plane.step()
             else:
-                best[1].engine.step()
+                best.engine.step()
         self._finalize_deaths()
         for node in self.nodes.values():
             if node.up:
@@ -1077,6 +1078,7 @@ class Cluster:
                 self._retire_ledger(node)
 
     def _finalize_deaths(self) -> None:
+        self._deaths_pending = False
         for node in list(self.nodes.values()):
             if node.dying:
                 self._shutdown(node)

@@ -1,8 +1,9 @@
 """The deterministic network plane: links, messages, timers.
 
 One :class:`NetworkPlane` connects every endpoint in a simulated
-cluster.  It owns a single event heap of ``(time, seq)`` entries —
-message deliveries and timers — on the same global virtual-time axis
+cluster through one :class:`Link` cost model.  It owns a single event
+heap of ``(time, seq, message, callback)`` tuples — message deliveries
+and timers — on the same global virtual-time axis
 the serving engines' per-core timelines advance on, so the cluster
 driver can interleave "node X executes its next slice" with "the
 response from node Y arrives" by comparing plain floats.
@@ -11,7 +12,8 @@ Determinism contract
 --------------------
 * **Ordering** — events pop in ``(time, seq)`` order; ``seq`` is the
   plane-wide creation ordinal, so two events at the same instant
-  resolve by who was scheduled first.  Per-link delivery is FIFO: a
+  resolve by who was scheduled first (``seq`` is unique, so heap
+  comparisons never reach the payload).  Per-link delivery is FIFO: a
   message never overtakes an earlier message on the same ``(src,
   dst)`` link (its delivery time is clamped to the link's previous
   delivery).
@@ -35,12 +37,12 @@ from __future__ import annotations
 
 import heapq
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class Link:
-    """One directed edge's cost model."""
+    """The cost model every directed edge of the plane shares."""
 
     latency_cycles: float = 30_000.0   # propagation delay
     cycles_per_byte: float = 0.5       # serialization / bandwidth
@@ -70,24 +72,17 @@ class _Endpoint:
     up: bool = True
 
 
-@dataclass(order=True)
-class _Event:
-    time: float
-    seq: int
-    message: Message | None = field(compare=False, default=None)
-    callback: typing.Callable | None = field(compare=False, default=None)
-
-
 class NetworkPlane:
     """Deterministic message fabric for a simulated cluster."""
 
     def __init__(self, default_link: Link | None = None) -> None:
         self.default_link = default_link or Link()
         self._endpoints: dict[str, _Endpoint] = {}
-        self._links: dict[tuple[str, str], Link] = {}
         self._partitioned: set[frozenset] = set()
         self._link_last: dict[tuple[str, str], float] = {}
-        self._heap: list[_Event] = []
+        # (time, seq, message, callback): a delivery carries a message,
+        # a timer a callback.
+        self._heap: list[tuple] = []
         self._seq = 0
         self.now = 0.0
         self.sent = 0
@@ -103,22 +98,6 @@ class NetworkPlane:
         now)`` runs at each delivery."""
         self._endpoints[name] = _Endpoint(name=name, clock=clock,
                                           handler=handler)
-
-    def connect(self, src: str, dst: str, link: Link | None = None,
-                symmetric: bool = True) -> None:
-        self._links[(src, dst)] = link or self.default_link
-        if symmetric:
-            self._links[(dst, src)] = link or self.default_link
-
-    def mesh(self, names: typing.Sequence[str],
-             link: Link | None = None) -> None:
-        """Full mesh over ``names`` (the cluster default)."""
-        for i, a in enumerate(names):
-            for b in names[i + 1:]:
-                self.connect(a, b, link)
-
-    def link(self, src: str, dst: str) -> Link:
-        return self._links.get((src, dst), self.default_link)
 
     def set_up(self, name: str, up: bool) -> None:
         """Mark an endpoint's machine up/down (down endpoints neither
@@ -157,7 +136,7 @@ class NetworkPlane:
         either way); only a response or a timeout reveals the loss.
         """
         sender = self._endpoints[src]
-        link = self.link(src, dst)
+        link = self.default_link
         if sender.clock is not None:
             sender.clock.charge(
                 link.per_message_cycles + size_bytes * link.cycles_per_byte,
@@ -175,49 +154,44 @@ class NetworkPlane:
         if last is not None and deliver < last:
             deliver = last
         self._link_last[(src, dst)] = deliver
+        self._seq += 1
+        seq = self._seq
         message = Message(src=src, dst=dst, kind=kind, payload=payload,
                           size_bytes=size_bytes, sent_at=now,
-                          deliver_at=deliver, seq=self._next_seq())
-        heapq.heappush(self._heap, _Event(time=deliver, seq=message.seq,
-                                          message=message))
+                          deliver_at=deliver, seq=seq)
+        heapq.heappush(self._heap, (deliver, seq, message, None))
         return message
 
     def at(self, time: float, callback: typing.Callable) -> None:
         """Schedule ``callback(now)`` at virtual time ``time`` (RPC
         timeouts, partition heals, node restarts).  Cancellation is by
         convention: the callback checks its own state and no-ops."""
-        heapq.heappush(self._heap, _Event(time=time,
-                                          seq=self._next_seq(),
-                                          callback=callback))
-
-    def _next_seq(self) -> int:
         self._seq += 1
-        return self._seq
+        heapq.heappush(self._heap, (time, self._seq, None, callback))
 
     # -- the event loop face --------------------------------------------
 
     def next_time(self) -> float | None:
-        return self._heap[0].time if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
     def step(self) -> bool:
         """Process the earliest event; False when the heap is empty.
         ``now`` never runs backwards even if a stale entry tries."""
         if not self._heap:
             return False
-        event = heapq.heappop(self._heap)
-        if event.time > self.now:
-            self.now = event.time
-        if event.callback is not None:
-            event.callback(self.now)
+        time, _, message, callback = heapq.heappop(self._heap)
+        if time > self.now:
+            self.now = time
+        if callback is not None:
+            callback(self.now)
             return True
-        message = event.message
         receiver = self._endpoints.get(message.dst)
         if receiver is None or not receiver.up:
             self.dropped += 1     # died while the message was in flight
             return True
         if receiver.clock is not None:
-            receiver.clock.charge(self.link(message.src, message.dst)
-                                  .rx_cycles, site="net.link.rx")
+            receiver.clock.charge(self.default_link.rx_cycles,
+                                  site="net.link.rx")
         self.delivered += 1
         if receiver.handler is not None:
             receiver.handler(message, self.now)

@@ -139,3 +139,51 @@ class TestLatencyDigest:
         assert summary["mean"] == 0.0
         assert not any(isinstance(v, float) and math.isinf(v)
                        for v in summary.values())
+
+
+class TestLazyEstimators:
+    """Exact mode leaves the P² estimators unfed and replays the
+    retained values at the flip and in ``state()``; every observable
+    must equal a digest whose estimators were fed eagerly."""
+
+    CUTOFF = 8
+
+    @staticmethod
+    def _eager_reference(values, cutoff):
+        estimators = {q: P2Quantile(q) for q in LatencyDigest.QUANTILES}
+        total, low, high = 0.0, math.inf, -math.inf
+        for x in values:
+            total += x
+            low, high = min(low, x), max(high, x)
+            for estimator in estimators.values():
+                estimator.add(x)
+        exact = tuple(values) if len(values) <= cutoff else None
+        state = (len(values), total, low, high, exact,
+                 tuple(estimators[q].state() for q in sorted(estimators)))
+        return state, estimators
+
+    def test_matches_eager_feeding_at_every_checkpoint(self):
+        cutoff = self.CUTOFF
+        rng = random.Random(11)
+        values = [rng.expovariate(1e-3) for _ in range(3 * cutoff)]
+        digest = LatencyDigest(exact_cutoff=cutoff)
+        fed = 0
+        for n in (0, 1, 5, cutoff, cutoff + 1, 3 * cutoff):
+            for x in values[fed:n]:
+                digest.add(x)
+            fed = n
+            state, estimators = self._eager_reference(values[:n], cutoff)
+            # state() replays into copies, so calling it at every
+            # checkpoint must not disturb the digest itself.
+            assert digest.state() == state, n
+            assert digest.exact == (n <= cutoff), n
+            for p in (50, 95, 99):
+                if n == 0:
+                    with pytest.raises(ValueError):
+                        digest.percentile(p)
+                elif digest.exact:
+                    assert digest.percentile(p) == percentile(
+                        values[:n], p), (n, p)
+                else:
+                    assert digest.percentile(p) == \
+                        estimators[p / 100.0].value(), (n, p)

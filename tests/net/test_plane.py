@@ -62,6 +62,26 @@ class TestDelivery:
         assert got == ["timer", "msg"]
         assert plane.now == 1000.0
 
+    @pytest.mark.parametrize("timer_first", [True, False])
+    def test_timer_and_message_at_one_instant_pop_by_creation(
+            self, plane, timer_first):
+        got = []
+        plane.add_endpoint("c", handler=lambda m, now: got.append("msg"))
+
+        def timer():
+            plane.at(1000.0, lambda now: got.append("timer"))
+
+        def message():
+            plane.send("a", "c", "x", {}, size_bytes=0, now=0.0)
+
+        first, second = (timer, message) if timer_first \
+            else (message, timer)
+        first()
+        second()
+        drain(plane)
+        assert got == (["timer", "msg"] if timer_first
+                       else ["msg", "timer"])
+
 
 class TestCharges:
     def test_tx_and_rx_charged_to_the_right_clocks(self):
