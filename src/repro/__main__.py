@@ -267,11 +267,12 @@ def cmd_servebench(args: argparse.Namespace) -> int:
 
 def cmd_servechaos(args: argparse.Namespace) -> int:
     from repro.bench import chaos
+    from repro.faults.script import script_from_json
 
     script = None
     if args.replay:
         recorded = json.loads(pathlib.Path(args.replay).read_text())
-        script = chaos.script_from_json(recorded["script"])
+        script = script_from_json(recorded["script"])
         args.seed = recorded.get("seed", args.seed)
         print(f"replaying {len(script)}-event script from "
               f"{args.replay} (seed {args.seed})")
@@ -338,14 +339,15 @@ def cmd_clusterbench(args: argparse.Namespace) -> int:
 
 def cmd_clusterchaos(args: argparse.Namespace) -> int:
     from repro.bench import cluster
+    from repro.faults.script import script_from_json
 
     script = None
     rehydration_script = None
     if args.replay:
         recorded = json.loads(pathlib.Path(args.replay).read_text())
-        script = cluster.script_from_json(recorded["script"])
+        script = script_from_json(recorded["script"])
         if recorded.get("rehydration_script"):
-            rehydration_script = cluster.script_from_json(
+            rehydration_script = script_from_json(
                 recorded["rehydration_script"])
         args.seed = recorded.get("seed", args.seed)
         print(f"replaying {len(script)}-event cluster script from "

@@ -17,10 +17,11 @@ the resilience layer to three verdicts:
   the machine clock, every per-site cycle total, and the full latency
   vector bit for bit.
 
-The chaos *script* is data (a tuple of :class:`ChaosEvent`), generated
-from the seed and recorded in ``BENCH_chaos.json`` — so a failing run
-is replayed exactly by feeding the recorded script back in
-(``servechaos --replay BENCH_chaos.json``), the same replay idiom as
+The chaos *script* is data (a tuple of
+:class:`~repro.faults.script.FaultEvent`), generated from the seed and
+recorded in ``BENCH_chaos.json`` — so a failing run is replayed
+exactly by feeding the recorded script back in (``servechaos --replay
+BENCH_chaos.json``), the same replay idiom as
 ``repro.interleave.explore(replay=...)``.
 """
 
@@ -37,6 +38,7 @@ from repro.bench.serving import (
     ServingReport,
 )
 from repro.faults.inject import FaultInjector, delay, kill_task
+from repro.faults.script import FaultEvent, arm_script, script_to_json
 from repro.kernel.watchdog import Watchdog
 
 #: Sites where a chaos kill lands mid-request (the worker running the
@@ -61,29 +63,7 @@ DELAY_SITES = (
 )
 
 
-@dataclass(frozen=True)
-class ChaosEvent:
-    """One scripted failure: fire ``kind`` at the ``occurrence``-th
-    charge of ``site``."""
-
-    kind: str                  # "kill" | "delay"
-    site: str
-    occurrence: int
-    extra_cycles: float = 0.0  # delay size (kind == "delay")
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "site": self.site,
-                "occurrence": self.occurrence,
-                "extra_cycles": self.extra_cycles}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ChaosEvent":
-        return cls(kind=data["kind"], site=data["site"],
-                   occurrence=int(data["occurrence"]),
-                   extra_cycles=float(data.get("extra_cycles", 0.0)))
-
-
-def generate_script(seed: int, events: int = 6) -> tuple[ChaosEvent, ...]:
+def generate_script(seed: int, events: int = 6) -> tuple[FaultEvent, ...]:
     """Derive a chaos script from ``seed`` alone (no wall clock, no
     global randomness): a deterministic mix of worker kills and
     operation delays across the kill/delay site menus."""
@@ -93,12 +73,12 @@ def generate_script(seed: int, events: int = 6) -> tuple[ChaosEvent, ...]:
     script = []
     for _ in range(events):
         if rng.random() < 0.4:
-            script.append(ChaosEvent(
+            script.append(FaultEvent(
                 kind="kill",
                 site=rng.choice(KILL_SITES),
                 occurrence=rng.randint(2, 40)))
         else:
-            script.append(ChaosEvent(
+            script.append(FaultEvent(
                 kind="delay",
                 site=rng.choice(DELAY_SITES),
                 occurrence=rng.randint(1, 60),
@@ -106,29 +86,19 @@ def generate_script(seed: int, events: int = 6) -> tuple[ChaosEvent, ...]:
     return tuple(script)
 
 
-def script_to_json(script: typing.Sequence[ChaosEvent]) -> list[dict]:
-    return [event.to_json() for event in script]
+#: Event fields the serving script records beside kind/site/occurrence.
+SCRIPT_FIELDS = ("extra_cycles",)
 
 
-def script_from_json(data: typing.Sequence[dict]) -> tuple[ChaosEvent, ...]:
-    return tuple(ChaosEvent.from_json(entry) for entry in data)
-
-
-def _arm_script(injector: FaultInjector, script, kernel, engine) -> None:
-    for event in script:
-        if event.kind == "kill":
-            # Kill whichever worker task is advancing at the firing
-            # site; between steps the event fizzles deterministically.
-            injector.arm(event.site, event.occurrence,
-                         action=kill_task(
-                             kernel, lambda: engine.current_task),
-                         label=f"kill:{event.site}@{event.occurrence}")
-        elif event.kind == "delay":
-            injector.arm(event.site, event.occurrence,
-                         action=delay(kernel.clock, event.extra_cycles),
-                         label=f"delay:{event.site}@{event.occurrence}")
-        else:
-            raise ValueError(f"unknown chaos event kind: {event.kind!r}")
+def _actions(kernel, engine) -> dict:
+    """The serving soak's action table (see :func:`arm_script`)."""
+    return {
+        # Kill whichever worker task is advancing at the firing site;
+        # between steps the event fizzles deterministically.
+        "kill": lambda event: kill_task(
+            kernel, lambda: engine.current_task),
+        "delay": lambda event: delay(kernel.clock, event.extra_cycles),
+    }
 
 
 @dataclass(frozen=True)
@@ -165,7 +135,7 @@ def _soak(build, script) -> ChaosRun:
     watchdog = Watchdog(kernel)
     watchdog.watch(lib)
     injector = FaultInjector()
-    _arm_script(injector, script, kernel, engine)
+    arm_script(injector, script, _actions(kernel, engine))
     offer()
     obs = kernel.machine.obs
     obs.add_sink(injector)
@@ -267,7 +237,7 @@ CHAOS_SCENARIOS = {
 
 def run_servechaos(seed: int = 13, connections: int = 32,
                    events: int = 6,
-                   script: typing.Sequence[ChaosEvent] | None = None
+                   script: typing.Sequence[FaultEvent] | None = None
                    ) -> dict:
     """Soak every scenario under the (seeded or replayed) chaos script.
 
@@ -306,7 +276,7 @@ def run_servechaos(seed: int = 13, connections: int = 32,
         "schema": 1,
         "seed": seed,
         "connections": connections,
-        "script": script_to_json(script),
+        "script": script_to_json(script, SCRIPT_FIELDS),
         "note": ("chaos soak: every scenario ran twice under the same "
                  "seeded failure script and produced bit-identical "
                  "cycle totals and latency vectors; zero audit and "

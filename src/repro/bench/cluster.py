@@ -39,7 +39,8 @@ misses.
 partition-duration grid (:func:`run_cluster_sweep`) under the same
 gate set and merges the rows into ``BENCH_cluster.json``.
 
-The scripts are data (:class:`ClusterChaosEvent` tuples) embedded in
+The scripts are data (:class:`~repro.faults.script.FaultEvent`
+tuples, armed through :func:`cluster_actions`) embedded in
 ``BENCH_cluster.json`` for exact replay, the same idiom as
 ``servechaos``.
 """
@@ -55,6 +56,7 @@ from repro.bench.harness import run_twice
 from repro.bench.serving import ArrivalSchedule
 from repro.consts import CLOCK_HZ
 from repro.faults.inject import FaultInjector, kill_task
+from repro.faults.script import FaultEvent, arm_script, script_to_json
 from repro.net.cluster import (
     Cluster,
     FleetClient,
@@ -81,40 +83,13 @@ WORKER_KILL_SITES = (
     "apps.memcached.request",
 )
 
-
-@dataclass(frozen=True)
-class ClusterChaosEvent:
-    """One scripted cluster failure, triggered at the
-    ``occurrence``-th charge of the (name-prefixed) ``site``."""
-
-    kind: str          # "node_kill" | "partition" | "worker_kill"
-    #                    | "delay" | "sync_partition" | "sync_kill"
-    site: str          # trigger, e.g. "node0.apps.memcached.request"
-    occurrence: int
-    node: str = ""     # victim node (node_kill / worker_kill / delay)
-    peer: str = ""     # other end of a partition
-    duration: float = 0.0       # partition window, cycles
-    extra_cycles: float = 0.0   # delay size, cycles
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "site": self.site,
-                "occurrence": self.occurrence, "node": self.node,
-                "peer": self.peer, "duration": self.duration,
-                "extra_cycles": self.extra_cycles}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ClusterChaosEvent":
-        return cls(kind=data["kind"], site=data["site"],
-                   occurrence=int(data["occurrence"]),
-                   node=data.get("node", ""),
-                   peer=data.get("peer", ""),
-                   duration=float(data.get("duration", 0.0)),
-                   extra_cycles=float(data.get("extra_cycles", 0.0)))
+#: Event fields the cluster scripts record beside kind/site/occurrence.
+SCRIPT_FIELDS = ("node", "peer", "duration", "extra_cycles")
 
 
 def generate_cluster_script(seed: int, node_names: typing.Sequence[str],
                             events: int = 6
-                            ) -> tuple[ClusterChaosEvent, ...]:
+                            ) -> tuple[FaultEvent, ...]:
     """Derive a cluster chaos script from ``seed`` alone.
 
     The first event is always a node kill early in the run (the
@@ -127,7 +102,7 @@ def generate_cluster_script(seed: int, node_names: typing.Sequence[str],
     names = list(node_names)
     script = []
     victim = rng.choice(names)
-    script.append(ClusterChaosEvent(
+    script.append(FaultEvent(
         kind="node_kill",
         site=f"{victim}.apps.memcached.request",
         occurrence=rng.randint(10, 40),
@@ -136,7 +111,7 @@ def generate_cluster_script(seed: int, node_names: typing.Sequence[str],
         roll = rng.random()
         if roll < 0.30:
             a, b = rng.sample(names + ["client"], 2)
-            script.append(ClusterChaosEvent(
+            script.append(FaultEvent(
                 kind="partition",
                 site=f"{rng.choice(names)}.net.link.rx",
                 occurrence=rng.randint(5, 80),
@@ -144,14 +119,14 @@ def generate_cluster_script(seed: int, node_names: typing.Sequence[str],
                 duration=1e6 * rng.randint(10, 40)))
         elif roll < 0.55:
             node = rng.choice(names)
-            script.append(ClusterChaosEvent(
+            script.append(FaultEvent(
                 kind="worker_kill",
                 site=f"{node}.apps.memcached.request",
                 occurrence=rng.randint(5, 120),
                 node=node))
         else:
             node = rng.choice(names)
-            script.append(ClusterChaosEvent(
+            script.append(FaultEvent(
                 kind="delay",
                 site=f"{node}.{rng.choice(DELAY_SITES)}",
                 occurrence=rng.randint(1, 80),
@@ -161,7 +136,7 @@ def generate_cluster_script(seed: int, node_names: typing.Sequence[str],
 
 
 def generate_rehydration_script(node_names: typing.Sequence[str]
-                                ) -> tuple[ClusterChaosEvent, ...]:
+                                ) -> tuple[FaultEvent, ...]:
     """The kill → partial sync → kill-again script the rehydration
     scenario soaks under (deterministic by construction, no rng):
 
@@ -178,27 +153,19 @@ def generate_rehydration_script(node_names: typing.Sequence[str]
     victim = node_names[1]
     helper = node_names[0]   # sorted first => the first sync peer
     return (
-        ClusterChaosEvent(
+        FaultEvent(
             kind="node_kill",
             site=f"{victim}.apps.memcached.request",
             occurrence=12, node=victim),
-        ClusterChaosEvent(
+        FaultEvent(
             kind="sync_partition",
             site=f"{victim}.net.repl.sync_req",
             occurrence=1, node=victim, peer=helper, duration=12e6),
-        ClusterChaosEvent(
+        FaultEvent(
             kind="sync_kill",
             site=f"{victim}.net.repl.sync_apply",
             occurrence=1, node=victim),
     )
-
-
-def script_to_json(script) -> list[dict]:
-    return [event.to_json() for event in script]
-
-
-def script_from_json(data) -> tuple[ClusterChaosEvent, ...]:
-    return tuple(ClusterChaosEvent.from_json(entry) for entry in data)
 
 
 def _node_worker_kill(cluster: Cluster, name: str):
@@ -215,30 +182,20 @@ def _node_worker_kill(cluster: Cluster, name: str):
     return action
 
 
-def _arm_cluster_script(injector: FaultInjector, cluster: Cluster,
-                        script) -> None:
-    for event in script:
-        if event.kind == "node_kill":
-            action = node_kill(cluster, event.node)
-        elif event.kind == "partition":
-            action = link_partition(cluster, event.node, event.peer,
-                                    event.duration)
-        elif event.kind == "worker_kill":
-            action = _node_worker_kill(cluster, event.node)
-        elif event.kind == "delay":
-            action = node_site_delay(cluster, event.node,
-                                     event.extra_cycles)
-        elif event.kind == "sync_partition":
-            action = sync_partition(cluster, event.node, event.peer,
-                                    event.duration)
-        elif event.kind == "sync_kill":
-            action = sync_kill(cluster, event.node)
-        else:
-            raise ValueError(
-                f"unknown cluster chaos event kind: {event.kind!r}")
-        injector.arm(event.site, event.occurrence, action=action,
-                     label=f"{event.kind}:{event.site}"
-                           f"@{event.occurrence}")
+def cluster_actions(cluster: Cluster) -> dict:
+    """The cluster soak's action table (see :func:`arm_script`)."""
+    return {
+        "node_kill": lambda event: node_kill(cluster, event.node),
+        "partition": lambda event: link_partition(
+            cluster, event.node, event.peer, event.duration),
+        "worker_kill": lambda event: _node_worker_kill(cluster,
+                                                       event.node),
+        "delay": lambda event: node_site_delay(cluster, event.node,
+                                               event.extra_cycles),
+        "sync_partition": lambda event: sync_partition(
+            cluster, event.node, event.peer, event.duration),
+        "sync_kill": lambda event: sync_kill(cluster, event.node),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +307,7 @@ def _soak_cluster(build, script) -> ClusterRun:
     if script:
         # Taps attach *after* the factories ran, so boot-time charges
         # never burn scripted occurrences.
-        _arm_cluster_script(injector, cluster, script)
+        arm_script(injector, script, cluster_actions(cluster))
         cluster.attach_injector(injector)
     cluster.run()
     audit = cluster.audit()
@@ -554,10 +511,10 @@ def run_clusterbench(seed: int = 29, nodes: int = 4,
 
 def run_clusterchaos(seed: int = 29, nodes: int = 4,
                      connections: int = 96, events: int = 6,
-                     script: typing.Sequence[ClusterChaosEvent] | None
+                     script: typing.Sequence[FaultEvent] | None
                      = None,
                      rehydration_script:
-                     typing.Sequence[ClusterChaosEvent] | None = None
+                     typing.Sequence[FaultEvent] | None = None
                      ) -> dict:
     """Soak the cluster scenarios under chaos; every gate is an
     AssertionError.  Returns the ``BENCH_cluster.json`` payload,
@@ -621,8 +578,9 @@ def run_clusterchaos(seed: int = 29, nodes: int = 4,
         "seed": seed,
         "nodes": nodes,
         "connections": connections,
-        "script": script_to_json(script),
-        "rehydration_script": script_to_json(rehydration_script),
+        "script": script_to_json(script, SCRIPT_FIELDS),
+        "rehydration_script": script_to_json(rehydration_script,
+                                             SCRIPT_FIELDS),
         "note": ("cluster chaos soak: each scenario ran twice under "
                  "the same seeded kill/partition/delay script and "
                  "produced bit-identical site ledgers, cycle totals, "
@@ -643,18 +601,18 @@ def run_clusterchaos(seed: int = 29, nodes: int = 4,
 
 def _sweep_script(node_names: typing.Sequence[str],
                   partition_mcyc: float
-                  ) -> tuple[ClusterChaosEvent, ...]:
+                  ) -> tuple[FaultEvent, ...]:
     """One sweep cell's script: an early inter-node partition (repl
     traffic between node0 and node1 rides the hint path for its
     duration) plus a node kill (the restart rehydrates)."""
     victim = node_names[-1]
     return (
-        ClusterChaosEvent(
+        FaultEvent(
             kind="partition",
             site=f"{node_names[0]}.net.link.rx",
             occurrence=8, node=node_names[0], peer=node_names[1],
             duration=partition_mcyc * 1e6),
-        ClusterChaosEvent(
+        FaultEvent(
             kind="node_kill",
             site=f"{victim}.apps.memcached.request",
             occurrence=15, node=victim),

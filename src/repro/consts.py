@@ -42,11 +42,6 @@ MMAP_BASE = 0x7F00_0000_0000
 KERNEL_ALIAS_BASE = 0xFFFF_8000_0000
 
 
-def page_align_down(addr: int) -> int:
-    """Round ``addr`` down to the containing page boundary."""
-    return addr & PAGE_MASK
-
-
 def page_align_up(addr: int) -> int:
     """Round ``addr`` up to the next page boundary."""
     return (addr + PAGE_SIZE - 1) & PAGE_MASK
@@ -55,12 +50,3 @@ def page_align_up(addr: int) -> int:
 def page_number(addr: int) -> int:
     """Virtual page number containing ``addr``."""
     return addr >> PAGE_SHIFT
-
-
-def pages_spanned(addr: int, length: int) -> int:
-    """Number of pages touched by the byte range ``[addr, addr+length)``."""
-    if length <= 0:
-        return 0
-    first = page_align_down(addr)
-    last = page_align_up(addr + length)
-    return (last - first) >> PAGE_SHIFT

@@ -25,7 +25,7 @@ from __future__ import annotations
 import typing
 
 if typing.TYPE_CHECKING:
-    from repro.kernel.kcore import Kernel, Process
+    from repro.kernel.kcore import Kernel
     from repro.kernel.task import Task
 
 
@@ -73,11 +73,3 @@ def do_pkey_sync(kernel: "Kernel", caller: "Task", pkey: int,
                     sibling.run_task_works()
     return len(siblings)
 
-
-def sync_pkru_now(process: "Process", pkey: int, rights: int) -> None:
-    """Test helper: eagerly set ``pkey`` rights on every task without
-    cost accounting (used to construct scenarios, not by libmpk)."""
-    for task in process.live_tasks():
-        task.pkru = task.pkru.with_rights(pkey, rights)
-        if task.running:
-            process.kernel.machine.core(task.core_id).load_pkru(task.pkru)

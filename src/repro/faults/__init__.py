@@ -1,11 +1,15 @@
 """The fault plane: simulated signals, failure injection, auditing.
 
-Three coupled pieces (each in its own module):
+Four coupled pieces (each in its own module):
 
 * :mod:`repro.faults.signals` — POSIX-shaped siginfo for MMU and pkey
   faults; the kernel delivers them through the task_work spine.
 * :mod:`repro.faults.inject` — a :class:`~repro.obs.ChargeSink` that
   fires scripted failures at exact (site, occurrence) points.
+* :mod:`repro.faults.script` — the one fault-script shape: a
+  :class:`~repro.faults.script.FaultEvent` tuple, its JSON codec, and
+  :func:`~repro.faults.script.arm_script`, which arms a script through
+  a caller's kind → action-factory table.
 * :mod:`repro.faults.audit` / :mod:`repro.faults.campaign` — the
   crash-consistency auditor and the exhaustive sweep driving it.
 """
@@ -24,6 +28,7 @@ from repro.faults.inject import (
     delay,
     raise_error,
 )
+from repro.faults.script import FaultEvent, arm_script
 from repro.faults.signals import (
     SEGV_ACCERR,
     SEGV_MAPERR,
@@ -36,6 +41,7 @@ from repro.faults.signals import (
 __all__ = [
     "AuditReport",
     "CampaignReport",
+    "FaultEvent",
     "FaultInjector",
     "InjectionEvent",
     "InjectionPlan",
@@ -46,6 +52,7 @@ __all__ = [
     "SIGSEGV",
     "Siginfo",
     "Table1Workload",
+    "arm_script",
     "audit_libmpk",
     "delay",
     "raise_error",

@@ -9,14 +9,12 @@ fires *plans* — raise an exception, stretch the operation by extra
 cycles, or run an arbitrary callback — when a plan's (site, occurrence)
 pair comes up.
 
-Three arming modes:
+Two ways to arm it:
 
-* ``arm(site, occurrence)`` — scripted: fire exactly at the Nth hit
-  (1-based) of a site; patterns like ``"kernel.mprotect.*"`` match a
-  whole subsystem.
-* ``arm_random(...)`` — seeded-random: every matching charge fires with
-  probability ``rate`` under a private ``random.Random(seed)``, capped
-  at ``max_fires``.  Deterministic for a fixed seed and workload.
+* ``arm(site, occurrence)`` — fire exactly at the Nth hit (1-based) of
+  a site; patterns like ``"kernel.mprotect.*"`` match a whole
+  subsystem.  :func:`repro.faults.script.arm_script` arms a whole
+  recorded :class:`~repro.faults.script.FaultEvent` script this way.
 * exhaustive sweeps live one level up, in
   :mod:`repro.faults.campaign`, which replays a workload once per
   recorded occurrence.
@@ -31,7 +29,6 @@ victim site) cannot recurse.
 
 from __future__ import annotations
 
-import random
 import typing
 from dataclasses import dataclass
 
@@ -178,11 +175,6 @@ class FaultInjector(ChargeSink):
     def __init__(self) -> None:
         self._counts: dict[str, int] = {}
         self._plans: list[InjectionPlan] = []
-        self._rng: random.Random | None = None
-        self._random_rate = 0.0
-        self._random_pattern = "*"
-        self._random_action = None
-        self._random_fires_left = 0
         self._suspended = False
         self.fired: list[FiredRecord] = []
 
@@ -205,18 +197,6 @@ class FaultInjector(ChargeSink):
                              label=label or f"{site}@{occurrence}")
         self._plans.append(plan)
         return plan
-
-    def arm_random(self, seed: int, rate: float, action=None,
-                   pattern: str = "*", max_fires: int = 1) -> None:
-        """Seeded-random mode: each charge matching ``pattern`` fires
-        with probability ``rate``, at most ``max_fires`` times total."""
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"rate must be in [0, 1]: {rate}")
-        self._rng = random.Random(seed)
-        self._random_rate = rate
-        self._random_pattern = pattern
-        self._random_action = action or raise_error()
-        self._random_fires_left = max_fires
 
     # ------------------------------------------------------------------
     # Introspection.
@@ -245,26 +225,11 @@ class FaultInjector(ChargeSink):
         for plan in self._plans:
             if plan.matches(site, count):
                 plan.fired += 1
-                self._fire(plan.label, plan.action, event)
-        if (self._rng is not None and self._random_fires_left > 0
-                and _site_matches_any(self._random_pattern, site)
-                and self._rng.random() < self._random_rate):
-            self._random_fires_left -= 1
-            self._fire(f"random:{site}@{count}", self._random_action,
-                       event)
+                self.fired.append(FiredRecord(site=site, occurrence=count,
+                                              label=plan.label, now=now))
+                self._suspended = True
+                try:
+                    plan.action(event)
+                finally:
+                    self._suspended = False
 
-    def _fire(self, label: str, action, event: InjectionEvent) -> None:
-        self.fired.append(FiredRecord(site=event.site,
-                                      occurrence=event.occurrence,
-                                      label=label, now=event.now))
-        self._suspended = True
-        try:
-            action(event)
-        finally:
-            self._suspended = False
-
-
-def _site_matches_any(pattern: str, site: str) -> bool:
-    if pattern == "*":
-        return True
-    return _site_matches(pattern, site)

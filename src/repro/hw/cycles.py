@@ -213,10 +213,6 @@ class Clock:
         if sink in self._sinks:
             self._sinks = [s for s in self._sinks if s is not sink]
 
-    @property
-    def sinks(self) -> tuple:
-        return tuple(self._sinks)
-
     def snapshot(self) -> float:
         """Current time; subtract two snapshots to measure a region."""
         return self.now

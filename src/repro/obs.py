@@ -17,10 +17,10 @@ observable structure:
 * :class:`Observability` — the per-machine facade.  Besides managing
   sinks it provides hierarchical *spans*: the kernel's syscalls and
   libmpk's API methods are bracketed with ``obs.span("kernel.sys_mmap")``
-  context managers (via the :func:`traced` decorator), which replaces
-  the old tracer's monkey-patching.  Completed spans update a per-path
-  profile (inclusive/self cycles) and are broadcast to subscribers —
-  :func:`repro.trace.attach_tracer` is now a thin subscriber.
+  context managers (via the :func:`traced` decorator).  Completed
+  spans update a per-path profile (inclusive/self cycles) and are
+  broadcast to subscribers — :func:`repro.trace.attach_tracer` is a
+  thin subscriber.
 
 Site-label taxonomy
 -------------------
@@ -578,7 +578,7 @@ def traced(label: str):
 
 
 # ---------------------------------------------------------------------------
-# Argument summaries (shared with repro.trace).
+# Argument summaries (a ``@traced`` span record's ``args``).
 # ---------------------------------------------------------------------------
 
 def summarize_args(args: tuple, kwargs: dict, limit: int = 60) -> str:

@@ -3,13 +3,11 @@
 ``attach_tracer`` records a :class:`TraceEvent` — operation name,
 summarized arguments, and the simulated cycles it consumed (inclusive
 of nested operations) — for every kernel syscall and/or libmpk API
-call.  Historically this worked by monkey-patching nine hardcoded
-method names per layer; the instrumented layers now emit
-:class:`~repro.obs.SpanRecord` spans natively (see
-:func:`repro.obs.traced`), and a tracer is just a *subscriber* on the
-machine's :class:`~repro.obs.Observability` spine, filtered to the
-requested layers.  Multiple tracers can observe the same machine
-concurrently, and detaching one never disturbs another.
+call.  The instrumented layers emit :class:`~repro.obs.SpanRecord`
+spans natively (see :func:`repro.obs.traced`), and a tracer is a
+*subscriber* on the machine's :class:`~repro.obs.Observability` spine,
+filtered to the requested layers.  Multiple tracers can observe the
+same machine concurrently, and detaching one never disturbs another.
 
 Typical use::
 
@@ -27,37 +25,14 @@ called*, read the per-site counters on ``machine.obs`` instead.
 
 from __future__ import annotations
 
-import functools
 import typing
 from dataclasses import dataclass, field
 
-from repro.obs import SpanRecord, summarize_args
+from repro.obs import SpanRecord
 
 if typing.TYPE_CHECKING:
     from repro.core.api import Libmpk
     from repro.kernel.kcore import Kernel
-
-# Methods natively instrumented on each layer (kept for reference and
-# for Tracer.wrap users; attach_tracer no longer patches them).
-KERNEL_OPS = (
-    "sys_mmap",
-    "sys_munmap",
-    "sys_mprotect",
-    "sys_pkey_mprotect",
-    "sys_pkey_alloc",
-    "sys_pkey_free",
-)
-LIBMPK_OPS = (
-    "mpk_init",
-    "mpk_mmap",
-    "mpk_adopt",
-    "mpk_munmap",
-    "mpk_begin",
-    "mpk_end",
-    "mpk_mprotect",
-    "mpk_malloc",
-    "mpk_free",
-)
 
 
 @dataclass(frozen=True)
@@ -80,31 +55,13 @@ class TraceEvent:
 
 @dataclass
 class Tracer:
-    """Collects events from span subscriptions and/or explicit wraps."""
+    """Collects events from its span subscriptions."""
 
     max_events: int = 10_000
     events: list[TraceEvent] = field(default_factory=list)
     dropped: int = 0
     _seq: int = 0
-    _depth: int = 0
-    _restores: list = field(default_factory=list, repr=False)
     _subscriptions: list = field(default_factory=list, repr=False)
-
-    # ------------------------------------------------------------------
-
-    def record(self, layer: str, op: str, clock, args: str):
-        """Context manager recording one call span."""
-        return _Span(self, layer, op, clock, args)
-
-    def _emit(self, event: TraceEvent) -> None:
-        if len(self.events) >= self.max_events:
-            self.dropped += 1
-            return
-        self.events.append(event)
-
-    # ------------------------------------------------------------------
-    # Span subscription (the attach_tracer path).
-    # ------------------------------------------------------------------
 
     def _attach_spans(self, obs, layers: frozenset[str]) -> None:
         """Subscribe to ``obs`` span completions, keeping only spans
@@ -120,7 +77,10 @@ class Tracer:
             depth = sum(1 for label in ancestors
                         if label.partition(".")[0] in layers)
             self._seq += 1
-            self._emit(TraceEvent(
+            if len(self.events) >= self.max_events:
+                self.dropped += 1
+                return
+            self.events.append(TraceEvent(
                 seq=self._seq,
                 layer=layer,
                 op=op,
@@ -133,43 +93,8 @@ class Tracer:
         obs.subscribe_spans(on_span)
         self._subscriptions.append((obs, on_span))
 
-    # ------------------------------------------------------------------
-    # Explicit wrapping (legacy path, still supported for arbitrary
-    # objects that do not emit spans natively).
-    # ------------------------------------------------------------------
-
-    def wrap(self, target: object, layer: str, ops: tuple[str, ...],
-             clock) -> None:
-        """Patch ``ops`` bound methods on ``target`` to record spans.
-
-        Refuses to wrap a method that is already tracer-wrapped:
-        stacking wrappers would double-count depth and record every
-        call twice, a debugging trap rather than a feature.
-        """
-        for name in ops:
-            original = getattr(target, name)
-            if getattr(original, "_repro_trace_wrapped", False):
-                raise RuntimeError(
-                    f"{type(target).__name__}.{name} is already wrapped "
-                    "by a tracer; detach it before wrapping again")
-
-            def make_wrapper(fn, op_name):
-                @functools.wraps(fn)
-                def wrapper(*args, **kwargs):
-                    summary = summarize_args(args, kwargs)
-                    with self.record(layer, op_name, clock, summary):
-                        return fn(*args, **kwargs)
-                wrapper._repro_trace_wrapped = True
-                return wrapper
-
-            setattr(target, name, make_wrapper(original, name))
-            self._restores.append((target, name, original))
-
     def detach(self) -> None:
-        """Undo all patches and subscriptions (idempotent)."""
-        while self._restores:
-            target, name, original = self._restores.pop()
-            setattr(target, name, original)
+        """Drop this tracer's subscriptions (idempotent)."""
         while self._subscriptions:
             obs, callback = self._subscriptions.pop()
             obs.unsubscribe_spans(callback)
@@ -191,46 +116,14 @@ class Tracer:
                    and (op is None or e.op == op))
 
 
-class _Span:
-    def __init__(self, tracer: Tracer, layer: str, op: str, clock,
-                 args: str) -> None:
-        self.tracer = tracer
-        self.layer = layer
-        self.op = op
-        self.clock = clock
-        self.args = args
-        self.start = 0.0
-        self.depth = 0
-
-    def __enter__(self) -> "_Span":
-        self.start = self.clock.snapshot()
-        self.depth = self.tracer._depth
-        self.tracer._depth += 1
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.tracer._depth -= 1
-        self.tracer._seq += 1
-        self.tracer._emit(TraceEvent(
-            seq=self.tracer._seq,
-            layer=self.layer,
-            op=self.op,
-            start_cycles=self.start,
-            cycles=self.clock.snapshot() - self.start,
-            depth=self.depth,
-            args=self.args,
-        ))
-
-
 def attach_tracer(kernel: "Kernel | None" = None,
                   lib: "Libmpk | None" = None,
                   max_events: int = 10_000) -> Tracer:
     """Create a tracer observing a kernel and/or libmpk.
 
-    Subscribes to the machine's span stream (no monkey-patching), so
-    attaching several tracers — even to the same layers — is safe:
-    each records independently and ``detach`` only removes its own
-    subscription.
+    Subscribes to the machine's span stream, so attaching several
+    tracers — even to the same layers — is safe: each records
+    independently and ``detach`` only removes its own subscription.
     """
     if kernel is None and lib is None:
         raise ValueError("attach_tracer needs a kernel and/or a Libmpk")

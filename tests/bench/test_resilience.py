@@ -278,12 +278,12 @@ class TestChaosCampaign:
             4, events=8)
 
     def test_script_json_roundtrip(self):
-        from repro.bench.chaos import (generate_script,
-                                       script_from_json,
-                                       script_to_json)
+        from repro.bench.chaos import SCRIPT_FIELDS, generate_script
+        from repro.faults.script import script_from_json, script_to_json
 
         script = generate_script(9, events=5)
-        assert script_from_json(script_to_json(script)) == script
+        assert script_from_json(
+            script_to_json(script, SCRIPT_FIELDS)) == script
 
     def test_soak_passes_all_three_gates(self):
         """Liveness, audit, and two-run determinism are asserted inside
@@ -299,7 +299,8 @@ class TestChaosCampaign:
         assert len(report["script"]) == 4
 
     def test_recorded_script_replays_identically(self):
-        from repro.bench.chaos import run_servechaos, script_from_json
+        from repro.bench.chaos import run_servechaos
+        from repro.faults.script import script_from_json
 
         first = run_servechaos(seed=5, connections=10, events=3)
         replay = run_servechaos(
@@ -309,11 +310,12 @@ class TestChaosCampaign:
         assert first["script"] == replay["script"]
 
     def test_unknown_event_kind_rejected(self, kernel, process):
-        from repro.bench.chaos import ChaosEvent, _arm_script
+        from repro.bench.chaos import _actions
         from repro.faults.inject import FaultInjector
+        from repro.faults.script import FaultEvent, arm_script
 
-        with pytest.raises(ValueError):
-            _arm_script(FaultInjector(),
-                        [ChaosEvent(kind="meteor", site="apps.x",
-                                    occurrence=1)],
-                        kernel, engine=None)
+        with pytest.raises(ValueError, match="meteor"):
+            arm_script(FaultInjector(),
+                       [FaultEvent(kind="meteor", site="apps.x",
+                                   occurrence=1)],
+                       _actions(kernel, engine=None))

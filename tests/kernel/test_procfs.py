@@ -138,20 +138,17 @@ class TestMpkStatsReplication:
     def test_cluster_node_counters_surface_through_procfs(self):
         # End to end: a replicated chaos soak leaves real net.repl
         # charges on a node's machine; procfs must mirror them.
-        from repro.bench.cluster import (
-            ClusterChaosEvent,
-            _arm_cluster_script,
-            _build_cluster,
-        )
+        from repro.bench.cluster import _build_cluster, cluster_actions
         from repro.faults.inject import FaultInjector
+        from repro.faults.script import FaultEvent, arm_script
         from repro.kernel.procfs import mpk_stats
 
         cluster, _ = _build_cluster(5, nodes=4, connections=24,
                                     replicas=2)
         injector = FaultInjector()
-        _arm_cluster_script(injector, cluster, (ClusterChaosEvent(
+        arm_script(injector, (FaultEvent(
             kind="node_kill", site="node1.apps.memcached.request",
-            occurrence=3, node="node1"),))
+            occurrence=3, node="node1"),), cluster_actions(cluster))
         cluster.attach_injector(injector)
         cluster.run()
         survivor = cluster.nodes["node0"]

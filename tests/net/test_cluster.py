@@ -3,10 +3,15 @@
 import pytest
 
 from repro.bench.cluster import (
-    ClusterChaosEvent,
+    SCRIPT_FIELDS,
     _build_cluster,
     _soak_cluster,
+    cluster_actions,
     generate_cluster_script,
+)
+from repro.faults.script import (
+    FaultEvent,
+    arm_script,
     script_from_json,
     script_to_json,
 )
@@ -21,9 +26,9 @@ def soak(seed=5, replicas=1, script=(), connections=CONNS):
         script)
 
 
-KILL = ClusterChaosEvent(kind="node_kill",
-                         site="node1.apps.memcached.request",
-                         occurrence=3, node="node1")
+KILL = FaultEvent(kind="node_kill",
+                  site="node1.apps.memcached.request",
+                  occurrence=3, node="node1")
 
 
 class TestHealthyCluster:
@@ -89,7 +94,7 @@ class TestNodeKill:
 
 class TestPartition:
     def test_client_partition_heals_and_requests_complete(self):
-        cut = ClusterChaosEvent(
+        cut = FaultEvent(
             kind="partition", site="node0.apps.memcached.request",
             occurrence=2, node="node0", peer="client", duration=20e6)
         run = soak(script=(cut,), connections=24)
@@ -104,7 +109,8 @@ class TestPartition:
 class TestScripts:
     def test_generated_script_round_trips_through_json(self):
         script = generate_cluster_script(7, ["node0", "node1"], events=5)
-        assert script_from_json(script_to_json(script)) == script
+        assert script_from_json(
+            script_to_json(script, SCRIPT_FIELDS)) == script
 
     def test_first_event_is_always_a_node_kill(self):
         for seed in range(5):
@@ -112,12 +118,13 @@ class TestScripts:
             assert script[0].kind == "node_kill"
 
     def test_unknown_event_kind_rejected(self):
-        from repro.bench.cluster import _arm_cluster_script
         from repro.faults.inject import FaultInjector
 
-        bogus = ClusterChaosEvent(kind="meteor", site="x", occurrence=1)
+        # The factories are lazy, so no cluster is needed to reject
+        # the script before anything is armed.
+        bogus = FaultEvent(kind="meteor", site="x", occurrence=1)
         with pytest.raises(ValueError, match="meteor"):
-            _arm_cluster_script(FaultInjector(), None, (bogus,))
+            arm_script(FaultInjector(), (bogus,), cluster_actions(None))
 
 
 class TestEngineStepping:

@@ -5,19 +5,19 @@ detection and the suspicion-staleness regression)."""
 import pytest
 
 from repro.bench.cluster import (
-    ClusterChaosEvent,
-    _arm_cluster_script,
     _build_cluster,
     _soak_cluster,
+    cluster_actions,
 )
 from repro.faults.inject import FaultInjector
+from repro.faults.script import FaultEvent, arm_script
 from repro.net.plane import Message
 
 NODES = ["node0", "node1", "node2", "node3"]
 
-KILL = ClusterChaosEvent(kind="node_kill",
-                         site="node1.apps.memcached.request",
-                         occurrence=3, node="node1")
+KILL = FaultEvent(kind="node_kill",
+                  site="node1.apps.memcached.request",
+                  occurrence=3, node="node1")
 
 
 def soak(seed=5, replicas=2, script=(), connections=24):
@@ -36,7 +36,7 @@ def run_cluster(seed=5, replicas=2, script=(), connections=24,
                                      replicas=replicas)
     if script:
         injector = FaultInjector()
-        _arm_cluster_script(injector, cluster, script)
+        arm_script(injector, script, cluster_actions(cluster))
         cluster.attach_injector(injector)
     if run:
         cluster.run()

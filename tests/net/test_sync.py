@@ -2,19 +2,18 @@
 partial-sync chaos script, and the zero-post-sync-miss gate."""
 
 from repro.bench.cluster import (
-    ClusterChaosEvent,
+    SCRIPT_FIELDS,
     _build_cluster,
     _soak_cluster,
     generate_rehydration_script,
-    script_from_json,
-    script_to_json,
 )
+from repro.faults.script import FaultEvent, script_from_json, script_to_json
 
 ALL_NODES = ("node0", "node1", "node2", "node3")
 
-KILL = ClusterChaosEvent(kind="node_kill",
-                         site="node1.apps.memcached.request",
-                         occurrence=3, node="node1")
+KILL = FaultEvent(kind="node_kill",
+                  site="node1.apps.memcached.request",
+                  occurrence=3, node="node1")
 
 
 def soak(seed=5, replicas=2, script=(), connections=24):
@@ -80,23 +79,24 @@ class TestPartialSync:
 
     def test_rehydration_script_round_trips_through_json(self):
         script = generate_rehydration_script(ALL_NODES)
-        assert script_from_json(script_to_json(script)) == script
+        assert script_from_json(
+            script_to_json(script, SCRIPT_FIELDS)) == script
 
 
 class TestSyncAwareActionsFizzle:
     def test_sync_kill_fizzles_on_a_healthy_node(self):
-        fizzle = ClusterChaosEvent(kind="sync_kill",
-                                   site="node1.apps.memcached.request",
-                                   occurrence=3, node="node1")
+        fizzle = FaultEvent(kind="sync_kill",
+                            site="node1.apps.memcached.request",
+                            occurrence=3, node="node1")
         run = soak(script=(fizzle,), connections=12)
         assert run.kills == 0
         assert run.client_ledger["completed"] == 12
 
     def test_sync_partition_fizzles_on_a_healthy_node(self):
-        fizzle = ClusterChaosEvent(kind="sync_partition",
-                                   site="node1.apps.memcached.request",
-                                   occurrence=3, node="node1",
-                                   peer="node0", duration=20e6)
+        fizzle = FaultEvent(kind="sync_partition",
+                            site="node1.apps.memcached.request",
+                            occurrence=3, node="node1",
+                            peer="node0", duration=20e6)
         run = soak(script=(fizzle,), connections=12)
         assert run.plane_stats["partitions"] == []
         assert run.client_ledger["retries"] == 0

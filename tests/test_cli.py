@@ -168,6 +168,19 @@ class TestServechaos:
 
 
 class TestClusterbench:
+    def test_healthy_baseline_writes_both_scenarios(self, capsys,
+                                                    tmp_path):
+        import json
+        out_path = tmp_path / "cluster.json"
+        assert main(["clusterbench", "--nodes", "3", "--connections",
+                     "12", "--output", str(out_path)]) == 0
+        assert f"wrote {out_path}" in capsys.readouterr().out
+        report = json.loads(out_path.read_text())
+        assert report["kind"] == "clusterbench"
+        assert set(report["scenarios"]) == {"sharded", "replicated"}
+        for row in report["scenarios"].values():
+            assert row["audit_ok"] and row["liveness_ok"]
+
     def test_sweep_merges_and_appends_step_summary(self, capsys, tmp_path,
                                                    monkeypatch):
         import json
