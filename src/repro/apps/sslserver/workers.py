@@ -82,8 +82,9 @@ class WorkerPool:
         containment policies apply unchanged to engine jobs
         (``RequestAborted`` drops the connection, a killed worker
         leaves the engine's pool).  The engine is kept so
-        :meth:`stats` can report requests served through it —
-        engine-mode requests never pass :meth:`dispatch`, and a
+        :meth:`stats` can report requests served and workers killed
+        through it — engine-mode requests never pass :meth:`dispatch`,
+        and a
         supervisor block claiming ``requests_ok: 0`` after thousands
         of completions is an accounting hole, not a quiet pool."""
         self._engine = engine
@@ -135,19 +136,22 @@ class WorkerPool:
 
     def stats(self) -> dict:
         # Requests flow through dispatch() (synchronous mode) or the
-        # attached engine (serving mode); the totals cover both paths.
+        # attached engine (serving mode), and each path counts its own
+        # kills; the totals cover both paths.
         requests_ok = self.requests_ok
         requests_aborted = self.requests_aborted
+        workers_killed = self.workers_killed
         if self._engine is not None:
             requests_ok += self._engine.completed
             requests_aborted += self._engine.aborted
+            workers_killed += self._engine.killed
         return {
             "workers": len(self.workers),
             "live_workers": self.live_workers(),
             "crash_policy": self.crash_policy,
             "requests_ok": requests_ok,
             "requests_aborted": requests_aborted,
-            "workers_killed": self.workers_killed,
+            "workers_killed": workers_killed,
         }
 
 

@@ -14,8 +14,8 @@ the resilience layer to three verdicts:
   wait queue holds no residue, cycle conservation holds).
 * **Determinism** — the entire run, chaos included, is a pure function
   of ``(seed, script)``: each scenario runs twice and must reproduce
-  the machine clock, every per-site cycle total, and the full latency
-  vector bit for bit.
+  the machine clock, every per-site cycle total, and both latency
+  digest states bit for bit.
 
 The chaos *script* is data (a tuple of
 :class:`~repro.faults.script.FaultEvent`), generated from the seed and
@@ -32,11 +32,7 @@ import typing
 from dataclasses import dataclass
 
 from repro.bench.harness import run_twice
-from repro.bench.serving import (
-    ArrivalSchedule,
-    ServingEngine,
-    ServingReport,
-)
+from repro.bench.serving import PoissonArrivals, ServingEngine, ServingReport
 from repro.faults.inject import FaultInjector, delay, kill_task
 from repro.faults.script import FaultEvent, arm_script, script_to_json
 from repro.kernel.watchdog import Watchdog
@@ -185,7 +181,7 @@ def _build_httpd(seed: int, connections: int):
                       max_restarts=8)
     pool.attach_engine(engine, cores)
     engine.attach_supervisor(pool)
-    schedule = ArrivalSchedule.poisson(connections, 60_000.0, seed=seed)
+    schedule = PoissonArrivals(connections, 60_000.0, seed=seed)
 
     def offer():
         engine.offer(schedule, lambda task, conn_id:
@@ -216,8 +212,7 @@ def _build_memcached(seed: int, connections: int):
                       max_restarts=8)
     pool.attach_engine(engine, cores)
     engine.attach_supervisor(pool)
-    schedule = ArrivalSchedule.poisson(connections, 3_000.0,
-                                       seed=seed + 1)
+    schedule = PoissonArrivals(connections, 3_000.0, seed=seed + 1)
 
     def offer():
         engine.offer(schedule, perf.connection_job)
@@ -242,7 +237,7 @@ def run_servechaos(seed: int = 13, connections: int = 32,
     """Soak every scenario under the (seeded or replayed) chaos script.
 
     Each scenario runs **twice**; any divergence in the report's
-    fingerprint (clock, per-site ledger, latency vector, digests) or in
+    fingerprint (clock, per-site ledger, digest states) or in
     the injection firings — chaos included — is an AssertionError, as
     are liveness or audit violations.  Returns
     the ``BENCH_chaos.json`` payload, script embedded for replay.

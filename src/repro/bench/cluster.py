@@ -53,7 +53,7 @@ import typing
 from dataclasses import dataclass
 
 from repro.bench.harness import run_twice
-from repro.bench.serving import ArrivalSchedule
+from repro.bench.serving import PoissonArrivals
 from repro.consts import CLOCK_HZ
 from repro.faults.inject import FaultInjector, kill_task
 from repro.faults.script import FaultEvent, arm_script, script_to_json
@@ -241,12 +241,12 @@ def _build_cluster(seed: int, nodes: int = 4, connections: int = 96,
     cluster = Cluster(names, node_factory, plane,
                       ShardMap(names, replicas=replicas),
                       restart_delay=45e6, max_node_restarts=2)
-    schedule = ArrivalSchedule.poisson(connections, 2500.0, seed=seed)
     client = FleetClient(
         plane, "client",
         ShardMap(names, replicas=replicas),  # own instance: the audit
         Machine(num_cores=1, name="client"),  # checks view agreement
-        arrivals=schedule.arrivals,
+        arrivals=tuple(PoissonArrivals(connections, 2500.0,
+                                       seed=seed).iter_arrivals()),
         requests_per_connection=requests_per_connection,
         rpc_timeout=15e6, max_attempts=3,
         backoff_base=2e6, backoff_cap=8e6, suspect_cycles=30e6)

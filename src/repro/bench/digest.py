@@ -1,13 +1,15 @@
 """Streaming latency digests: P² quantile estimation with exact small-N mode.
 
-The serving engine at 100k+ connections cannot retain a per-connection
-latency vector (that is O(connections) host memory); it records a
-**digest** instead.  The digest has two modes:
+The serving engine keeps no per-connection records: every completed
+connection's latency and queue wait go into a **digest**, the engine's
+only record of them, so host memory stays bounded at 100k+
+connections.  The digest has two modes:
 
 * **exact** — below :data:`EXACT_CUTOFF` observations the raw values
-  are kept and percentiles are computed nearest-rank, bit-identical to
-  :func:`repro.bench.serving.percentile`.  This keeps the committed
-  small-scale ``BENCH_serving.json`` numbers unchanged.
+  are kept and percentiles are computed nearest-rank, equal to
+  :func:`repro.bench.serving.percentile` over the same values.  Small
+  runs (the committed ``BENCH_serving.json`` scenarios) therefore
+  report exact figures.
 * **streaming** — past the cutoff the raw values are dropped and the
   P² algorithm (Jain & Chlamtac, CACM 1985) maintains five markers per
   tracked quantile in O(1) memory.  Marker updates are plain float
@@ -208,8 +210,7 @@ class LatencyDigest:
         """The digest's full deterministic state.
 
         Two identical observation streams produce equal states — the
-        servebench determinism gate compares these instead of the
-        latency vectors it no longer retains.
+        servebench determinism gate compares these.
         """
         if self._exact is None:
             exact, estimators = None, self._estimators

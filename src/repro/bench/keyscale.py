@@ -37,11 +37,7 @@ from repro.core.keycache import EVICTION_POLICIES
 from repro.errors import MpkKeyExhaustion
 from repro.bench.harness import run_twice
 from repro.bench.report import ascii_curves
-from repro.bench.serving import (
-    ArrivalSchedule,
-    ServingEngine,
-    WaitSpec,
-)
+from repro.bench.serving import PoissonArrivals, ServingEngine, WaitSpec
 
 #: Domain-count axis (virtual keys per run): 100 → 10k, log-spaced.
 DOMAIN_SWEEP = (100, 300, 1_000, 3_000, 10_000)
@@ -184,8 +180,8 @@ def _run_serving_cell(policy: str, domains: int, seed: int,
         worker = process.spawn_task()
         engine.add_worker(worker, core_id=cores[i % SERVING_CORES])
     engine.offer(
-        ArrivalSchedule.poisson(connections, SERVING_RATE_PER_SEC,
-                                seed=seed + domains),
+        PoissonArrivals(connections, SERVING_RATE_PER_SEC,
+                        seed=seed + domains),
         connection)
     report = engine.run()
     scan = watchdog.scan()

@@ -43,17 +43,20 @@ The engine is sized for 100k+ offered connections:
   from a merged arrival stream (:class:`PoissonArrivals` generates
   gaps in batches, never the whole vector), so offered load costs O(1)
   memory instead of O(connections).
-* **Streaming metrics** — queue-depth is pre-aggregated
-  (count/total/max) and, with ``retain_records=False``, latency and
-  queue-wait land in bounded :class:`~repro.bench.digest.LatencyDigest`
-  estimators instead of per-connection record lists.
+* **Streaming metrics** — the engine keeps no per-connection
+  records.  Queue depth is pre-aggregated (count/total/max), and each
+  completion folds its latency and queue wait into a
+  :class:`~repro.bench.digest.LatencyDigest` and is dropped.  Digests
+  stay exact (nearest-rank) up to 4,096 values, so small runs report
+  the same percentiles a retained vector would; per-connection detail
+  is available to callers through the ``on_complete`` hook.
 
 ``python -m repro servebench`` drives the two paper scenarios (httpd
 with 4 workers on 2 cores, memcached with 4 workers) twice each,
-asserts bit-identical cycle totals, and writes ``BENCH_serving.json``;
-``--scale large`` pushes 100k+ connections per scenario through the
-streaming path and gates on digest-state identity instead of the
-latency vectors it no longer retains.
+gates on bit-identical :meth:`ServingReport.fingerprint` (clock,
+per-site ledger and both digest states), and writes
+``BENCH_serving.json``; ``--scale large`` pushes 100k+ connections per
+scenario through the same path.
 """
 
 from __future__ import annotations
@@ -116,25 +119,17 @@ class ArrivalSchedule:
         gap = clock_hz / rate_per_sec
         return cls(tuple(i * gap for i in range(count)))
 
-    @classmethod
-    def poisson(cls, count: int, rate_per_sec: float, seed: int,
-                clock_hz: float = CLOCK_HZ) -> "ArrivalSchedule":
-        """``count`` arrivals with seeded-exponential inter-arrival
-        gaps (a Poisson process; no wall clock, fully reproducible)."""
-        stream = PoissonArrivals(count=count, rate_per_sec=rate_per_sec,
-                                 seed=seed, clock_hz=clock_hz)
-        return cls(tuple(stream.iter_arrivals()))
-
 
 @dataclass(frozen=True)
 class PoissonArrivals:
-    """A lazily generated Poisson arrival stream.
+    """A lazily generated Poisson arrival stream: ``count`` arrivals
+    with seeded-exponential inter-arrival gaps (no wall clock, fully
+    reproducible).
 
-    Produces float-for-float the same arrival times as
-    :meth:`ArrivalSchedule.poisson` with the same parameters — the RNG
-    draws and the ``now += gap * mean_gap`` accumulation are identical
-    — but materializes them in bounded batches instead of holding the
-    whole vector, so a 100k+-connection offer costs O(batch) memory.
+    The one Poisson generator.  Gaps are drawn in bounded batches
+    instead of as a whole vector, so a 100k+-connection offer costs
+    O(batch) memory; a caller that needs the times up front takes
+    ``tuple(stream.iter_arrivals())``.
     """
 
     count: int
@@ -256,10 +251,8 @@ class _Worker:
 class ServingReport:
     """The engine's result: counts, latency distribution, obs snapshot.
 
-    With ``retain_records=True`` (the default) ``latencies`` and
-    ``queue_waits`` are the historical full per-connection vectors.  In
-    streaming mode they are empty and the digests are the only record —
-    the percentile properties transparently fall back to them.
+    The two digests are the only record of per-connection latency and
+    queue wait (cycles); the percentile properties read them.
     """
 
     offered: int
@@ -267,50 +260,36 @@ class ServingReport:
     aborted: int
     unserved: int
     makespan_cycles: float
-    latencies: tuple[float, ...]       # per completed connection, cycles
-    queue_waits: tuple[float, ...]     # start - arrival, cycles
     queue_depth_max: int
     queue_depth_mean: float
     preemptions: int
     context_switches: int
     blocked_waits: int
     clock_cycles: float                # machine clock at completion
+    latency_digest: LatencyDigest      # finish - arrival, cycles
+    queue_wait_digest: LatencyDigest   # start - arrival, cycles
     site_cycles: dict[str, float] = field(default_factory=dict)
     # Resilience counters (graceful degradation must be accounted, not
     # silent): offered == completed + aborted + shed + unserved.
     shed: int = 0
     wait_timeouts: int = 0
     restarts: int = 0
-    # Bounded-memory distribution summaries (always present for new
-    # reports; the authoritative record in streaming mode).
-    latency_digest: LatencyDigest | None = None
-    queue_wait_digest: LatencyDigest | None = None
-
-    def _latency_percentile(self, p: float) -> float:
-        if self.latencies:
-            return percentile(self.latencies, p)
-        if self.latency_digest is not None and self.latency_digest.count:
-            return self.latency_digest.percentile(p)
-        return percentile(self.latencies, p)  # raises: no data at all
 
     @property
     def p50(self) -> float:
-        return self._latency_percentile(50)
+        return self.latency_digest.percentile(50)
 
     @property
     def p95(self) -> float:
-        return self._latency_percentile(95)
+        return self.latency_digest.percentile(95)
 
     @property
     def p99(self) -> float:
-        return self._latency_percentile(99)
+        return self.latency_digest.percentile(99)
 
     @property
     def mean_latency(self) -> float:
-        if not self.latencies and self.latency_digest is not None \
-                and self.latency_digest.count:
-            return self.latency_digest.mean
-        return sum(self.latencies) / len(self.latencies)
+        return self.latency_digest.mean
 
     @property
     def throughput_rps(self) -> float:
@@ -320,27 +299,18 @@ class ServingReport:
 
     def fingerprint(self) -> dict:
         """What a same-seed rerun must reproduce bit for bit: clock,
-        per-site ledger, latency vector (empty when streaming) and both
-        digest states."""
-        latency, wait = (None if digest is None else digest.state()
-                         for digest in (self.latency_digest,
-                                        self.queue_wait_digest))
+        per-site ledger and both digest states (below the exact cutoff
+        a digest state holds every value, in completion order)."""
         return {"clock_cycles": self.clock_cycles,
                 "site_cycles": self.site_cycles,
-                "latencies": self.latencies,
-                "latency_digest": latency, "queue_wait_digest": wait}
+                "latency_digest": self.latency_digest.state(),
+                "queue_wait_digest": self.queue_wait_digest.state()}
 
     def summary(self) -> dict:
         """JSON-ready digest (cycles; latencies also in ms)."""
         to_ms = 1000.0 / CLOCK_HZ
-        if self.queue_waits:
-            wait_mean = sum(self.queue_waits) / len(self.queue_waits)
-        elif self.queue_wait_digest is not None:
-            wait_mean = self.queue_wait_digest.mean
-        else:
-            wait_mean = 0.0
         p50, p95, p99 = self.p50, self.p95, self.p99
-        data = {
+        return {
             "offered": self.offered,
             "completed": self.completed,
             "aborted": self.aborted,
@@ -358,7 +328,7 @@ class ServingReport:
             },
             "queue_depth_max": self.queue_depth_max,
             "queue_depth_mean": round(self.queue_depth_mean, 3),
-            "queue_wait_mean_cycles": wait_mean,
+            "queue_wait_mean_cycles": self.queue_wait_digest.mean,
             "preemptions": self.preemptions,
             "context_switches": self.context_switches,
             "blocked_waits": self.blocked_waits,
@@ -369,14 +339,6 @@ class ServingReport:
             "wait_timeouts": self.wait_timeouts,
             "restarts": self.restarts,
         }
-        # The digest block only appears when the full vectors were not
-        # retained, so retain-mode summaries (and the committed
-        # small-scale BENCH numbers) are byte-identical to before.
-        if not self.latencies and self.latency_digest is not None:
-            data["latency_digest"] = self.latency_digest.summary()
-            if self.queue_wait_digest is not None:
-                data["queue_wait_digest"] = self.queue_wait_digest.summary()
-        return data
 
 
 class ServingEngine:
@@ -386,18 +348,21 @@ class ServingEngine:
     ``quantum`` cycles (``clock.now - slice_start >= quantum``).
     Engines are single-use: build, ``add_worker``, ``offer``, ``run``.
 
-    ``retain_records=False`` switches the engine to streaming
-    accounting: completed connections feed bounded latency digests and
-    are then dropped, so memory stays O(backlog) rather than
-    O(connections) — the mode the 100k+-connection servebench uses.
-    ``name`` labels the engine in diagnostics (scenario name).
+    Completed connections feed bounded latency digests and are then
+    dropped, so memory stays O(backlog) rather than O(connections).
+    ``retain_records`` is accepted only as ``False`` (the one
+    accounting mode) for callers that still spell it out.  ``name``
+    labels the engine in diagnostics (scenario name).
     """
 
     def __init__(self, kernel: "Kernel", cores: typing.Sequence[int],
                  quantum: float | None = None,
                  queue_limit: int | None = None,
-                 retain_records: bool = True,
+                 retain_records: bool = False,
                  name: str = "serving") -> None:
+        if retain_records is not False:
+            raise ValueError("retained per-connection records are gone; "
+                             "the engine only streams into digests")
         if not cores:
             raise ValueError("engine needs at least one core")
         if queue_limit is not None and queue_limit < 1:
@@ -443,11 +408,11 @@ class ServingEngine:
         # next_time()'s memo, cleared by every call that can move the
         # next event: step(), push() and _on_wake().
         self._next_memo = _STALE
-        self.retain_records = retain_records
-        self.records: list[Connection] = []
         self.latency_digest = LatencyDigest()
         self.queue_wait_digest = LatencyDigest()
-        self._completed = 0
+        # Connections finished so far (live: an attached pool's
+        # ``stats()`` folds it into its request accounting).
+        self.completed = 0
         self._makespan = 0.0
         # Queue-depth running aggregates (one sample per admission).
         self._depth_count = 0
@@ -460,10 +425,12 @@ class ServingEngine:
         # ``queue_limit`` connections per engine core; beyond that,
         # arrivals are shed deterministically (RST, charged, counted).
         self.queue_limit = queue_limit
-        self.shed_records: list[Connection] = []
-        self._shed_count = 0
+        self.shed = 0
         self.wait_timeouts = 0
         self.restarts = 0
+        # Workers killed mid-job (each one passes _crash once); an
+        # attached pool's ``stats()`` folds it into ``workers_killed``.
+        self.killed = 0
         self.readmitted = 0
         self._supervisor = None
         self._current_worker: _Worker | None = None
@@ -479,20 +446,6 @@ class ServingEngine:
         self._obs = obs
         self._depth_metric = obs.metric_id("apps.serving.queue_depth")
         self._wait_metric = obs.metric_id("apps.serving.queue_wait")
-
-    @property
-    def shed(self) -> int:
-        return self._shed_count
-
-    @property
-    def completed(self) -> int:
-        """Connections finished so far (live counter; an attached
-        pool's ``stats()`` folds this into its request accounting).
-        Retained mode keeps the records themselves; streaming mode
-        keeps only the tally."""
-        if self.retain_records:
-            return len(self.records)
-        return self._completed
 
     @property
     def current_task(self) -> "Task | None":
@@ -811,9 +764,7 @@ class ServingEngine:
         """Load shedding: the accept backlog is full, so the connection
         is refused (TCP RST) — charged, counted, and recorded, never
         silently dropped."""
-        self._shed_count += 1
-        if self.retain_records:
-            self.shed_records.append(conn)
+        self.shed += 1
         self._obs.record_metric("apps.serving.shed", 1.0)
         core_id = min(self.cores, key=lambda c: self.core_time[c])
         self._advance(core_id, lambda: self.kernel.clock.charge(
@@ -890,7 +841,7 @@ class ServingEngine:
                         return
                     continue
                 except TaskKilled:
-                    self._crash(worker, core_id, killed=True)
+                    self._crash(worker, core_id)
                     return
                 except RequestAborted:
                     self._abort_conn(worker)
@@ -929,16 +880,13 @@ class ServingEngine:
     def _finish_conn(self, worker: _Worker, core_id: int) -> None:
         conn = worker.conn
         conn.finish = self.core_time[core_id]
-        if self.retain_records:
-            self.records.append(conn)
-        else:
-            # Streaming accounting: fold the connection into the
-            # digests and drop it — O(1) memory per completion.
-            self._completed += 1
-            self.latency_digest.add(conn.finish - conn.arrival)
-            self.queue_wait_digest.add(conn.start - conn.arrival)
-            if conn.finish > self._makespan:
-                self._makespan = conn.finish
+        # Fold the connection into the digests and drop it — O(1)
+        # memory per completion.
+        self.completed += 1
+        self.latency_digest.add(conn.finish - conn.arrival)
+        self.queue_wait_digest.add(conn.start - conn.arrival)
+        if conn.finish > self._makespan:
+            self._makespan = conn.finish
         if self.on_complete is not None:
             self.on_complete(conn, conn.finish)
         worker.served += 1
@@ -1056,8 +1004,7 @@ class ServingEngine:
             self.kernel.scheduler.unschedule(worker.task)
             worker.state = _IDLE
 
-    def _crash(self, worker: _Worker, core_id: int,
-               killed: bool) -> None:
+    def _crash(self, worker: _Worker, core_id: int) -> None:
         """Containment for a killed worker (its task is already dead
         and off-core via the kernel's kill path).
 
@@ -1067,6 +1014,7 @@ class ServingEngine:
         the worker slot is refilled within the supervisor's restart
         budget — respawn and backoff cycles are billed to this core's
         timeline."""
+        self.killed += 1
         conn = worker.conn
         worker.conn = None
         worker.gen = None
@@ -1122,41 +1070,16 @@ class ServingEngine:
             worker.state = _IDLE
 
     def _report(self) -> ServingReport:
-        if self.retain_records:
-            completed = [c for c in self.records if c.finish is not None]
-            completed.sort(key=lambda c: c.conn_id)
-            latencies = tuple(c.latency for c in completed)
-            waits = tuple(c.queue_wait for c in completed)
-            completed_count = len(completed)
-            makespan = max((c.finish for c in completed), default=0.0)
-            # Digests are derived from the retained vectors (conn-id
-            # order) so retained-mode reports stay bit-identical to the
-            # historical ones while still carrying digest state.
-            latency_digest = LatencyDigest()
-            for value in latencies:
-                latency_digest.add(value)
-            wait_digest = LatencyDigest()
-            for value in waits:
-                wait_digest.add(value)
-        else:
-            latencies = ()
-            waits = ()
-            completed_count = self._completed
-            makespan = self._makespan
-            latency_digest = self.latency_digest
-            wait_digest = self.queue_wait_digest
         in_flight = sum(1 for w in self.workers if w.conn is not None)
         unserved = (self._offered_total - self._popped
                     + len(self._accept) + in_flight)
         sched = self.kernel.scheduler
         return ServingReport(
             offered=self._offered_total,
-            completed=completed_count,
+            completed=self.completed,
             aborted=self.aborted,
             unserved=unserved,
-            makespan_cycles=makespan,
-            latencies=latencies,
-            queue_waits=waits,
+            makespan_cycles=self._makespan,
             queue_depth_max=self._depth_max,
             queue_depth_mean=(self._depth_total / self._depth_count
                               if self._depth_count else 0.0),
@@ -1169,8 +1092,8 @@ class ServingEngine:
             shed=self.shed,
             wait_timeouts=self.wait_timeouts,
             restarts=self.restarts,
-            latency_digest=latency_digest,
-            queue_wait_digest=wait_digest,
+            latency_digest=self.latency_digest,
+            queue_wait_digest=self.queue_wait_digest,
         )
 
 
@@ -1219,8 +1142,8 @@ def blocking_begin(lib, task: "Task", vkey: int, prot: int,
 def _run_httpd_scenario(seed: int, connections: int,
                         requests_per_connection: int,
                         response_size: int, workers: int,
-                        num_cores: int, rate_per_sec: float,
-                        retain_records: bool = True) -> ServingReport:
+                        num_cores: int, rate_per_sec: float
+                        ) -> ServingReport:
     """httpd: ``workers`` SSL workers over ``num_cores`` cores, libmpk
     guarding the private key, Poisson arrivals."""
     from repro import Kernel, Libmpk, Machine
@@ -1236,16 +1159,11 @@ def _run_httpd_scenario(seed: int, connections: int,
     ssl = SslLibrary(kernel, process, main, mode="libmpk", lib=lib)
     server = HttpServer(kernel, process, main, ssl)
     cores = list(range(1, num_cores + 1))
-    engine = ServingEngine(kernel, cores=cores,
-                           retain_records=retain_records, name="httpd")
+    engine = ServingEngine(kernel, cores=cores, name="httpd")
     pool = WorkerPool(kernel, process, server, workers=workers,
                       schedule=False)
     pool.attach_engine(engine, cores)
-    if retain_records:
-        schedule = ArrivalSchedule.poisson(connections, rate_per_sec,
-                                           seed=seed)
-    else:
-        schedule = PoissonArrivals(connections, rate_per_sec, seed=seed)
+    schedule = PoissonArrivals(connections, rate_per_sec, seed=seed)
     bench = ApacheBench(server)
     return bench.run_open_loop(
         engine, schedule, response_size,
@@ -1255,8 +1173,8 @@ def _run_httpd_scenario(seed: int, connections: int,
 def _run_memcached_scenario(seed: int, connections: int,
                             workers: int, num_cores: int,
                             rate_per_sec: float,
-                            requests_per_connection: int = 10,
-                            retain_records: bool = True) -> ServingReport:
+                            requests_per_connection: int = 10
+                            ) -> ServingReport:
     """memcached: the paper's 4 workers, mpk_begin protection,
     twemperf-style get/set connections."""
     from repro import Kernel, Libmpk, Machine
@@ -1273,19 +1191,12 @@ def _run_memcached_scenario(seed: int, connections: int,
     perf = Twemperf(store, workers=workers,
                     requests_per_connection=requests_per_connection)
     cores = list(range(1, num_cores + 1))
-    engine = ServingEngine(kernel, cores=cores,
-                           retain_records=retain_records,
-                           name="memcached")
+    engine = ServingEngine(kernel, cores=cores, name="memcached")
     for i in range(workers):
         worker = process.spawn_task()
         engine.add_worker(worker, core_id=cores[i % num_cores])
-    if retain_records:
-        schedule = ArrivalSchedule.poisson(connections, rate_per_sec,
-                                           seed=seed + 1)
-    else:
-        schedule = PoissonArrivals(connections, rate_per_sec,
-                                   seed=seed + 1)
-    engine.offer(schedule, perf.connection_job)
+    engine.offer(PoissonArrivals(connections, rate_per_sec, seed=seed + 1),
+                 perf.connection_job)
     return engine.run()
 
 
@@ -1328,13 +1239,11 @@ CURVE_MAX_CONNECTIONS = 10_000
 
 def _run_scenario(name: str, scale: str, seed: int, connections: int,
                   rate: float | None = None) -> ServingReport:
-    """Scenario ``name`` in ``scale``'s shape.  At its base rate the
-    smoke scale retains per-connection records; the large scale and
-    every explicit-``rate`` load-curve point stream (bounded memory)."""
+    """Scenario ``name`` in ``scale``'s shape, at its base rate unless
+    ``rate`` is given (a load-curve point)."""
     return _RUNNERS[name](
         seed, connections, workers=4, num_cores=2,
         rate_per_sec=_BASE_RATES[scale][name] if rate is None else rate,
-        retain_records=scale == "smoke" and rate is None,
         **_SHAPES[scale][name])
 
 
@@ -1342,8 +1251,8 @@ def run_load_curves(seed: int, scale: str, connections: int) -> dict:
     """Queue-depth and latency versus offered load, per scenario.
 
     Sweeps :data:`CURVE_MULTIPLIERS` times each scenario's base rate at
-    a capped connection count; every point runs the streaming engine,
-    so the sweep's memory stays bounded regardless of scale.
+    a capped connection count, so the sweep's memory stays bounded
+    regardless of scale.
     """
     conns = min(connections, CURVE_MAX_CONNECTIONS)
     curves: dict[str, list] = {}
@@ -1394,6 +1303,12 @@ def run_servebench(seed: int = 7, connections: int | None = None,
                   "every scenario ran twice with identical seeds and "
                   "produced bit-identical cycle totals and digest "
                   "states")
+    benchmarks = {}
+    for name, result in results.items():
+        row = benchmarks[name] = result.summary()
+        if scale != "smoke":
+            row["latency_digest"] = result.latency_digest.summary()
+            row["queue_wait_digest"] = result.queue_wait_digest.summary()
     report = {
         "schema": 1,
         "unit": {"latency": "cycles (ms alongside)",
@@ -1401,8 +1316,7 @@ def run_servebench(seed: int = 7, connections: int | None = None,
         "seed": seed,
         "connections": connections,
         "note": note_smoke if scale == "smoke" else note_large,
-        "benchmarks": {name: report.summary()
-                       for name, report in results.items()},
+        "benchmarks": benchmarks,
     }
     if scale != "smoke":
         report["scale"] = scale

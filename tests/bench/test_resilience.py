@@ -158,7 +158,7 @@ class TestAdmissionControl:
             kernel = Kernel(Machine(num_cores=8))
             process = kernel.create_process()
             report = self._overload(kernel, process)
-            return (report.shed, report.completed, report.latencies,
+            return (report.shed, report.completed, report.fingerprint(),
                     kernel.clock.now)
 
         assert run() == run()
@@ -297,6 +297,20 @@ class TestChaosCampaign:
             assert (row["completed"] + row["aborted"] + row["shed"]
                     ) + row["unserved"] == row["offered"]
         assert len(report["script"]) == 4
+
+    def test_engine_kill_counts_once_in_pool_stats(self):
+        """A scripted kill inside an engine run is one death and one
+        killed worker: the supervisor's ``deaths`` and the pool's
+        ``workers_killed`` count the same event."""
+        from repro.bench.chaos import _build_memcached, _soak
+        from repro.faults.script import FaultEvent
+
+        script = (FaultEvent("kill", "apps.memcached.request", 13),)
+        run = _soak(lambda: _build_memcached(13, 32), script)
+        assert run.fired == ("kill:apps.memcached.request@13",)
+        assert run.supervisor["workers_killed"] == 1
+        assert run.supervisor["deaths"] == 1
+        assert run.supervisor["restarts"] == 1
 
     def test_recorded_script_replays_identically(self):
         from repro.bench.chaos import run_servechaos

@@ -1,6 +1,8 @@
 """The serving engine: arrivals, percentiles, slicing, blocking, and
 the bit-identical determinism gate."""
 
+import random
+
 import pytest
 
 from repro.bench.serving import (
@@ -28,14 +30,14 @@ class TestArrivalSchedule:
         assert sched.span_cycles == 3.0
 
     def test_poisson_is_seed_deterministic(self):
-        a = ArrivalSchedule.poisson(32, 1000.0, seed=3)
-        b = ArrivalSchedule.poisson(32, 1000.0, seed=3)
-        c = ArrivalSchedule.poisson(32, 1000.0, seed=4)
+        a = _poisson_schedule(32, 1000.0, seed=3)
+        b = _poisson_schedule(32, 1000.0, seed=3)
+        c = _poisson_schedule(32, 1000.0, seed=4)
         assert a.arrivals == b.arrivals
         assert a.arrivals != c.arrivals
 
     def test_poisson_mean_gap_tracks_rate(self):
-        sched = ArrivalSchedule.poisson(2000, 1000.0, seed=1)
+        sched = _poisson_schedule(2000, 1000.0, seed=1)
         mean_gap = sched.span_cycles / len(sched)
         assert mean_gap == pytest.approx(2.4e9 / 1000.0, rel=0.1)
 
@@ -44,19 +46,28 @@ class TestArrivalSchedule:
             ArrivalSchedule((2.0, 1.0))
         with pytest.raises(ValueError):
             ArrivalSchedule.uniform(0, 10.0)
-        with pytest.raises(ValueError):
-            ArrivalSchedule.poisson(4, 0.0, seed=1)
+
+
+def _poisson_schedule(count, rate_per_sec, seed):
+    """A Poisson stream materialized into an explicit schedule."""
+    return ArrivalSchedule(tuple(
+        PoissonArrivals(count, rate_per_sec, seed=seed).iter_arrivals()))
 
 
 class TestPoissonArrivals:
     def test_matches_materialized_schedule_bit_for_bit(self):
-        """The lazy stream and the materialized schedule must produce
-        the *same floats* — across a batch boundary, so the internal
-        batching provably doesn't perturb the RNG sequence."""
+        """The stream must produce the *same floats* as an inline,
+        unbatched expovariate loop — across a batch boundary, so the
+        internal batching provably doesn't perturb the RNG sequence."""
         count = PoissonArrivals.BATCH + 500
+        rng = random.Random(9)
+        mean_gap = 2.4e9 / 3_000.0
+        now, eager = 0.0, []
+        for _ in range(count):
+            now += rng.expovariate(1.0) * mean_gap
+            eager.append(now)
         lazy = PoissonArrivals(count, 3_000.0, seed=9)
-        eager = ArrivalSchedule.poisson(count, 3_000.0, seed=9)
-        assert tuple(lazy.iter_arrivals()) == eager.arrivals
+        assert tuple(lazy.iter_arrivals()) == tuple(eager)
         assert len(lazy) == count
 
     def test_stream_is_restartable(self):
@@ -90,6 +101,14 @@ class TestPercentile:
             percentile([1.0], 0)
 
 
+def _collect(engine):
+    """Record every completion's (latency, queue wait) by conn id."""
+    done = {}
+    engine.on_complete = lambda conn, now: done.__setitem__(
+        conn.conn_id, (conn.latency, conn.queue_wait))
+    return done
+
+
 def _charging_job(kernel, cycles_per_step, steps):
     """A job factory charging a fixed number of cycles per step."""
 
@@ -115,11 +134,14 @@ class TestServingEngine:
         engine = self._engine(kernel, process)
         engine.offer(ArrivalSchedule.uniform(5, 1e6),
                      _charging_job(kernel, 100.0, steps=3))
+        done = _collect(engine)
         report = engine.run()
         assert report.completed == 5
         assert report.unserved == 0
-        assert len(report.latencies) == 5
-        assert all(lat > 0 for lat in report.latencies)
+        assert sorted(done) == [0, 1, 2, 3, 4]
+        assert all(lat > 0 for lat, _ in done.values())
+        assert report.latency_digest.count == 5
+        assert report.latency_digest.minimum > 0
 
     def test_latency_includes_queue_wait(self, kernel, process):
         """Back-to-back arrivals on one worker: the second connection
@@ -127,11 +149,12 @@ class TestServingEngine:
         engine = self._engine(kernel, process)
         engine.offer(ArrivalSchedule((0.0, 0.0)),
                      _charging_job(kernel, 1000.0, steps=2))
+        done = _collect(engine)
         report = engine.run()
         assert report.completed == 2
-        first, second = report.latencies
+        (first, _), (second, second_wait) = done[0], done[1]
         assert second > first
-        assert report.queue_waits[1] > 0
+        assert second_wait > 0
 
     def test_quantum_preempts_between_workers(self, kernel, process):
         """Two workers on one core with a tiny quantum must interleave:
@@ -140,13 +163,14 @@ class TestServingEngine:
                               quantum=4000.0)
         engine.offer(ArrivalSchedule((0.0, 0.0)),
                      _charging_job(kernel, 2000.0, steps=10))
+        done = _collect(engine)
         report = engine.run()
         assert report.completed == 2
         assert report.preemptions > 0
         # Interleaving, not serialization: the finish times land within
         # a couple of slices of each other, not one full 20k-cycle
         # service time apart.
-        spread = abs(report.latencies[0] - report.latencies[1])
+        spread = abs(done[0][0] - done[1][0])
         assert spread < 10 * 2000.0
         # A slice that lands exactly on the quantum preempts (>=).  With
         # quantum == accept + one step, each worker's first slice ends
@@ -182,12 +206,13 @@ class TestServingEngine:
         engine = self._engine(kernel, process)
         engine.offer(ArrivalSchedule((1e6,)),
                      _charging_job(kernel, 100.0, steps=1))
+        done = _collect(engine)
         report = engine.run()
         assert report.completed == 1
         # No backlog: the wait is just dispatch + accept bookkeeping,
         # not the megacycle the engine idled before the arrival.
-        assert report.queue_waits[0] <= (kernel.costs.context_switch
-                                         + kernel.costs.accept_cycles)
+        assert done[0][1] <= (kernel.costs.context_switch
+                              + kernel.costs.accept_cycles)
         assert report.makespan_cycles >= 1e6
 
     def test_blocking_and_wake_across_workers(self, kernel, process):
@@ -247,42 +272,53 @@ class TestServingEngine:
         with pytest.raises(RuntimeError, match=r"'httpd-test'.*\[1\]"):
             engine.run()
 
-    def test_streaming_mode_matches_retained_accounting(self):
-        """retain_records=False must not change a single simulated
-        cycle — only what the engine remembers about them."""
-        def run(retain):
-            return _run_memcached_scenario(
-                seed=11, connections=24, workers=4, num_cores=2,
-                rate_per_sec=3_000.0, retain_records=retain)
-
-        retained, streaming = run(True), run(False)
-        assert streaming.clock_cycles == retained.clock_cycles
-        assert streaming.site_cycles == retained.site_cycles
-        assert streaming.completed == retained.completed == 24
-        assert streaming.makespan_cycles == retained.makespan_cycles
-        assert streaming.latencies == ()
-        assert retained.latencies != ()
-        # Below the exact cutoff the digest percentiles are nearest-rank
-        # on the same multiset, so they match the retained vector's.
+    def test_digest_percentiles_match_collected_latencies(self, kernel,
+                                                          process):
+        """Below the exact cutoff the digests are nearest-rank on every
+        completion, so they agree with :func:`percentile` over the
+        latencies an ``on_complete`` collector saw."""
+        engine = self._engine(kernel, process, cores=(1, 2), workers=4,
+                              quantum=4000.0)
+        # Offered above the cores' capacity, so a backlog builds and
+        # latencies and waits spread out.
+        engine.offer(PoissonArrivals(24, 400_000.0, seed=11),
+                     _charging_job(kernel, 900.0, steps=12))
+        done = _collect(engine)
+        report = engine.run()
+        assert report.completed == len(done) == 24
+        latencies = [lat for lat, _ in done.values()]
+        waits = [wait for _, wait in done.values()]
+        assert len(set(latencies)) > 12 and max(waits) > 10 * min(waits)
         for p in (50, 95, 99):
-            assert streaming._latency_percentile(p) == \
-                percentile(retained.latencies, p)
-        assert streaming.queue_depth_max == retained.queue_depth_max
-        assert streaming.queue_depth_mean == retained.queue_depth_mean
-        summary = streaming.summary()
-        assert "latency_digest" in summary
-        assert "latency_digest" not in retained.summary()
+            assert report.latency_digest.percentile(p) == \
+                percentile(latencies, p)
+            assert report.queue_wait_digest.percentile(p) == \
+                percentile(waits, p)
+        assert (report.p50, report.p95, report.p99) == tuple(
+            percentile(latencies, p) for p in (50, 95, 99))
+        assert report.latency_digest.maximum == max(latencies)
 
     def test_streaming_mode_is_bit_identical(self):
         def run():
             return _run_memcached_scenario(
                 seed=5, connections=20, workers=4, num_cores=2,
-                rate_per_sec=3_000.0, retain_records=False)
+                rate_per_sec=3_000.0)
 
         a, b = run(), run()
         assert a.clock_cycles == b.clock_cycles
         assert a.latency_digest.state() == b.latency_digest.state()
         assert a.queue_wait_digest.state() == b.queue_wait_digest.state()
+
+    def test_retain_records_accepts_only_false(self, kernel, process):
+        """The keyword survives for callers that still spell out the
+        one accounting mode; asking for retained records is an error."""
+        with pytest.raises(ValueError, match="retained"):
+            ServingEngine(kernel, cores=[1], retain_records=True)
+        engine = ServingEngine(kernel, cores=[1], retain_records=False)
+        engine.add_worker(process.spawn_task(), core_id=1)
+        engine.offer(ArrivalSchedule((0.0,)),
+                     _charging_job(kernel, 10.0, steps=1))
+        assert engine.run().completed == 1
 
     def test_busy_core_rejected(self, kernel, process, task):
         with pytest.raises(RuntimeError):
@@ -356,10 +392,7 @@ class TestScenarioDeterminism:
             _run_httpd_scenario, seed=11, connections=12,
             requests_per_connection=2, response_size=1024, workers=4,
             num_cores=2, rate_per_sec=60_000.0)
-        assert a.clock_cycles == b.clock_cycles
-        assert a.site_cycles == b.site_cycles
-        assert a.latencies == b.latencies
-        assert a.queue_waits == b.queue_waits
+        assert a.fingerprint() == b.fingerprint()
         assert a.preemptions == b.preemptions
         assert a.completed == 12
 
@@ -367,9 +400,7 @@ class TestScenarioDeterminism:
         a, b = self._pair(
             _run_memcached_scenario, seed=11, connections=10, workers=4,
             num_cores=2, rate_per_sec=3_000.0)
-        assert a.clock_cycles == b.clock_cycles
-        assert a.site_cycles == b.site_cycles
-        assert a.latencies == b.latencies
+        assert a.fingerprint() == b.fingerprint()
         assert a.completed == 10
 
     def test_seed_actually_changes_the_run(self):
@@ -377,7 +408,7 @@ class TestScenarioDeterminism:
                                     num_cores=2, rate_per_sec=3_000.0)
         b = _run_memcached_scenario(seed=2, connections=10, workers=4,
                                     num_cores=2, rate_per_sec=3_000.0)
-        assert a.latencies != b.latencies
+        assert a.latency_digest.state() != b.latency_digest.state()
 
     def test_deterministic_under_fault_injection(self, ):
         """Armed delay injections are part of the cycle state, so two
@@ -409,7 +440,7 @@ class TestScenarioDeterminism:
             for i in range(4):
                 engine.add_worker(process.spawn_task(),
                                   core_id=[1, 2][i % 2])
-            schedule = ArrivalSchedule.poisson(10, 3_000.0, seed=5)
+            schedule = PoissonArrivals(10, 3_000.0, seed=5)
             report = perf.run_open_loop(engine, schedule)
             kernel.machine.obs.remove_sink(injector)
             ok, _ = kernel.machine.obs.audit()
@@ -420,9 +451,7 @@ class TestScenarioDeterminism:
         b = injected()
         clean = _run_memcached_scenario(seed=4, connections=10, workers=4,
                                         num_cores=2, rate_per_sec=3_000.0)
-        assert a.clock_cycles == b.clock_cycles
-        assert a.site_cycles == b.site_cycles
-        assert a.latencies == b.latencies
+        assert a.fingerprint() == b.fingerprint()
         assert a.clock_cycles != clean.clock_cycles
 
 
@@ -432,7 +461,7 @@ class TestRunServebench:
         assert set(report["benchmarks"]) == {"httpd", "memcached"}
         for row in report["benchmarks"].values():
             assert row["completed"] == 8
-            assert "latency_digest" not in row   # retained smoke mode
+            assert "latency_digest" not in row   # smoke rows keep no block
         assert "curves" not in report
 
     def test_large_scale_streams_digests(self):

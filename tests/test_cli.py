@@ -1,5 +1,7 @@
 """The ``python -m repro`` command-line interface."""
 
+import sys
+
 import pytest
 
 from repro.__main__ import main
@@ -30,6 +32,46 @@ class TestResults:
         monkeypatch.setattr(cli, "RESULTS_DIR", tmp_path / "missing")
         assert main(["results"]) == 1
         assert "python -m repro bench" in capsys.readouterr().err
+
+
+class TestBench:
+    @pytest.mark.parametrize("argv, tail", [
+        (["bench", "--only", "table1"], ["-k", "table1"]),
+        (["bench"], []),
+    ])
+    def test_runs_pytest_on_the_benchmarks(self, monkeypatch, argv,
+                                           tail):
+        import repro.__main__ as cli
+        calls = []
+        monkeypatch.setattr(cli.subprocess, "call",
+                            lambda cmd: calls.append(cmd) or 3)
+        assert main(argv) == 3          # pytest's exit status, as is
+        assert calls == [[sys.executable, "-m", "pytest",
+                          str(cli.REPO_ROOT / "benchmarks"),
+                          "--benchmark-only", "-q", *tail]]
+
+
+class TestExamples:
+    def test_every_example_exits_zero(self, capsys):
+        import repro.__main__ as cli
+        names = sorted(p.name for p in cli.EXAMPLES_DIR.glob("*.py"))
+        assert len(names) == 9
+        assert main(["examples"]) == 0
+        out = capsys.readouterr().out
+        for name in names:
+            assert f"### {name} " in out
+
+    def test_raising_example_fails_the_run(self, capsys, tmp_path,
+                                           monkeypatch):
+        import repro.__main__ as cli
+        monkeypatch.setattr(cli, "EXAMPLES_DIR", tmp_path)
+        (tmp_path / "a_broken.py").write_text(
+            "raise RuntimeError('boom')\n")
+        (tmp_path / "b_fine.py").write_text("print('still ran')\n")
+        assert main(["examples"]) == 1
+        captured = capsys.readouterr()
+        assert "FAILED: RuntimeError: boom" in captured.err
+        assert "still ran" in captured.out
 
 
 class TestStats:

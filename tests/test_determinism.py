@@ -50,15 +50,16 @@ def jit_workload() -> float:
     return kernel.clock.now
 
 
-def serving_workload() -> tuple[float, tuple, dict]:
+def serving_workload() -> dict:
     """The full serving engine: Poisson arrivals, time-sliced cores,
-    per-site totals and the complete latency vector."""
+    per-site totals and both digest states (exact at this size, so
+    every latency and queue wait)."""
     from repro.bench.serving import _run_httpd_scenario
     report = _run_httpd_scenario(seed=13, connections=10,
                                  requests_per_connection=2,
                                  response_size=2048, workers=4,
                                  num_cores=2, rate_per_sec=60_000.0)
-    return report.clock_cycles, report.latencies, report.site_cycles
+    return report.fingerprint()
 
 
 def kv_workload() -> float:

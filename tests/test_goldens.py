@@ -42,7 +42,7 @@ def run_serving():
     from repro import Kernel, Libmpk, Machine
     from repro.apps.kvstore import Memcached, Twemperf
     from repro.apps.kvstore.slab import SLAB_BYTES
-    from repro.bench.serving import ArrivalSchedule, ServingEngine
+    from repro.bench.serving import PoissonArrivals, ServingEngine
 
     kernel = Kernel(Machine(num_cores=8))
     process = kernel.create_process()
@@ -55,7 +55,7 @@ def run_serving():
     engine = ServingEngine(kernel, cores=[1, 2], name="memcached")
     for i in range(4):
         engine.add_worker(process.spawn_task(), core_id=1 + i % 2)
-    engine.offer(ArrivalSchedule.poisson(24, 3_000.0, seed=8),
+    engine.offer(PoissonArrivals(24, 3_000.0, seed=8),
                  perf.connection_job)
     engine.run()
     return [kernel.machine], [kernel]
