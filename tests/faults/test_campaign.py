@@ -17,6 +17,38 @@ from repro.faults.campaign import (
 
 RW = PROT_READ | PROT_WRITE
 
+#: site -> charges of one clean ``Table1Workload`` run (27 sites, 191
+#: occurrences): the exhaustive campaign's injection points.
+TABLE1_CENSUS = {
+    "hw.cpu.wrpkru": 14,
+    "hw.mem.access": 1,
+    "hw.tlb.flush_full": 4,
+    "hw.tlb.flush_page": 22,
+    "hw.tlb.shootdown_ipi": 13,
+    "hw.tlb.walk": 1,
+    "kernel.fault.minor": 2,
+    "kernel.mmap.body": 3,
+    "kernel.mprotect.base": 11,
+    "kernel.mprotect.pkey_check": 10,
+    "kernel.mprotect.pte_update": 11,
+    "kernel.mprotect.vma_find": 11,
+    "kernel.mprotect.vma_split": 3,
+    "kernel.munmap.body": 2,
+    "kernel.pkey_alloc.body": 1,
+    "kernel.pkey_free.body": 1,
+    "kernel.pkey_sync.entry_exit": 6,
+    "kernel.sched.resched_ipi": 6,
+    "kernel.sched.task_work_run": 6,
+    "kernel.sync.ipi_ack_wait": 6,
+    "kernel.sync.task_work_add": 6,
+    "kernel.syscall.entry_exit": 18,
+    "libmpk.heap.metadata": 2,
+    "libmpk.keycache.lookup": 11,
+    "libmpk.metadata.exec_only": 1,
+    "libmpk.metadata.remove": 2,
+    "libmpk.metadata.update": 17,
+}
+
 
 class TestAuditor:
     def test_clean_instance_audits_ok(self, lib, task):
@@ -78,6 +110,16 @@ class TestCampaign:
         for run in report.runs:
             assert run.outcome in ALLOWED_OUTCOMES, report.format()
             assert run.violations == []
+
+    def test_exhaustive_census_is_pinned(self):
+        """The injection points themselves are pinned: every charge
+        site of the workload and how often it fires.  A charge added,
+        dropped or moved to another site changes this map, and every
+        one of the 191 injected failures must still recover."""
+        report = run_campaign(Table1Workload(), mode="exhaustive")
+        assert dict(report.census) == TABLE1_CENSUS
+        assert len(report.runs) == 191
+        assert {run.outcome for run in report.runs} == {"recovered"}
 
     def test_smoke_mode_one_run_per_site(self):
         report = run_campaign(Table1Workload(),

@@ -84,8 +84,56 @@ def run_table1():
     return [bed.kernel.machine], [bed.kernel]
 
 
+def run_evict():
+    """The key-miss path with running siblings, under every eviction
+    policy: 40 one-page groups over 15 keys on a 4-core machine whose
+    other 3 cores run siblings of the caller.  Ops are skewed
+    ``mpk_begin``/write/``mpk_end`` pairs and ``mpk_mprotect`` READ/RW
+    flips (misses evict, hits sync PKRU lazily); after a READ flip a
+    running sibling reads the group.  A fifth sibling sleeps throughout
+    and collects its PKRU updates as task_work, drained when it is
+    finally scheduled."""
+    import random
+
+    from repro import PAGE_SIZE, PROT_READ, PROT_WRITE, Kernel, Libmpk, Machine
+    from repro.core.keycache import EVICTION_POLICIES
+
+    rw = PROT_READ | PROT_WRITE
+    machines, kernels = [], []
+    for policy in sorted(EVICTION_POLICIES):
+        kernel = Kernel(Machine(num_cores=4, name=policy))
+        process = kernel.create_process()
+        main = process.main_task
+        siblings = [process.spawn_task() for _ in range(3)]
+        for sibling in siblings:
+            kernel.scheduler.schedule(sibling, charge=False)
+        sleeper = process.spawn_task()
+        lib = Libmpk(process)
+        lib.mpk_init(main, policy=policy, seed=7)
+        bases = [lib.mpk_mmap(main, vkey, PAGE_SIZE, rw)
+                 for vkey in range(40)]
+        rng = random.Random(11)
+        for index in range(300):
+            vkey = int(40 * rng.random() ** 2)
+            if rng.randrange(6) == 0:
+                lib.mpk_mprotect(main, vkey, PROT_READ)
+                main.read(bases[vkey], 8)
+                siblings[index % 3].read(bases[vkey], 8)
+                lib.mpk_mprotect(main, vkey, rw)
+            else:
+                lib.mpk_begin(main, vkey, rw)
+                main.write(bases[vkey], b"%08d" % index)
+                lib.mpk_end(main, vkey)
+        kernel.scheduler.unschedule(siblings[2])
+        kernel.scheduler.schedule(sleeper)
+        assert lib.audit().ok
+        machines.append(kernel.machine)
+        kernels.append(kernel)
+    return machines, kernels
+
+
 SCENARIOS = {"serving": run_serving, "cluster": run_cluster,
-             "table1": run_table1}
+             "table1": run_table1, "evict": run_evict}
 
 
 def first_difference(expected: dict, actual: dict) -> str:
