@@ -362,8 +362,7 @@ class Libmpk:
                 # the global grants so only begin/end windows open it
                 # from here on.
                 self._quiesce_key(task, pkey)
-            with task.trusted_gate():
-                task.pkey_set(pkey, rights_for_prot(prot))
+            task.trusted_pkey_set(pkey, rights_for_prot(prot))
         except BaseException:
             if loaded:
                 # The group went cached but the record still says
@@ -386,8 +385,7 @@ class Libmpk:
             else:
                 self._models[vkey] = prev_model
             with suppress(Exception):
-                with task.trusted_gate():
-                    task.pkey_set(pkey, KEY_RIGHTS_NONE)
+                task.trusted_pkey_set(pkey, KEY_RIGHTS_NONE)
             self._repair_record(group)
             raise
 
@@ -565,8 +563,7 @@ class Libmpk:
             raise MpkError(
                 f"mpk_end: thread {task.tid} has no open mpk_begin on "
                 f"vkey {vkey}")
-        with task.trusted_gate():
-            task.pkey_set(group.pkey, KEY_RIGHTS_NONE)
+        task.trusted_pkey_set(group.pkey, KEY_RIGHTS_NONE)
         group.pinned_by.discard(task.tid)
         try:
             self._metadata.kernel_upsert(vkey, group.pkey,
@@ -840,12 +837,13 @@ class Libmpk:
                     page_prot: int) -> int:
         """Map ``group`` onto a hardware key, evicting the LRU unpinned
         key when none is free.  Returns the key."""
-        cache = self._require_init()
+        cache = self._cache
         load_started = self._kernel.clock.now
         pkey = cache.assign_free(group.vkey)
         if pkey is None:
+            groups = self._groups
             victim_vkey = cache.choose_victim(
-                lambda v: not self._groups[v].pinned)
+                lambda v: not groups[v].pinned_by)
             pkey = cache.evict(victim_vkey)
             try:
                 self._unload_group(task, self._groups[victim_vkey])
@@ -921,16 +919,14 @@ class Libmpk:
         """Clear every thread's PKRU rights for a freshly (re)bound key
         so stale grants from the key's previous tenant cannot leak into
         the new group."""
-        with task.trusted_gate():
-            task.pkey_set(pkey, KEY_RIGHTS_NONE)
+        task.trusted_pkey_set(pkey, KEY_RIGHTS_NONE)
         do_pkey_sync(self._kernel, task, pkey, KEY_RIGHTS_NONE)
 
     def _apply_rights_globally(self, task: "Task", pkey: int,
                                rights: int) -> None:
         """The §4.4 global update: caller WRPKRUs itself, siblings get
         lazy task_work updates plus rescheduling IPIs."""
-        with task.trusted_gate():
-            task.pkey_set(pkey, rights)
+        task.trusted_pkey_set(pkey, rights)
         do_pkey_sync(self._kernel, task, pkey, rights)
 
     # ------------------------------------------------------------------
@@ -980,8 +976,9 @@ class Libmpk:
         try:
             return cache.reserve_free_key()
         except MpkError:
+            groups = self._groups
             victim_vkey = cache.choose_victim(
-                lambda v: not self._groups[v].pinned)
+                lambda v: not groups[v].pinned_by)
             pkey = cache.evict(victim_vkey)
             try:
                 self._unload_group(task, self._groups[victim_vkey])

@@ -235,6 +235,11 @@ class KeyCache:
         # Exposed as the *name* so procfs/report serialization stays a
         # plain string whether a name or a strategy object was passed.
         self.policy = self._policy.name
+        # A policy that keeps the base choose_victim takes the oldest
+        # candidate, so choose_victim can stop at the first evictable
+        # entry instead of listing them all.
+        self._takes_oldest = (type(self._policy).choose_victim
+                              is EvictionPolicy.choose_victim)
         self._rng = random.Random(seed)
         self._reserved: set[int] = set()
         # Optional victim-pricing hook: ``victim_cost(candidates)``
@@ -317,17 +322,26 @@ class KeyCache:
         situation where the paper says ``mpk_begin`` raises and lets the
         thread decide (e.g. sleep until a key frees).
         """
-        candidates = [vkey for vkey, pkey in self._lru.items()
-                      if pkey not in self._reserved and is_evictable(vkey)]
+        reserved = self._reserved
+        uses_cost = self._policy.uses_cost and self.victim_cost is not None
+        if self._takes_oldest and not uses_cost:
+            # "lru" and "fifo" both take the oldest entry (they differ
+            # in whether lookup() refreshed recency above).
+            for vkey, pkey in self._lru.items():
+                if pkey not in reserved and is_evictable(vkey):
+                    return vkey
+            candidates = None
+        else:
+            candidates = [vkey for vkey, pkey in self._lru.items()
+                          if pkey not in reserved and is_evictable(vkey)]
         if not candidates:
             raise MpkKeyExhaustion(
                 "all hardware protection keys are pinned or reserved")
-        # "lru" and "fifo" both take the oldest entry (they differ in
-        # whether lookup() refreshed recency above); "random" draws from
-        # the cache's seeded RNG so runs stay reproducible.  A
-        # cost-using policy gets the victim_cost hook's per-candidate
-        # prices; without a hook it falls back to the cost-free path.
-        if self._policy.uses_cost and self.victim_cost is not None:
+        # "random" draws from the cache's seeded RNG so runs stay
+        # reproducible.  A cost-using policy gets the victim_cost
+        # hook's per-candidate prices; without a hook it falls back to
+        # the cost-free path.
+        if uses_cost:
             costs = list(self.victim_cost(candidates))
             if len(costs) != len(candidates):
                 raise MpkError(

@@ -64,10 +64,10 @@ class MetadataRegion:
                                          PROT_READ)
         # The 32 KB chunks, in slot order (see _expand).
         self._region_list: list[int] = [self.user_base]
-        # region page index -> (frame, page-table generation): the
-        # kernel alias write target.  Like a TLB entry, an entry is
-        # trusted only while the generation still matches.  One entry
-        # per page of the region.
+        # region page index -> (frame, page-table map_generation): the
+        # kernel alias write target, trusted only while no page was
+        # mapped or unmapped since (PTE attribute rewrites never move
+        # a page to another frame).  One entry per page of the region.
         self._page_frames: dict[int, tuple[Frame, int]] = {}
         self._slots: dict[int, int] = {}  # vkey -> slot index
         self._free_slots: list[int] = []
@@ -148,18 +148,19 @@ class MetadataRegion:
     def _frame_write(self, slot: int, data: bytes) -> None:
         """Write one whole record into ``slot`` through the kernel
         alias: straight into the physical frame, resolved through the
-        page table only when the cached frame's generation is stale.
+        page table only when a map or unmap happened since the cached
+        frame was resolved.
         Records never straddle a page, so no range check is needed."""
         page = slot // _RECORDS_PER_PAGE
         page_table = self._page_table
         cached = self._page_frames.get(page)
-        if cached is not None and cached[1] == page_table.generation:
+        if cached is not None and cached[1] == page_table.map_generation:
             frame = cached[0]
         else:
             base, offset = self._slot_addr(slot * RECORD_SIZE)
             frame = page_table.lookup((base + offset) // PAGE_SIZE).frame
             # Stamped after the lookup: a demand fault bumps it.
-            self._page_frames[page] = (frame, page_table.generation)
+            self._page_frames[page] = (frame, page_table.map_generation)
         offset = slot % _RECORDS_PER_PAGE * RECORD_SIZE
         fdata = frame._data
         if fdata is None:

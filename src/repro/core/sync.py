@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import typing
 
+from repro.hw.pkru import PKRU, with_key_rights
+
 if typing.TYPE_CHECKING:
     from repro.kernel.kcore import Kernel
     from repro.kernel.task import Task
@@ -43,33 +45,58 @@ def do_pkey_sync(kernel: "Kernel", caller: "Task", pkey: int,
     *waits* for it to acknowledge after updating its PKRU.  Semantics
     are identical; only the cost differs (used by the sync ablation
     benchmark).
+
+    The per-sibling steps are :meth:`Kernel.ktask_work_add` and
+    :meth:`Kernel.kick` written out in place, charge for charge, with
+    the kernel-exit drain left to :meth:`Scheduler.kernel_exit`.
     """
-    process = caller.process
-    siblings = [t for t in process.live_tasks() if t is not caller]
+    siblings = [t for t in caller.process.tasks
+                if t is not caller and t.state != "dead"]
     if not siblings:
         return 0
 
+    clock = kernel.clock
+    costs = kernel.costs
+    scheduler = kernel.scheduler
     with kernel.machine.obs.span("kernel.do_pkey_sync"):
-        kernel.clock.charge(kernel.costs.syscall_overhead(),
-                            site="kernel.pkey_sync.entry_exit")
+        clock.charge(kernel._syscall_overhead,
+                     site="kernel.pkey_sync.entry_exit")
+
+        # Siblings usually share one PKRU value, so each distinct old
+        # value is encoded once.
+        encoded: dict[int, PKRU] = {}
 
         def update_pkru(task: "Task") -> None:
-            task.pkru = task.pkru.with_rights(pkey, rights)
+            old = task.pkru.value
+            pkru = encoded.get(old)
+            if pkru is None:
+                pkru = encoded[old] = PKRU(with_key_rights(old, pkey,
+                                                           rights))
+            task.pkru = pkru
 
         for sibling in siblings:
-            kernel.ktask_work_add(sibling, update_pkru)
+            sibling.task_work_add(update_pkru)
+            clock.charge(costs.task_work_add,
+                         site="kernel.sync.task_work_add")
         for sibling in siblings:
-            kernel.kick(sibling)
+            if sibling.core_id is not None:
+                # A rescheduling IPI drives the running sibling through
+                # the kernel exit path; the caller waits for its ack.
+                clock.charge(costs.resched_ipi,
+                             site="kernel.sched.resched_ipi")
+                scheduler.ipis_sent += 1
+                scheduler.kernel_exit(sibling)
+                clock.charge(costs.resched_ack_wait,
+                             site="kernel.sync.ipi_ack_wait")
             if eager:
                 # Synchronous handshake: wait for the sibling to enter
                 # the kernel, run the update, and send an explicit ack.
-                kernel.clock.charge(kernel.costs.eager_sync_wait,
-                                    site="kernel.pkey_sync.eager_wait")
-                if not sibling.running:
+                clock.charge(costs.eager_sync_wait,
+                             site="kernel.pkey_sync.eager_wait")
+                if sibling.core_id is None:
                     # A sleeping thread must be woken and scheduled
                     # before it can acknowledge.
-                    kernel.clock.charge(kernel.costs.context_switch,
-                                        site="kernel.pkey_sync.wake_sleeper")
+                    clock.charge(costs.context_switch,
+                                 site="kernel.pkey_sync.wake_sleeper")
                     sibling.run_task_works()
     return len(siblings)
-

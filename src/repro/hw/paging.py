@@ -98,6 +98,9 @@ class PageTable:
         # Monotonic generation number; bumped on any structural change so
         # TLBs can detect staleness cheaply in assertions/tests.
         self.generation = 0
+        # Bumped only by map/unmap, the two operations that change
+        # which frame a page maps to (attribute rewrites leave it).
+        self.map_generation = 0
         self._overlays: list[_Overlay] = []
         self._seq = 0
         # Demand paging: the kernel installs a handler that populates a
@@ -185,8 +188,8 @@ class PageTable:
         shootdown list).  Simulated cost is charged by the caller from
         the page count; nothing here touches the clock.
         """
-        if pkey is not None:
-            PageTableEntry._check_pkey(pkey)
+        if pkey is not None and not 0 <= pkey < NUM_PKEYS:
+            PageTableEntry._check_pkey(pkey)  # raises
         entries = self._entries
         overlays = self._overlays
         vpns = self.populated_vpns_in_range(start_vpn, end_vpn)
@@ -214,6 +217,7 @@ class PageTable:
         entry._stamp = self._seq
         self._entries[vpn] = entry
         self.generation += 1
+        self.map_generation += 1
         return entry
 
     def unmap(self, vpn: int) -> PageTableEntry:
@@ -224,6 +228,7 @@ class PageTable:
             raise ValueError(f"virtual page {vpn:#x} not mapped") from None
         self._materialize(vpn, entry)
         self.generation += 1
+        self.map_generation += 1
         return entry
 
     def lookup(self, vpn: int) -> PageTableEntry | None:

@@ -38,7 +38,8 @@ def with_key_rights(value: int, key: int, rights: int) -> int:
     replaced by ``rights``; ``ValueError`` for a bad key or bad rights
     bits.  The one encoder of a key's rights field: :meth:`PKRU.with_rights`
     and glibc ``pkey_set`` (``Task.pkey_set``) both go through it."""
-    _check_key(key)
+    if not 0 <= key < NUM_PKEYS:
+        _check_key(key)  # raises
     if rights & ~(PKEY_DISABLE_ACCESS | PKEY_DISABLE_WRITE):
         raise ValueError(f"invalid pkey rights bits: {rights:#x}")
     shift = 2 * key

@@ -428,7 +428,7 @@ class Kernel:
 
     def _enter(self, task: Task) -> None:
         """Kernel entry: validate the caller and charge the round trip."""
-        if not task.running:
+        if task.core_id is None:
             raise RuntimeError(
                 f"syscall from task {task.tid} which is not on a core")
         self.clock.charge(self._syscall_overhead,

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from repro.consts import (
     DEFAULT_PKEY,
     MMAP_BASE,
+    PAGE_SHIFT,
     PAGE_SIZE,
     page_align_up,
     page_number,
@@ -244,7 +245,8 @@ class MM:
                         f"mprotect range has unmapped hole at "
                         f"{covered:#x}")
                 stats.vmas_found += 1
-                vma = self._clamp(vma, addr, end, stats)
+                if vma.start < addr or vma.end > end:
+                    vma = self._clamp(vma, addr, end, stats)
                 self._apply_protect(vma, prot, pkey, pte_prot, stats)
                 covered = vma.end
             if covered < end:
@@ -275,8 +277,8 @@ class MM:
         if pkey is not None:
             vma.pkey = pkey
         effective = prot if pte_prot is None else pte_prot
-        first = page_number(vma.start)
-        last = page_number(vma.end)
+        first = vma.start >> PAGE_SHIFT
+        last = vma.end >> PAGE_SHIFT
         stats.pages_updated += last - first
         if last - first >= self.BULK_PTE_THRESHOLD:
             # Large range: record one overlay instead of touching

@@ -204,20 +204,20 @@ class Scheduler:
         # Validate before any IPI is charged or any TLB touched: a
         # half-executed shootdown that then raises would leave the
         # cycle ledger and ipis_sent permanently skewed.
-        if initiator is not None and not initiator.running:
+        if initiator is not None and initiator.core_id is None:
             raise RuntimeError("shootdown initiator must be running")
         machine = self.machine
-        ipi_cost = machine.costs.tlb_shootdown_ipi
-        charge = machine.clock.charge
-        page_table = process.page_table
+        cores = machine.cores
+        page_table = process.mm.page_table
         targets: dict[int, bool] = {}   # core_id -> is the initiator
-        for task in self.running_tasks(process):
-            targets[task.core_id] = (initiator is not None
-                                     and task is initiator)
-        for core in machine.cores:
-            if core.core_id not in targets and core.tlb.may_hold(
-                    page_table):
-                targets[core.core_id] = False
+        for core_id, task in self._core_task.items():
+            if task.process is process:
+                targets[core_id] = task is initiator
+        if len(targets) < len(cores):
+            for core in cores:
+                if core.core_id not in targets and core.tlb.may_hold(
+                        page_table):
+                    targets[core.core_id] = False
         if initiator is not None and not targets.get(
                 initiator.core_id, False):
             # The initiator may be running a task of a *different*
@@ -225,22 +225,21 @@ class Scheduler:
             # ASIDs here, so its TLB can still hold stale translations
             # of the flushed process — the local flush is mandatory.
             targets[initiator.core_id] = True
+        ipi_cost = machine.costs.tlb_shootdown_ipi
+        charge = machine.clock.charge
+        precise = not full and vpns is not None
         remote = 0
         for core_id in sorted(targets):
             if not targets[core_id]:
                 charge(ipi_cost, site="hw.tlb.shootdown_ipi")
                 self.ipis_sent += 1
                 remote += 1
-            self._flush(machine.core(core_id), full, vpns, charge_pages)
+            if precise:
+                cores[core_id].tlb.invalidate_range(
+                    vpns, charge_pages=charge_pages)
+            else:
+                cores[core_id].tlb.flush()
         return remote
-
-    @staticmethod
-    def _flush(core, full: bool, vpns: list[int] | None,
-               charge_pages: int | None = None) -> None:
-        if full or vpns is None:
-            core.tlb.flush()
-        else:
-            core.tlb.invalidate_range(vpns, charge_pages=charge_pages)
 
     # ------------------------------------------------------------------
     # Kernel exit path (task_work + PKRU reload).
@@ -254,9 +253,10 @@ class Scheduler:
         kernel's trap-return path (signal delivery after an MMU fault)
         drives it directly.
         """
+        machine = self.machine
         ran = task.run_task_works()
         if ran:
-            self.machine.clock.charge(ran * self.machine.costs.task_work_run,
-                                      site="kernel.sched.task_work_run")
-        if task.running:
-            self.machine.core(task.core_id).load_pkru(task.pkru)
+            machine.clock.charge(ran * machine.costs.task_work_run,
+                                 site="kernel.sched.task_work_run")
+        if task.core_id is not None:
+            machine.cores[task.core_id].load_pkru(task.pkru)

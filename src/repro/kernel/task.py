@@ -366,6 +366,24 @@ class Task:
         core = self._core()
         self._wrpkru(with_key_rights(core.pkru.value, pkey, rights), core)
 
+    def trusted_pkey_set(self, pkey: int, rights: int) -> None:
+        """:meth:`pkey_set` inside the trusted call gate: the WRPKRU
+        libmpk's own entry points execute.  Equivalent to ``with
+        task.trusted_gate(): task.pkey_set(pkey, rights)``, which is
+        how the sandbox check always passes here."""
+        core_id = self.core_id
+        if core_id is None:
+            self._core()  # raises: not on a core
+        core = self._cores[core_id]
+        value = with_key_rights(core.pkru.value, pkey, rights)
+        self._gate_depth += 1
+        try:
+            core.wrpkru(value)
+        finally:
+            self._gate_depth -= 1
+        self.pkru = pkru = core.pkru
+        self._pkru_memo.note_pkru_write(pkru.value)
+
     def pkey_get(self, pkey: int) -> int:
         """glibc pkey_get(): RDPKRU and extract one key's rights."""
         core = self._core()

@@ -83,12 +83,15 @@ class VMA:
 class VmaTree:
     """Ordered, non-overlapping collection of VMAs for one process.
 
-    ``version`` counts structural changes: every insert and remove —
-    and therefore every split and merge, which are remove+insert
-    sequences — bumps it.  Callers caching a ``find``/``find_range``
+    ``version`` counts structural changes: every insert, remove, split
+    and merge bumps it.  Callers caching a ``find``/``find_range``
     result (the mprotect fast path in :class:`repro.kernel.mm.MM`)
     validate the cached VMA by comparing versions; any mmap, munmap,
     split, or merge anywhere in the tree invalidates them all.
+
+    Splits and merges edit the sorted lists in place at the bisected
+    index: the left piece of a split, and the left partner of a merge,
+    is the original VMA object with its bounds changed.
     """
 
     def __init__(self) -> None:
@@ -104,21 +107,25 @@ class VmaTree:
 
     def insert(self, vma: VMA) -> None:
         """Insert a VMA; it must not overlap any existing one."""
+        vmas = self._vmas
         idx = bisect.bisect_left(self._starts, vma.start)
-        neighbors = self._vmas[max(0, idx - 1):idx + 1]
-        for other in neighbors:
-            if other.overlaps(vma.start, vma.end):
+        for other in vmas[max(0, idx - 1):idx + 1]:
+            if other.start < vma.end and vma.start < other.end:
                 raise ValueError(
                     f"VMA [{vma.start:#x},{vma.end:#x}) overlaps "
                     f"[{other.start:#x},{other.end:#x})")
         self._starts.insert(idx, vma.start)
-        self._vmas.insert(idx, vma)
+        vmas.insert(idx, vma)
         self.version += 1
 
-    def remove(self, vma: VMA) -> None:
+    def _index(self, vma: VMA) -> int:
         idx = bisect.bisect_left(self._starts, vma.start)
         if idx >= len(self._vmas) or self._vmas[idx] is not vma:
             raise ValueError(f"VMA [{vma.start:#x},{vma.end:#x}) not in tree")
+        return idx
+
+    def remove(self, vma: VMA) -> None:
+        idx = self._index(vma)
         del self._starts[idx]
         del self._vmas[idx]
         self.version += 1
@@ -132,58 +139,64 @@ class VmaTree:
 
     def find_range(self, start: int, end: int) -> list[VMA]:
         """All VMAs overlapping ``[start, end)``, in address order."""
-        idx = bisect.bisect_right(self._starts, start) - 1
-        if idx < 0:
-            idx = 0
+        vmas = self._vmas
+        idx = max(0, bisect.bisect_right(self._starts, start) - 1)
+        last = len(vmas)
         result = []
-        for vma in self._vmas[idx:]:
+        while idx < last:
+            vma = vmas[idx]
             if vma.start >= end:
                 break
-            if vma.overlaps(start, end):
+            if start < vma.end:
                 result.append(vma)
+            idx += 1
         return result
 
     def split(self, vma: VMA, addr: int) -> tuple[VMA, VMA]:
-        """Split ``vma`` at ``addr`` (page-aligned, strictly inside)."""
+        """Split ``vma`` at ``addr`` (page-aligned, strictly inside).
+        ``vma`` itself becomes the left piece."""
         if not vma.start < addr < vma.end:
             raise ValueError(
                 f"split point {addr:#x} outside ({vma.start:#x},{vma.end:#x})")
         if addr % PAGE_SIZE:
             raise ValueError(f"split point not page-aligned: {addr:#x}")
-        self.remove(vma)
-        split_pages = (addr - vma.start) // PAGE_SIZE
-        left = VMA(vma.start, addr, vma.prot, vma.pkey, vma.flags,
-                   vma.pte_prot, vma.shared_object,
-                   vma.shared_offset_pages)
+        idx = self._index(vma)
         right = VMA(addr, vma.end, vma.prot, vma.pkey, vma.flags,
                     vma.pte_prot, vma.shared_object,
-                    vma.shared_offset_pages + split_pages)
-        self.insert(left)
-        self.insert(right)
-        return left, right
+                    vma.shared_offset_pages
+                    + (addr - vma.start) // PAGE_SIZE)
+        vma.end = addr
+        self._starts.insert(idx + 1, addr)
+        self._vmas.insert(idx + 1, right)
+        self.version += 1
+        return vma, right
 
     def merge_around(self, start: int, end: int) -> int:
         """Merge mergeable neighbors in/adjacent to ``[start, end)``.
 
         Returns the number of merges performed (for cost accounting).
         """
-        vmas = self.find_range(max(0, start - PAGE_SIZE), end + PAGE_SIZE)
+        starts = self._starts
+        vmas = self._vmas
+        # The VMAs overlapping [start - PAGE_SIZE, end + PAGE_SIZE) are
+        # vmas[idx:stop]; a VMA before them that ends short of the
+        # window is never adjacent to the next one, so never merges.
+        idx = max(0, bisect.bisect_right(starts, start - PAGE_SIZE) - 1)
+        stop = bisect.bisect_left(starts, end + PAGE_SIZE)
         merges = 0
-        i = 0
-        while i + 1 < len(vmas):
-            left, right = vmas[i], vmas[i + 1]
+        while idx + 1 < stop:
+            left = vmas[idx]
+            right = vmas[idx + 1]
             if left.can_merge_with(right):
-                self.remove(left)
-                self.remove(right)
-                merged = VMA(left.start, right.end, left.prot, left.pkey,
-                             left.flags, left.pte_prot,
-                             left.shared_object,
-                             left.shared_offset_pages)
-                self.insert(merged)
-                vmas[i:i + 2] = [merged]
+                left.end = right.end
+                del starts[idx + 1]
+                del vmas[idx + 1]
+                stop -= 1
                 merges += 1
             else:
-                i += 1
+                idx += 1
+        if merges:
+            self.version += 1
         return merges
 
     def gap_after(self, min_addr: int, length: int) -> int:
