@@ -846,7 +846,7 @@ class Libmpk:
                 lambda v: not groups[v].pinned_by)
             pkey = cache.evict(victim_vkey)
             try:
-                self._unload_group(task, self._groups[victim_vkey])
+                self._unload_group(task, groups[victim_vkey])
             except BaseException:
                 # The victim rolled itself forward to "evicted"; the
                 # key is unbound but not free — return it to the pool.
@@ -981,7 +981,7 @@ class Libmpk:
                 lambda v: not groups[v].pinned_by)
             pkey = cache.evict(victim_vkey)
             try:
-                self._unload_group(task, self._groups[victim_vkey])
+                self._unload_group(task, groups[victim_vkey])
             except BaseException:
                 cache.refund(pkey)
                 raise

@@ -19,6 +19,7 @@ miss, 0.0 never.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections import OrderedDict
@@ -322,18 +323,16 @@ class KeyCache:
         situation where the paper says ``mpk_begin`` raises and lets the
         thread decide (e.g. sleep until a key frees).
         """
-        reserved = self._reserved
+        evictable = (vkey for vkey, pkey in self._lru.items()
+                     if pkey not in self._reserved and is_evictable(vkey))
         uses_cost = self._policy.uses_cost and self.victim_cost is not None
         if self._takes_oldest and not uses_cost:
             # "lru" and "fifo" both take the oldest entry (they differ
-            # in whether lookup() refreshed recency above).
-            for vkey, pkey in self._lru.items():
-                if pkey not in reserved and is_evictable(vkey):
-                    return vkey
-            candidates = None
+            # in whether lookup() refreshed recency above): the scan
+            # stops there.
+            candidates = list(itertools.islice(evictable, 1))
         else:
-            candidates = [vkey for vkey, pkey in self._lru.items()
-                          if pkey not in reserved and is_evictable(vkey)]
+            candidates = list(evictable)
         if not candidates:
             raise MpkKeyExhaustion(
                 "all hardware protection keys are pinned or reserved")

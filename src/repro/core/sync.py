@@ -46,9 +46,9 @@ def do_pkey_sync(kernel: "Kernel", caller: "Task", pkey: int,
     are identical; only the cost differs (used by the sync ablation
     benchmark).
 
-    The per-sibling steps are :meth:`Kernel.ktask_work_add` and
-    :meth:`Kernel.kick` written out in place, charge for charge, with
-    the kernel-exit drain left to :meth:`Scheduler.kernel_exit`.
+    Per sibling, :meth:`Kernel.ktask_work_add` and :meth:`Kernel.kick`
+    are written out in place, charge for charge (the sync makes one
+    call chain per sibling, so their two extra frames each showed).
     """
     siblings = [t for t in caller.process.tasks
                 if t is not caller and t.state != "dead"]
@@ -59,7 +59,7 @@ def do_pkey_sync(kernel: "Kernel", caller: "Task", pkey: int,
     costs = kernel.costs
     scheduler = kernel.scheduler
     with kernel.machine.obs.span("kernel.do_pkey_sync"):
-        clock.charge(kernel._syscall_overhead,
+        clock.charge(costs.syscall_overhead(),
                      site="kernel.pkey_sync.entry_exit")
 
         # Siblings usually share one PKRU value, so each distinct old

@@ -378,11 +378,9 @@ class Task:
         value = with_key_rights(core.pkru.value, pkey, rights)
         self._gate_depth += 1
         try:
-            core.wrpkru(value)
+            self._wrpkru(value, core)
         finally:
             self._gate_depth -= 1
-        self.pkru = pkru = core.pkru
-        self._pkru_memo.note_pkru_write(pkru.value)
 
     def pkey_get(self, pkey: int) -> int:
         """glibc pkey_get(): RDPKRU and extract one key's rights."""

@@ -107,15 +107,15 @@ class VmaTree:
 
     def insert(self, vma: VMA) -> None:
         """Insert a VMA; it must not overlap any existing one."""
-        vmas = self._vmas
         idx = bisect.bisect_left(self._starts, vma.start)
-        for other in vmas[max(0, idx - 1):idx + 1]:
-            if other.start < vma.end and vma.start < other.end:
+        neighbors = self._vmas[max(0, idx - 1):idx + 1]
+        for other in neighbors:
+            if other.overlaps(vma.start, vma.end):
                 raise ValueError(
                     f"VMA [{vma.start:#x},{vma.end:#x}) overlaps "
                     f"[{other.start:#x},{other.end:#x})")
         self._starts.insert(idx, vma.start)
-        vmas.insert(idx, vma)
+        self._vmas.insert(idx, vma)
         self.version += 1
 
     def _index(self, vma: VMA) -> int:
