@@ -208,29 +208,27 @@ class Scheduler:
             raise RuntimeError("shootdown initiator must be running")
         machine = self.machine
         cores = machine.cores
-        page_table = process.mm.page_table
-        targets: dict[int, bool] = {}   # core_id -> is the initiator
-        for core_id, task in self._core_task.items():
-            if task.process is process:
-                targets[core_id] = task is initiator
+        targets = {core_id for core_id, task in self._core_task.items()
+                   if task.process is process}
         if len(targets) < len(cores):
-            for core in cores:
-                if core.core_id not in targets and core.tlb.may_hold(
-                        page_table):
-                    targets[core.core_id] = False
-        if initiator is not None and not targets.get(
-                initiator.core_id, False):
-            # The initiator may be running a task of a *different*
-            # process (the kernel editing another mm).  Cores have no
-            # ASIDs here, so its TLB can still hold stale translations
-            # of the flushed process — the local flush is mandatory.
-            targets[initiator.core_id] = True
+            page_table = process.mm.page_table
+            targets.update([core.core_id for core in cores
+                            if core.core_id not in targets
+                            and core.tlb.may_hold(page_table)])
+        # The initiator may be running a task of a *different* process
+        # (the kernel editing another mm).  Cores have no ASIDs here,
+        # so its TLB can still hold stale translations of the flushed
+        # process — the local flush is mandatory.
+        local = None
+        if initiator is not None:
+            local = initiator.core_id
+            targets.add(local)
         ipi_cost = machine.costs.tlb_shootdown_ipi
         charge = machine.clock.charge
         precise = not full and vpns is not None
         remote = 0
         for core_id in sorted(targets):
-            if not targets[core_id]:
+            if core_id != local:
                 charge(ipi_cost, site="hw.tlb.shootdown_ipi")
                 self.ipis_sent += 1
                 remote += 1
