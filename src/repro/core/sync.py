@@ -47,11 +47,10 @@ def do_pkey_sync(kernel: "Kernel", caller: "Task", pkey: int,
     benchmark).
 
     Per sibling, :meth:`Kernel.ktask_work_add` and :meth:`Kernel.kick`
-    are written out in place, charge for charge (the sync makes one
-    call chain per sibling, so their two extra frames each showed).
+    are written out in place, charge for charge, which keeps a
+    sibling's host cost to a few calls.
     """
-    siblings = [t for t in caller.process.tasks
-                if t is not caller and t.state != "dead"]
+    siblings = [t for t in caller.process.live_tasks() if t is not caller]
     if not siblings:
         return 0
 

@@ -15,8 +15,8 @@ Measured on Python 3.11.7: a cached ``mpk_begin`` + ``mpk_end`` pair
 makes 37 calls (47 before the key-miss path was made cheap, when each
 WRPKRU went through a gate context manager), and a cached 8-byte
 ``Task.read`` or ``Task.write`` makes 6.  An evicting ``mpk_begin`` +
-``mpk_end`` pair with 3 running siblings makes 163 (295 before), and an
-``mpk_mprotect`` that misses and evicts makes 147 (269 before).  A
+``mpk_end`` pair with 3 running siblings makes 164 (295 before), and an
+``mpk_mprotect`` that misses and evicts makes 148 (269 before).  A
 healthy 3-node, 2-replica cluster (``_build_cluster``, seed 5, 48
 connections) makes 2,273 calls per connection (2,485 before).
 """
