@@ -90,7 +90,7 @@ def run_evict():
     other 3 cores run siblings of the caller.  Ops are skewed
     ``mpk_begin``/write/``mpk_end`` pairs and ``mpk_mprotect`` READ/RW
     flips (misses evict, hits sync PKRU lazily); after a READ flip a
-    running sibling reads the group.  A fifth sibling sleeps throughout
+    running sibling reads the group.  A fourth sibling sleeps throughout
     and collects its PKRU updates as task_work, drained when it is
     finally scheduled."""
     import random

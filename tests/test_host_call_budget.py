@@ -88,15 +88,14 @@ def calls_by_layer(fn) -> Counter:
     return layers
 
 
-def within_budget(fn, budget: int, per: int = 1) -> float:
-    """Named calls of ``fn()`` divided by ``per``; fails with the
-    per-layer split when that exceeds ``budget``."""
+def within_budget(fn, budget: int, per: int = 1) -> None:
+    """Fail, printing the per-layer split, when the named calls of
+    ``fn()`` divided by ``per`` exceed ``budget``."""
     layers = calls_by_layer(fn)
     calls = sum(layers.values()) / per
     split = ", ".join(f"{layer} {count / per:g}"
                       for layer, count in layers.most_common())
     assert calls <= budget, f"{calls:g} calls > {budget} ({split})"
-    return calls
 
 
 @pytest.fixture
@@ -119,8 +118,8 @@ def cached():
 def _churned():
     """40 one-page groups over 15 hardware keys, each touched three
     times round-robin, on a 4-core machine whose other 3 cores run
-    siblings of the caller: every load now evicts, rewrites PTEs,
-    shoots down 3 TLBs and syncs 3 PKRUs lazily."""
+    siblings of the caller, so every further load evicts, rewrites
+    PTEs, shoots down 3 TLBs and syncs 3 PKRUs lazily."""
     kernel = Kernel(Machine(num_cores=4))
     process = kernel.create_process()
     task = process.main_task
