@@ -26,8 +26,14 @@ def fingerprint(machines, kernels) -> dict:
         (f"{machine.name}.{site}", cycles)
         for machine in machines
         for site, cycles in machine.obs.aggregator.cycles.items())
+    # Left to right, as the simulator adds cycles: Python 3.12's sum()
+    # compensates float rounding and can differ from 3.11 in the last
+    # bit across several machines.
+    clock = 0.0
+    for machine in machines:
+        clock += machine.clock.now
     return {
-        "clock": sum(machine.clock.now for machine in machines),
+        "clock": clock,
         "charges": sum(machine.clock.events for machine in machines),
         "ledger_sha256": hashlib.sha256(
             json.dumps(ledger).encode()).hexdigest(),
