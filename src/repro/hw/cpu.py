@@ -18,7 +18,10 @@ prot/pkey/frame are served from the :class:`TlbEntry` and the page
 table is never consulted.  A hit with a stale stamp validates the
 mapping against the page table (unmapped pages fault) and re-stamps the
 entry in place, keeping the cached prot/pkey: stale permissions survive
-until a shootdown, as on real hardware.  ``read``/``write``/``fetch``
+until a shootdown, as on real hardware.  Only ``PageTable.unmap`` moves
+the stamp, since the mapping and its frame are all a validating hit
+re-reads; demand paging's ``map`` and attribute rewrites leave every
+resident hit authoritative.  ``read``/``write``/``fetch``
 batch their bookkeeping: each page is resolved once and the per-page
 ``mem_access`` and (zero-cost) ``tlb_hit`` charges are folded into one
 :meth:`Clock.charge` each per call.
@@ -207,9 +210,10 @@ class Core:
 
         * authoritative hit (the entry's table and generation stamp
           match): served from the TLB entry alone;
-        * stale-stamp hit: the mapping and frame are re-read from the
-          page table, prot/pkey stay the TLB's, and the entry is
-          re-stamped so the next hit is authoritative;
+        * stale-stamp hit (the table saw an unmap since the fill): the
+          mapping and frame are re-read from the page table, prot/pkey
+          stay the TLB's, and the entry is re-stamped so the next hit
+          is authoritative;
         * miss: the page is walked (``hw.tlb.walk`` charged) and the
           TLB filled.
 
@@ -241,8 +245,9 @@ class Core:
             if (cached.table is page_table
                     and cached.generation == page_table.generation):
                 # Authoritative hit: the generation stamp proves no
-                # structural page-table change since the fill, so the
-                # cached attributes and frame are current.
+                # unmap since the fill, so the page is still mapped to
+                # the cached frame; prot/pkey are the TLB's own on
+                # every hit.
                 self._count_access(kind)
                 tlb.record_hit(charge=not defer_hit_charge)
                 return cached.frame, cached.prot, cached.pkey, True
@@ -435,8 +440,9 @@ class Core:
                         probed=cached)
                     hits += hit
                     pages += 1
-                    # Demand paging inside lookup() bumps the
-                    # generation; re-read so later pages stay inline.
+                    # Re-read the stamp: lookup() runs the demand-
+                    # paging handler, so an unmap there must not leave
+                    # a stale copy in ``gen``.
                     gen = page_table.generation
                 if prot != last_prot or pkey != last_pkey:
                     # Architecturally counted (above / in _translate)

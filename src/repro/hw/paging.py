@@ -10,6 +10,15 @@ paper describes them as "previously unused four bits"); here it is an
 explicit field, which is exactly what matters for the use-after-free
 semantics: ``pkey_free()`` does *not* visit PTEs, so stale key values
 persist until something rewrites the entry.
+
+Two counters let cached views of the table check themselves cheaply.
+``generation`` is the TLB stamp and moves only on :meth:`PageTable.unmap`:
+a TLB hit keeps its own cached permission bits and pkey whatever the
+table says (stale bits survive until a shootdown, as on hardware), so
+the only facts a hit must re-read are whether the page is mapped and to
+which frame — and only an unmap changes those for a page the TLB holds.
+``map_generation`` moves on map and unmap, the operations that change
+which frame a page maps to.
 """
 
 from __future__ import annotations
@@ -95,10 +104,13 @@ class PageTable:
 
     def __init__(self) -> None:
         self._entries: dict[int, PageTableEntry] = {}
-        # Monotonic generation number; bumped on any structural change so
-        # TLBs can detect staleness cheaply in assertions/tests.
+        # The TLB stamp: bumped only by unmap.  A TLB entry stamped
+        # with the current generation therefore still names a mapped
+        # page and its frame (a page cannot be mapped again without
+        # an unmap first), so its hit is served without a lookup;
+        # prot/pkey are the TLB's own either way (see TlbEntry).
         self.generation = 0
-        # Bumped only by map/unmap, the two operations that change
+        # Bumped by map and unmap, the two operations that change
         # which frame a page maps to (attribute rewrites leave it).
         self.map_generation = 0
         self._overlays: list[_Overlay] = []
@@ -146,7 +158,6 @@ class PageTable:
         self._overlays = survivors
         if len(self._overlays) > self.OVERLAY_FOLD_CAP:
             self._fold_overlays()
-        self.generation += 1
 
     def _fold_overlays(self) -> None:
         """Materialize every pending overlay into the populated entries
@@ -180,13 +191,12 @@ class PageTable:
         the mprotect path for ranges below the bulk-overlay threshold.
 
         The per-page loop from the caller is folded in here: one entry
-        lookup per page (instead of enumerate-then-lookup), the pkey
-        validated once, and a single generation bump for the whole call
-        — TLB stamps only ever test *equality* against the current
-        generation, so one bump and k bumps invalidate exactly the same
-        cached translations.  Returns the VPNs rewritten (the precise-
-        shootdown list).  Simulated cost is charged by the caller from
-        the page count; nothing here touches the clock.
+        lookup per page (instead of enumerate-then-lookup) and the pkey
+        validated once.  Like every attribute rewrite it leaves the
+        TLB stamp alone: resident translations keep their cached bits
+        until the caller's shootdown.  Returns the VPNs rewritten (the
+        precise-shootdown list).  Simulated cost is charged by the
+        caller from the page count; nothing here touches the clock.
         """
         if pkey is not None and not 0 <= pkey < NUM_PKEYS:
             PageTableEntry._check_pkey(pkey)  # raises
@@ -203,8 +213,6 @@ class PageTable:
             entry.prot = prot
             if pkey is not None:
                 entry.pkey = pkey
-        if vpns:
-            self.generation += 1
         return vpns
 
     def map(self, vpn: int, frame: Frame, prot: int,
@@ -216,7 +224,6 @@ class PageTable:
         # New mappings are not subject to overlays recorded earlier.
         entry._stamp = self._seq
         self._entries[vpn] = entry
-        self.generation += 1
         self.map_generation += 1
         return entry
 
@@ -269,13 +276,11 @@ class PageTable:
         entry = self._require(vpn)
         self._materialize(vpn, entry)
         entry.set_prot(prot)
-        self.generation += 1
 
     def set_pkey(self, vpn: int, pkey: int) -> None:
         entry = self._require(vpn)
         self._materialize(vpn, entry)
         entry.set_pkey(pkey)
-        self.generation += 1
 
     def pages_with_pkey(self, pkey: int) -> list[int]:
         """All mapped VPNs whose PTE carries ``pkey``.
@@ -290,9 +295,6 @@ class PageTable:
             if entry.pkey == pkey:
                 result.append(vpn)
         return sorted(result)
-
-    def mapped_vpns(self) -> list[int]:
-        return sorted(self._entries)
 
     def _require(self, vpn: int) -> PageTableEntry:
         entry = self._entries.get(vpn)

@@ -11,8 +11,10 @@ and to the physical frame.  The MMU (:meth:`repro.hw.cpu.Core._translate`
 and the batched transfer) treats a hit whose stamp still matches the
 page table as **authoritative** — prot/pkey/frame are served straight
 from the :class:`TlbEntry` without consulting the page table at all.
-Any structural page-table change bumps the generation, so a stale stamp
-cheaply demotes the hit to a validating one.
+Only an unmap bumps the generation: a hit serves the cached prot/pkey
+either way, so the stamp needs to vouch only for the mapping and its
+frame, which nothing but an unmap can change.  A stale stamp demotes
+the hit to a validating one.
 
 Statistics are aligned with *charged events* (the shootdown-accounting
 contract):
@@ -76,8 +78,8 @@ class TlbEntry:
 
     def restamp(self, frame: object, frame_number: int, generation: int,
                 table: object) -> None:
-        """Revalidate in place after a structural page-table change:
-        adopt the current frame and generation stamp while keeping the
+        """Revalidate in place after an unmap moved the stamp: adopt
+        the current frame and generation stamp while keeping the
         (possibly stale) prot/pkey bits — real hardware serves stale
         permissions until a shootdown."""
         self.frame = frame

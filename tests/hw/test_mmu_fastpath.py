@@ -51,15 +51,17 @@ class TestAuthoritativeHits:
         assert core.tlb.stats.hits == 10
 
     def test_slow_path_validates_every_access(self):
-        """A generation bump before every access leaves no hit
-        authoritative: each one consults the page table once."""
+        """An unmap before every access leaves no hit authoritative:
+        each one consults the page table once."""
         machine = Machine(num_cores=1)
         pt = CountingPageTable()
         pt.map(0x10, machine.memory.alloc_frame(), RW, pkey=3)
+        for i in range(5):
+            pt.map(0x30 + i, machine.memory.alloc_frame(), RW)
         core = machine.core(0)
         core.load_pkru(PKRU.allow_all())
         for i in range(5):
-            pt.map(0x30 + i, machine.memory.alloc_frame(), RW)  # bump
+            pt.unmap(0x30 + i)                  # bump
             core.read(pt, 0x10000, 1)
         assert pt.lookups == 5
         assert core.tlb.stats.misses == 1
@@ -69,15 +71,40 @@ class TestAuthoritativeHits:
         machine = Machine(num_cores=1)
         pt = CountingPageTable()
         pt.map(0x10, machine.memory.alloc_frame(), RW, pkey=3)
+        pt.map(0x30, machine.memory.alloc_frame(), RW)
         core = machine.core(0)
         core.load_pkru(PKRU.allow_all())
         core.read(pt, 0x10000, 1)
         baseline = pt.lookups
-        pt.map(0x30, machine.memory.alloc_frame(), RW)  # bumps generation
+        pt.unmap(0x30)                      # bumps generation
         core.read(pt, 0x10000, 1)           # stale stamp -> validates
         assert pt.lookups == baseline + 1
         core.read(pt, 0x10000, 1)           # re-stamped -> authoritative
         assert pt.lookups == baseline + 1
+
+    def test_map_and_attribute_rewrites_keep_hits_authoritative(self):
+        """Only unmap moves the stamp: mapping another page (demand
+        paging) and rewriting this page's attributes, singly or in
+        ranges, leave the cached translation authoritative."""
+        machine = Machine(num_cores=1)
+        pt = CountingPageTable()
+        pt.map(0x10, machine.memory.alloc_frame(), RW, pkey=3)
+        core = machine.core(0)
+        core.load_pkru(PKRU.allow_all())
+        core.read(pt, 0x10000, 1)
+        baseline = pt.lookups
+        edits = [
+            lambda: pt.map(0x30, machine.memory.alloc_frame(), RW),
+            lambda: pt.set_prot(0x10, PROT_READ),
+            lambda: pt.set_pkey(0x10, 5),
+            lambda: pt.update_range(0x10, 0x31, RW, pkey=4),
+            lambda: pt.bulk_update(0x10, 0x31, prot=PROT_READ, pkey=6),
+        ]
+        for edit in edits:
+            edit()
+            core.read(pt, 0x10000, 1)       # authoritative: no lookup
+            assert pt.lookups == baseline
+        assert core.tlb.stats.hits == len(edits)
 
     def test_stale_permissions_served_until_shootdown(self):
         """The MMU preserves TLB-stale semantics: a prot change

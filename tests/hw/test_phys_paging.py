@@ -117,10 +117,21 @@ class TestPageTable:
         assert pt.pages_with_pkey(5) == [10, 11, 30]
 
     def test_generation_bumps_on_changes(self):
+        """The TLB stamp moves on unmap and on nothing else; the map
+        generation moves on map and unmap."""
         pt = PageTable()
         gen0 = pt.generation
         pt.map(1, self._frame(), PROT_READ)
-        gen1 = pt.generation
+        pt.map(2, self._frame(), PROT_READ)
         pt.set_prot(1, PROT_WRITE)
+        pt.set_pkey(1, 3)
+        pt.update_range(1, 3, PROT_READ, pkey=2)
+        pt.bulk_update(1, 3, prot=PROT_WRITE, pkey=4)
+        assert pt.generation == gen0
+        assert pt.map_generation == 2
+        pt.unmap(1)
+        gen1 = pt.generation
+        pt.unmap(2)
         gen2 = pt.generation
         assert gen0 < gen1 < gen2
+        assert pt.map_generation == 4
