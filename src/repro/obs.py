@@ -201,60 +201,67 @@ class SpanStats:
     self_cycles: float = 0.0  # inclusive minus direct children
 
 
-class _Span:
-    """Context manager for one span instance."""
+class _SpanNode:
+    """One span path in the profile tree: its :class:`SpanStats`, its
+    label path (root..leaf) and its children by label.
 
-    __slots__ = ("_obs", "label", "_call_args", "_start", "_depth",
-                 "_child_cycles", "_path")
+    ``start`` and ``child_cycles`` belong to the path's open instance.
+    A path is open at most once at a time (the open spans are exactly
+    its prefix), so they live on the node and entering a span allocates
+    nothing once its path exists.
+    """
+
+    __slots__ = ("path", "stats", "children", "start", "child_cycles")
+
+    def __init__(self, path: tuple[str, ...]) -> None:
+        self.path = path
+        self.stats = SpanStats()
+        self.children: dict[str, _SpanNode] = {}
+        self.start = 0.0
+        self.child_cycles = 0.0
+
+    def child(self, label: str) -> "_SpanNode":
+        """Create and return the child node for ``label``."""
+        node = self.children[label] = _SpanNode(self.path + (label,))
+        return node
+
+
+class _SpanScope:
+    """Context manager for one ``obs.span()`` region: the same push and
+    pop of the path's node as :func:`traced`'s wrapper."""
+
+    __slots__ = ("_obs", "_label", "_call_args", "_node")
 
     def __init__(self, obs: "Observability", label: str,
                  call_args: tuple | None) -> None:
         self._obs = obs
-        self.label = label
+        self._label = label
         self._call_args = call_args
-        self._start = 0.0
-        self._depth = 0
-        self._child_cycles = 0.0
-        self._path: tuple[str, ...] = ()
 
-    def __enter__(self) -> "_Span":
+    def __enter__(self) -> "_SpanScope":
         obs = self._obs
-        stack = obs._span_stack
-        self._start = obs.clock.now
-        self._depth = len(stack)
-        # Extend the parent's already-built path instead of re-walking
-        # the stack: span entry sits on every traced syscall, so this
-        # is O(1) per enter rather than O(depth).
-        if stack:
-            self._path = stack[-1]._path + (self.label,)
-        else:
-            self._path = (self.label,)
-        stack.append(self)
+        label = self._label
+        parent = obs._span_stack[-1]
+        node = parent.children.get(label) or parent.child(label)
+        self._node = node
+        node.start = obs.clock.now
+        node.child_cycles = 0.0
+        obs._span_stack.append(node)
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         obs = self._obs
-        obs._span_stack.pop()
-        cycles = obs.clock.now - self._start
-        stats = obs._profile.get(self._path)
-        if stats is None:
-            stats = obs._profile[self._path] = SpanStats()
+        node = self._node
+        stack = obs._span_stack
+        stack.pop()
+        cycles = obs.clock.now - node.start
+        stats = node.stats
         stats.count += 1
         stats.cycles += cycles
-        stats.self_cycles += cycles - self._child_cycles
-        if obs._span_stack:
-            obs._span_stack[-1]._child_cycles += cycles
+        stats.self_cycles += cycles - node.child_cycles
+        stack[-1].child_cycles += cycles
         if obs._span_subscribers:
-            obs._span_seq += 1
-            args = ""
-            if self._call_args is not None:
-                args = summarize_args(*self._call_args)
-            record = SpanRecord(seq=obs._span_seq, label=self.label,
-                                start_cycles=self._start, cycles=cycles,
-                                depth=self._depth, args=args)
-            ancestors = self._path[:-1]
-            for subscriber in list(obs._span_subscribers):
-                subscriber(record, ancestors)
+            obs._notify_span(node, cycles, self._call_args)
 
 
 @dataclass
@@ -315,10 +322,12 @@ class Observability:
     def __init__(self, clock) -> None:
         self.clock = clock
         self.aggregator = SiteAggregator(clock)
-        self._span_stack: list[_Span] = []
+        # The open spans, innermost last, above the tree's root (whose
+        # path is empty and which never closes).
+        self._span_root = _SpanNode(())
+        self._span_stack: list[_SpanNode] = [self._span_root]
         self._span_seq = 0
         self._span_subscribers: list = []
-        self._profile: dict[tuple[str, ...], SpanStats] = {}
         self._invariants: dict[str, object] = {}
         self._metric_ids: dict[str, int] = {}
         self._metric_names: list[str] = []
@@ -438,13 +447,27 @@ class Observability:
     # Spans.
     # ------------------------------------------------------------------
 
-    def span(self, label: str, call_args: tuple | None = None) -> _Span:
+    def span(self, label: str,
+             call_args: tuple | None = None) -> _SpanScope:
         """Bracket a region as ``with obs.span("kernel.sys_mmap"): ...``.
 
         ``call_args`` is an optional ``(args, kwargs)`` pair summarized
         for subscribers (lazily — no cost when nobody listens).
         """
-        return _Span(self, label, call_args)
+        return _SpanScope(self, label, call_args)
+
+    def _notify_span(self, node: _SpanNode, cycles: float,
+                     call_args: tuple | None) -> None:
+        """Broadcast a closed span's :class:`SpanRecord`."""
+        self._span_seq += 1
+        args = "" if call_args is None else summarize_args(*call_args)
+        path = node.path
+        record = SpanRecord(seq=self._span_seq, label=path[-1],
+                            start_cycles=node.start, cycles=cycles,
+                            depth=len(path) - 1, args=args)
+        ancestors = path[:-1]
+        for subscriber in list(self._span_subscribers):
+            subscriber(record, ancestors)
 
     def subscribe_spans(self, callback) -> None:
         """``callback(record: SpanRecord, ancestors: tuple[str, ...])``
@@ -457,7 +480,7 @@ class Observability:
 
     @property
     def span_depth(self) -> int:
-        return len(self._span_stack)
+        return len(self._span_stack) - 1
 
     # ------------------------------------------------------------------
     # The conservation audit.
@@ -530,17 +553,27 @@ class Observability:
         return "\n".join(lines)
 
     def profile(self) -> dict[tuple[str, ...], SpanStats]:
-        """Per-path span aggregates (path = root..leaf label tuple)."""
-        return dict(self._profile)
+        """Per-path span aggregates (path = root..leaf label tuple) of
+        every path that has closed at least once, in sorted path
+        order."""
+        result = {}
+        pending = [self._span_root]
+        while pending:
+            node = pending.pop()
+            if node.stats.count:
+                result[node.path] = node.stats
+            pending.extend(node.children[label]
+                           for label in sorted(node.children, reverse=True))
+        return result
 
     def format_profile(self) -> str:
         """Indented span tree: calls, inclusive and self cycles."""
-        if not self._profile:
+        profile = self.profile()
+        if not profile:
             return "(no spans recorded)"
         lines = [f"{'span':<44s} {'calls':>7s} {'inclusive':>14s} "
                  f"{'self':>14s}"]
-        for path in sorted(self._profile):
-            stats = self._profile[path]
+        for path, stats in profile.items():
             indent = "  " * (len(path) - 1)
             label = indent + path[-1]
             lines.append(f"{label:<44s} {stats.count:>7d} "
@@ -559,19 +592,35 @@ def traced(label: str):
     The decorated class must expose ``self._obs`` returning the
     machine's :class:`Observability` (the kernel and libmpk do).  The
     method's arguments (minus ``self``) become the span's lazily
-    summarized ``args``.  The wrapper drives the :class:`_Span` itself
-    (``try``/``finally`` instead of ``with obs.span(...)``): traced
-    entry points sit on the domain-switch hot path.
+    summarized ``args``.  Traced entry points sit on the domain-switch
+    hot path, so the wrapper pushes the path's node, found in its
+    parent's children (created only on a path's first call), and pops
+    it in a ``finally``, making no other Python call unless a
+    subscriber listens.
     """
     def decorator(fn):
         @functools.wraps(fn)
         def wrapper(self, *args, **kwargs):
-            span = _Span(self._obs, label, (args, kwargs))
-            span.__enter__()
+            obs = self._obs
+            clock = obs.clock
+            stack = obs._span_stack
+            parent = stack[-1]
+            node = parent.children.get(label) or parent.child(label)
+            node.start = clock.now
+            node.child_cycles = 0.0
+            stack.append(node)
             try:
                 return fn(self, *args, **kwargs)
             finally:
-                span.__exit__()
+                stack.pop()
+                cycles = clock.now - node.start
+                stats = node.stats
+                stats.count += 1
+                stats.cycles += cycles
+                stats.self_cycles += cycles - node.child_cycles
+                stack[-1].child_cycles += cycles
+                if obs._span_subscribers:
+                    obs._notify_span(node, cycles, (args, kwargs))
         wrapper._repro_traced = label
         return wrapper
     return decorator
