@@ -24,8 +24,6 @@ Protection modes:
 from __future__ import annotations
 
 import typing
-from contextlib import contextmanager
-
 from collections import OrderedDict
 
 from repro.consts import CLOCK_HZ, PROT_NONE, PROT_READ, PROT_WRITE
@@ -107,8 +105,10 @@ class Memcached:
     # The protection wrapper around every data-path access.
     # ------------------------------------------------------------------
 
-    @contextmanager
-    def _secured(self, task: "Task"):
+    def _open(self, task: "Task") -> None:
+        """Open both protected regions for one request: the slab first,
+        then the hash table.  In ``mpk_begin`` mode a failure to open
+        the second ends the first before the error propagates."""
         mode = self.mode
         if mode == "mpk_begin":
             self._begin(task, self.SLAB_VKEY)
@@ -117,33 +117,30 @@ class Memcached:
             except MpkError:
                 self.lib.mpk_end(task, self.SLAB_VKEY)
                 raise
-            try:
-                yield
-            finally:
-                self.lib.mpk_end(task, self.HASH_VKEY)
-                self.lib.mpk_end(task, self.SLAB_VKEY)
         elif mode == "mpk_mprotect":
             self.lib.mpk_mprotect(task, self.SLAB_VKEY, RW)
             self.lib.mpk_mprotect(task, self.HASH_VKEY, RW)
-            try:
-                yield
-            finally:
-                self.lib.mpk_mprotect(task, self.HASH_VKEY, PROT_NONE)
-                self.lib.mpk_mprotect(task, self.SLAB_VKEY, PROT_NONE)
         elif mode == "mprotect":
             self.kernel.sys_mprotect(task, self._slab_base,
                                      self.slab_bytes, RW)
             self.kernel.sys_mprotect(task, self._hash_base,
                                      self._hash_bytes, RW)
-            try:
-                yield
-            finally:
-                self.kernel.sys_mprotect(task, self._hash_base,
-                                         self._hash_bytes, PROT_NONE)
-                self.kernel.sys_mprotect(task, self._slab_base,
-                                         self.slab_bytes, PROT_NONE)
-        else:
-            yield
+
+    def _close(self, task: "Task") -> None:
+        """Close what :meth:`_open` opened, in reverse order.  Requests
+        call it in a ``finally``, so it runs however the access ends."""
+        mode = self.mode
+        if mode == "mpk_begin":
+            self.lib.mpk_end(task, self.HASH_VKEY)
+            self.lib.mpk_end(task, self.SLAB_VKEY)
+        elif mode == "mpk_mprotect":
+            self.lib.mpk_mprotect(task, self.HASH_VKEY, PROT_NONE)
+            self.lib.mpk_mprotect(task, self.SLAB_VKEY, PROT_NONE)
+        elif mode == "mprotect":
+            self.kernel.sys_mprotect(task, self._hash_base,
+                                     self._hash_bytes, PROT_NONE)
+            self.kernel.sys_mprotect(task, self._slab_base,
+                                     self.slab_bytes, PROT_NONE)
 
     def _begin(self, task: "Task", vkey: int) -> None:
         """Open one protected group: plain ``mpk_begin``, or the
@@ -176,7 +173,8 @@ class Memcached:
         self.stats_requests += 1
         expires_at = (self.now_seconds() + ttl_seconds) if ttl_seconds \
             else 0
-        with self._secured(task):
+        self._open(task)
+        try:
             while True:
                 try:
                     self.table.assoc_insert(task, key, value,
@@ -184,6 +182,8 @@ class Memcached:
                     break
                 except MpkError:
                     self._evict_lru_item(task, exclude=key)
+        finally:
+            self._close(task)
         self._lru[key] = None
         self._lru.move_to_end(key)
 
@@ -191,9 +191,12 @@ class Memcached:
         self.kernel.clock.charge(REQUEST_BASE_CYCLES,
                                  site="apps.memcached.request")
         self.stats_requests += 1
-        with self._secured(task):
+        self._open(task)
+        try:
             value = self.table.assoc_find(task, key,
                                           now=self.now_seconds())
+        finally:
+            self._close(task)
         if value is None:
             self.stats_misses += 1
             self._lru.pop(key, None)
@@ -206,14 +209,17 @@ class Memcached:
         self.kernel.clock.charge(REQUEST_BASE_CYCLES,
                                  site="apps.memcached.request")
         self.stats_requests += 1
-        with self._secured(task):
+        self._open(task)
+        try:
             removed = self.table.assoc_delete(task, key, missing_ok=True)
+        finally:
+            self._close(task)
         if removed:
             self._lru.pop(key, None)
         return removed
 
     def _evict_lru_item(self, task: "Task", exclude: bytes) -> None:
-        """Free the least-recently-used item (already inside _secured)."""
+        """Free the least-recently-used item (the regions are open)."""
         for candidate in self._lru:
             if candidate != exclude:
                 self.table.assoc_delete(task, candidate, missing_ok=True)
