@@ -1,5 +1,6 @@
 """Host call budgets for the domain-switch, userspace-load and key-miss
-paths, and for the cluster's discrete-event loop.
+paths, for a served Memcached connection and for the cluster's
+discrete-event loop.
 
 The paper's hit-path claim is one hashmap lookup plus one WRPKRU per
 domain switch; these tests keep the simulator's *host* cost of that
@@ -11,15 +12,21 @@ functions count: frames whose ``co_name`` starts with ``<``
 skipped, so the counts agree across 3.11 and 3.12.  A budget failure
 prints the calls split by layer (``repro.<layer>``).
 
-Measured on Python 3.11.7 and 3.12.1 alike (the counts run as a
-script under 3.12): a cached ``mpk_begin`` + ``mpk_end`` pair
-makes 37 calls (47 before the key-miss path was made cheap, when each
-WRPKRU went through a gate context manager), and a cached 8-byte
-``Task.read`` or ``Task.write`` makes 6.  An evicting ``mpk_begin`` +
-``mpk_end`` pair with 3 running siblings makes 164 (295 before), and an
-``mpk_mprotect`` that misses and evicts makes 148 (269 before).  A
-healthy 3-node, 2-replica cluster (``_build_cluster``, seed 5, 48
-connections) makes 2,273 calls per connection (2,485 before).
+Measured on Python 3.11.7: a cached ``mpk_begin`` + ``mpk_end`` pair
+makes 31 calls (37 before spans became nodes of a path tree, 47 before
+the key-miss path was made cheap, when each WRPKRU went through a gate
+context manager), and a cached 8-byte ``Task.read`` or ``Task.write``
+makes 6.  An evicting ``mpk_begin`` + ``mpk_end`` pair with 3 running
+siblings makes 158 (164 before the path tree, 295 before the key-miss
+work), and an ``mpk_mprotect`` that misses and evicts makes 149 (148
+before: its first call creates three span-tree nodes; 269 before the
+key-miss work).  A healthy 3-node, 2-replica cluster
+(``_build_cluster``, seed 5, 48 connections) makes 1,962 calls per
+connection (2,273 before TLB stamps moved only on unmap and spans
+became tree nodes, 2,485 before that).  A served ``mpk_begin``
+Memcached connection (``_serving``: 48 connections of 2 requests)
+makes 317 calls (368 before those two changes and before Memcached
+opened its domains without a generator).
 """
 
 from __future__ import annotations
@@ -30,19 +37,25 @@ from collections import Counter
 import pytest
 
 from repro import PAGE_SIZE, PROT_READ, PROT_WRITE, Kernel, Libmpk, Machine
+from repro.apps.kvstore import Memcached, Twemperf
+from repro.apps.kvstore.slab import SLAB_BYTES
 from repro.bench.cluster import _build_cluster
+from repro.bench.serving import PoissonArrivals, ServingEngine
 
 RW = PROT_READ | PROT_WRITE
 VKEY = 100
 
 #: Budgets: named Python calls per operation.
-PAIR_BUDGET = 50
+PAIR_BUDGET = 40
 LOAD_BUDGET = 6
 STORE_BUDGET = 6
 EVICT_PAIR_BUDGET = 170
 MISS_MPROTECT_BUDGET = 155
 #: Named Python calls per client connection of a cluster run.
-CLUSTER_BUDGET = 2_600
+CLUSTER_BUDGET = 2_200
+#: Named Python calls per connection served by Memcached in
+#: ``mpk_begin`` mode.
+SERVE_BUDGET = 340
 
 
 def _profile_calls(fn, on_call) -> None:
@@ -176,6 +189,37 @@ def test_missing_mpk_mprotect(churning):
     within_budget(lambda: lib.mpk_mprotect(task, VKEY, PROT_READ),
                   MISS_MPROTECT_BUDGET)
     assert lib.cache.stats_evictions == evictions + 1
+
+
+def _serving(connections):
+    """Memcached in ``mpk_begin`` mode behind the serving engine, 4
+    workers on 2 cores, ``connections`` Poisson arrivals of 2 requests
+    each (the shape of perfbench's ``serve_memcached``)."""
+    kernel = Kernel(Machine(num_cores=3))
+    process = kernel.create_process()
+    main = process.main_task
+    lib = Libmpk(process)
+    lib.mpk_init(main)
+    store = Memcached(kernel, process, main, mode="mpk_begin", lib=lib,
+                      slab_bytes=4 * SLAB_BYTES, hash_buckets=1 << 10)
+    perf = Twemperf(store, workers=4, requests_per_connection=2)
+    engine = ServingEngine(kernel, cores=[1, 2], name="memcached")
+    for i in range(4):
+        engine.add_worker(process.spawn_task(), core_id=1 + i % 2)
+    engine.offer(PoissonArrivals(connections, 4_300.0, seed=8),
+                 perf.connection_job)
+    return engine
+
+
+def test_serving_calls_per_connection():
+    """A protected request's host cost: two domain windows, the loads
+    inside them and the engine's scheduling."""
+    connections = 48
+    engine = _serving(connections)
+    reports = []
+    within_budget(lambda: reports.append(engine.run()), SERVE_BUDGET,
+                  per=connections)
+    assert reports[0].completed == connections
 
 
 def test_cluster_calls_per_connection():
