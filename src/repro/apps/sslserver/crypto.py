@@ -65,11 +65,6 @@ class ToyRSA:
         d = int.from_bytes(blob[8 + n_len:8 + n_len + d_len], "big")
         return n, d
 
-    @staticmethod
-    def private_key_size(blob_n: int, blob_d: int) -> int:
-        return 8 + (blob_n.bit_length() + 7) // 8 + \
-            (blob_d.bit_length() + 7) // 8
-
     # Host-side memo for the raw decryption: the 1024-bit modular
     # exponentiation dominates *wall-clock* time at servebench scale
     # (100k+ handshakes), while its simulated cost is a clock charge

@@ -232,10 +232,6 @@ class CallSiteRegistry:
         self._static: frozenset[int] | None = (
             None if static_vkeys is None else frozenset(static_vkeys))
 
-    @property
-    def enforcing(self) -> bool:
-        return self._static is not None
-
     def verify(self, vkey: int) -> None:
         if self._static is not None and vkey not in self._static:
             raise MpkMetadataTampering(

@@ -79,10 +79,3 @@ class PhysicalMemory:
             raise ValueError(f"frame {frame.number} is not live")
         frame.zero()
         self._free.append(frame.number)
-
-    def frame(self, number: int) -> Frame:
-        """Look up a live frame by number."""
-        try:
-            return self._frames[number]
-        except KeyError:
-            raise ValueError(f"frame {number} is not allocated") from None
