@@ -415,9 +415,10 @@ def main(argv: list[str] | None = None) -> int:
                             help="arrival-schedule seed")
     servebench.add_argument("--scale", choices=("smoke", "large"),
                             default="smoke",
-                            help="smoke: 64 retained-record connections; "
-                                 "large: 100k streaming connections per "
-                                 "scenario")
+                            help="smoke: 64 connections per scenario; "
+                                 "large: 100k connections per scenario, "
+                                 "reporting the latency and queue-wait "
+                                 "digests")
     servebench.add_argument("--connections", type=int, default=None,
                             help="offered connections per scenario "
                                  "(default: 64 smoke / 100000 large)")
