@@ -7,9 +7,9 @@ machines.  The second run uses a page table whose generation stamp never
 matches, so every TLB hit takes the validating path (re-read the
 mapping, keep the cached prot/pkey, re-stamp).  Whatever rule decides
 when a stamp moves, an authoritative hit must be indistinguishable from
-a validating one: the returned bytes, every fault, the final contents of every mapped
-page, the TLB statistics, the cores' counters and the clock's per-site
-ledger must be equal.
+a validating one: the returned bytes, every fault, the final contents
+of every mapped page, the TLB statistics, the cores' counters and the
+clock's per-site ledger must be equal.
 """
 
 from __future__ import annotations
