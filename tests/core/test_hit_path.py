@@ -14,6 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.consts import PAGE_SIZE, PROT_READ, PROT_WRITE
+from repro.errors import SandboxViolation
 
 RW = PROT_READ | PROT_WRITE
 G = 100
@@ -111,10 +112,47 @@ def test_cached_pair_after_munmap_and_remap(lib, task):
     _check_cached_pair(lib, task, G + 1)
 
 
-@pytest.mark.parametrize("pkey, rights", [(16, 0), (-1, 0), (1, 5),
-                                          (1, 4)])
+#: Out-of-range keys and rights with bits beyond AD | WD.
+BAD_KEY_OR_RIGHTS = [(16, 0), (-1, 0), (1, 5), (1, 4)]
+
+
+@pytest.mark.parametrize("pkey, rights", BAD_KEY_OR_RIGHTS)
 def test_pkey_set_rejects_bad_key_or_rights(lib, task, pkey, rights):
     before = task.pkru.value
     with pytest.raises(ValueError):
         task.pkey_set(pkey, rights)
     assert task.pkru.value == before
+
+
+@pytest.mark.parametrize("pkey, rights", BAD_KEY_OR_RIGHTS)
+def test_trusted_pkey_set_rejects_bad_key_or_rights(lib, task, pkey,
+                                                    rights):
+    """libmpk's gated WRPKRU validates before it charges anything."""
+    before = task.pkru.value
+    core = lib._kernel.machine.core(task.core_id)
+
+    def call():
+        with pytest.raises(ValueError):
+            task.trusted_pkey_set(pkey, rights)
+
+    charges, _ = _measure(lib, call)
+    assert charges == []
+    assert task.pkru.value == core.pkru.value == before
+    assert task._gate_depth == 0
+
+
+def test_sandboxed_task_switches_only_through_libmpk(lib, task):
+    """With WRPKRU call-gating on, libmpk's own switches still run (and
+    charge exactly the hit path), while a WRPKRU or ``pkey_set`` of the
+    application outside a gate is refused."""
+    lib.mpk_mmap(task, G, PAGE_SIZE, RW)
+    task.wrpkru_sandboxed = True
+    _check_cached_pair(lib, task, G)
+    pkey = lib.group(G).pkey
+    before = task.pkru.value
+    with pytest.raises(SandboxViolation):
+        task.wrpkru(0)
+    with pytest.raises(SandboxViolation):
+        task.pkey_set(pkey, 0)
+    assert task.pkru.value == before
+    assert task._gate_depth == 0

@@ -2,14 +2,15 @@
 
 A seeded random mix of page-table edits (map, unmap, set_prot, set_pkey,
 update_range, bulk_update), TLB flushes (full, one page, a range), PKRU
-writes and 1-3-page reads, writes and fetches runs twice on identical
-machines.  The second run uses a page table whose generation stamp never
+writes and reads, writes and fetches (half of them within one page, the
+rest over up to three) runs twice on identical machines.  The second run uses a page table whose generation stamp never
 matches, so every TLB hit takes the validating path (re-read the
 mapping, keep the cached prot/pkey, re-stamp).  Whatever rule decides
-when a stamp moves, an authoritative hit must be indistinguishable from
-a validating one: the returned bytes, every fault, the final contents
-of every mapped page, the TLB statistics, the cores' counters and the
-clock's per-site ledger must be equal.
+when a stamp moves, and however the MMU serves an authoritative hit, it
+must be indistinguishable from a validating one: the returned bytes,
+every fault, the final contents of every mapped page, the TLB
+statistics, the cores' counters, every ``(site, cycles)`` charge in
+order and the clock's per-site ledger must be equal.
 """
 
 from __future__ import annotations
@@ -20,7 +21,14 @@ from dataclasses import asdict
 
 import pytest
 
-from repro.consts import PAGE_SIZE, PROT_EXEC, PROT_READ, PROT_WRITE
+from repro.consts import (
+    PAGE_SIZE,
+    PKEY_DISABLE_ACCESS,
+    PKEY_DISABLE_WRITE,
+    PROT_EXEC,
+    PROT_READ,
+    PROT_WRITE,
+)
 from repro.errors import MachineFault
 from repro.hw.machine import Machine
 from repro.hw.paging import PageTable
@@ -55,15 +63,41 @@ def _range(rng):
     return start, start + rng.randint(1, 3)
 
 
+class _Charges:
+    """Clock sink collecting every ``(site, cycles)`` charge in order."""
+
+    def __init__(self) -> None:
+        self.charges: list[tuple[str, float]] = []
+
+    def on_charge(self, site, cycles, _now, _seq) -> None:
+        self.charges.append((site, cycles))
+
+
+def _authoritative(core, pt, addr: int, length: int) -> bool:
+    """True when a ``length``-byte access at ``addr`` stays on one page
+    whose TLB entry on ``core`` carries a matching stamp."""
+    offset = addr % PAGE_SIZE
+    if not 0 < length <= PAGE_SIZE - offset:
+        return False
+    cached = core.tlb._entries.get(addr // PAGE_SIZE)
+    return (cached is not None and cached.table is pt
+            and cached.generation == pt.generation)
+
+
 def run(seed: int, table_cls) -> dict:
     """Drive the seeded op mix through ``table_cls``; return everything
-    observable about the run."""
+    observable about the run, plus (under ``"auth_faults"``, not
+    compared) the faults single-page authoritative hits raised, each as
+    ``(kind, fault class, the key's PKRU rights)``."""
     rng = random.Random(seed)
     machine = Machine(num_cores=2)
+    sink = _Charges()
+    machine.clock.add_sink(sink)
     pt = table_cls()
     outcomes = []
+    auth_faults = []
     for _ in range(OPS):
-        op = rng.randrange(12)
+        op = rng.randrange(16)
         vpn = FIRST_VPN + rng.randrange(PAGES)
         core = machine.core(rng.randrange(2))
         if op == 0:
@@ -108,7 +142,11 @@ def run(seed: int, table_cls) -> dict:
         else:
             kind = rng.choice(["read", "write", "fetch"])
             addr = vpn * PAGE_SIZE + rng.randrange(PAGE_SIZE)
-            length = rng.randint(1, 3 * PAGE_SIZE - addr % PAGE_SIZE)
+            # Half the accesses stay on one page (the MMU's hit path),
+            # half may span up to three.
+            span = rng.choice([PAGE_SIZE, 3 * PAGE_SIZE])
+            length = rng.randint(1, span - addr % PAGE_SIZE)
+            authoritative = _authoritative(core, pt, addr, length)
             try:
                 if kind == "write":
                     core.write(pt, addr, bytes([op]) * length)
@@ -121,6 +159,10 @@ def run(seed: int, table_cls) -> dict:
                                  fault.addr, fault.access,
                                  getattr(fault, "unmapped", None),
                                  getattr(fault, "pkey", None)))
+                if authoritative:
+                    pkey = core.tlb._entries[vpn].pkey
+                    auth_faults.append((kind, type(fault).__name__,
+                                        core.pkru.value >> 2 * pkey & 3))
     memory = {vpn: pt.lookup_populated(vpn).frame.read(0, PAGE_SIZE)
               for vpn in range(FIRST_VPN, FIRST_VPN + PAGES) if vpn in pt}
     return {
@@ -130,7 +172,9 @@ def run(seed: int, table_cls) -> dict:
         "counters": [(core.data_accesses, core.instruction_fetches,
                       core.wrpkru_count) for core in machine.cores],
         "clock": (machine.clock.now, machine.clock.events),
+        "charges": sink.charges,
         "ledger": machine.obs.aggregator.cycles,
+        "auth_faults": auth_faults,
     }
 
 
@@ -139,7 +183,7 @@ def test_authoritative_hits_match_validating_hits(seed):
     fast = run(seed, PageTable)
     slow = run(seed, NeverAuthoritativePageTable)
     for key in ("outcomes", "memory", "tlb", "counters", "clock",
-                "ledger"):
+                "charges", "ledger"):
         assert fast[key] == slow[key], key
 
 
@@ -153,3 +197,19 @@ def test_the_mix_reaches_every_outcome():
     faults = {o[3] for r in results for o in r["outcomes"]
               if isinstance(o, tuple) and len(o) > 4}
     assert faults == {"SegmentationFault", "PkeyFault"}
+
+
+def test_the_mix_faults_on_authoritative_single_page_hits():
+    """Single-page authoritative hits raise every fault the hit path
+    checks for: page bits on a read and on a write, AD on a read and WD
+    (without AD) on a write.  The never-authoritative table serves none
+    of them."""
+    faults = {(kind, name, rights)
+              for seed in range(4)
+              for kind, name, rights in run(seed, PageTable)["auth_faults"]}
+    kinds = {(kind, name) for kind, name, _ in faults}
+    assert {("read", "SegmentationFault"),
+            ("write", "SegmentationFault")} <= kinds, faults
+    assert ("read", "PkeyFault", PKEY_DISABLE_ACCESS) in faults, faults
+    assert ("write", "PkeyFault", PKEY_DISABLE_WRITE) in faults, faults
+    assert not run(0, NeverAuthoritativePageTable)["auth_faults"]
