@@ -341,7 +341,9 @@ class Libmpk:
         kernel = self._kernel
         kernel.clock.charge(kernel.costs.mpk_cache_lookup,
                             site="libmpk.keycache.lookup")
-        self._registry.verify(vkey)
+        static = self._registry.static
+        if static is not None and vkey not in static:
+            self._registry.verify(vkey)  # raises
         group = self._groups.get(vkey)
         if group is None:
             self._lookup_group(vkey)
@@ -555,7 +557,9 @@ class Libmpk:
         kernel = self._kernel
         kernel.clock.charge(kernel.costs.mpk_cache_lookup,
                             site="libmpk.keycache.lookup")
-        self._registry.verify(vkey)
+        static = self._registry.static
+        if static is not None and vkey not in static:
+            self._registry.verify(vkey)  # raises
         group = self._groups.get(vkey)
         if group is None:
             self._lookup_group(vkey)
@@ -575,7 +579,8 @@ class Libmpk:
             self._repair_record(group)
             raise
         # The dropped pin may make an eviction victim available.
-        self._wake_key_waiters()
+        if self.key_waiters._waiters:
+            self._wake_key_waiters()
 
     @contextmanager
     def domain(self, task: "Task", vkey: int, prot: int):

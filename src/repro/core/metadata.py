@@ -93,13 +93,21 @@ class MetadataRegion:
 
     def kernel_upsert(self, vkey: int, pkey: int | None, pinned: int,
                       flags: int = 0) -> None:
-        """Write/update the record for ``vkey`` via the kernel alias."""
+        """Write/update the record for ``vkey`` via the kernel alias,
+        in place while the page's cached frame is still current."""
         slot = self._slots.get(vkey)
         if slot is None:
             slot = self._take_slot(vkey)
         data = _RECORD.pack(vkey, -1 if pkey is None else pkey,
                             pinned, flags)
-        self._frame_write(slot, data)
+        cached = self._page_frames.get(slot // _RECORDS_PER_PAGE)
+        if (cached is not None
+                and cached[1] == self._page_table.map_generation
+                and cached[0]._data is not None):
+            offset = slot % _RECORDS_PER_PAGE * RECORD_SIZE
+            cached[0]._data[offset:offset + RECORD_SIZE] = data
+        else:
+            self._frame_write(slot, data)
         self._kernel.clock.charge(self._kernel.costs.mpk_metadata_op,
                                   site="libmpk.metadata.update")
 
@@ -229,11 +237,12 @@ class CallSiteRegistry:
     """
 
     def __init__(self, static_vkeys: typing.Iterable[int] | None) -> None:
-        self._static: frozenset[int] | None = (
+        # The hardcoded vkeys, None when unchecked (public: read inline).
+        self.static: frozenset[int] | None = (
             None if static_vkeys is None else frozenset(static_vkeys))
 
     def verify(self, vkey: int) -> None:
-        if self._static is not None and vkey not in self._static:
+        if self.static is not None and vkey not in self.static:
             raise MpkMetadataTampering(
                 f"vkey {vkey} is not a hardcoded constant of this binary "
                 "(possible protection-key corruption)")

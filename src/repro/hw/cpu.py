@@ -191,20 +191,19 @@ class Core:
         if kind not in _ACCESS_KINDS:
             raise ValueError(f"unknown access kind: {kind!r}")
         vpn = page_number(addr)
-        _frame, prot, pkey, _hit = self._translate(page_table, vpn, addr,
-                                                   kind)
+        _frame, prot, pkey, hit = self._translate(
+            page_table, vpn, addr, kind, self.tlb._entries.get(vpn))
+        if hit:
+            self.clock.charge(self.costs.tlb_hit, site="hw.tlb.hit")
         self.clock.charge(self.costs.mem_access, site="hw.mem.access")
         self._enforce(prot, pkey, addr, kind)
         return page_table.lookup_populated(vpn)
 
-    #: Sentinel distinguishing "caller did not probe" from "caller
-    #: probed and found nothing" in :meth:`_translate`.
-    _UNPROBED = object()
-
     def _translate(self, page_table: PageTable, vpn: int, addr: int,
-                   kind: str, defer_hit_charge: bool = False,
-                   probed: object = _UNPROBED):
-        """Resolve ``vpn`` to ``(frame, prot, pkey)`` through the TLB.
+                   kind: str, cached: TlbEntry | None):
+        """Resolve ``vpn`` to ``(frame, prot, pkey)`` through the TLB;
+        ``cached`` is the caller's raw probe of it (entry or None), so
+        the dict is not probed twice and the LRU touch happens here.
 
         Three outcomes, each counting one access:
 
@@ -218,16 +217,10 @@ class Core:
           TLB filled.
 
         Raises :class:`SegmentationFault` (``unmapped=True``), counting
-        no access and charging nothing, when no translation exists.  A
-        hit charges the (zero-cost) ``hw.tlb.hit`` unless
-        ``defer_hit_charge`` (the batched transfer path folds hit
-        charges into one :meth:`Clock.charge`).  Returns a fourth
-        value: True when the translation was a TLB hit.
-
-        ``probed`` lets the batched transfer path hand over the raw
-        result of its own TLB lookup (entry or None) so the dict is not
-        probed twice per page; the LRU refresh :meth:`TLB.probe` would
-        have performed is applied here instead.
+        no access and charging nothing, when no translation exists.
+        Returns a fourth value, True when the translation was a TLB
+        hit: the caller charges the hit's (zero-cost) ``hw.tlb.hit``
+        (the batched transfer folds them into one :meth:`Clock.charge`).
 
         Counters first, charges after: the architectural access counter
         and the TLB outcome are recorded before any cycle charge, so the
@@ -235,13 +228,8 @@ class Core:
         injector raises out of a charge.
         """
         tlb = self.tlb
-        if probed is Core._UNPROBED:
-            cached = tlb.probe(vpn)
-        else:
-            cached = probed
-            if cached is not None:
-                tlb._entries.move_to_end(vpn)
         if cached is not None:
+            tlb._entries.move_to_end(vpn)
             if (cached.table is page_table
                     and cached.generation == page_table.generation):
                 # Authoritative hit: the generation stamp proves no
@@ -249,7 +237,7 @@ class Core:
                 # the cached frame; prot/pkey are the TLB's own on
                 # every hit.
                 self._count_access(kind)
-                tlb.record_hit(charge=not defer_hit_charge)
+                tlb.record_hit(charge=False)
                 return cached.frame, cached.prot, cached.pkey, True
             # Stale stamp: mapping existence and the frame come from
             # the paging structures, permission bits stay with the TLB
@@ -261,7 +249,7 @@ class Core:
                     f"{kind} of unmapped address {addr:#x}", addr=addr,
                     access=kind, unmapped=True)
             self._count_access(kind)
-            tlb.record_hit(charge=not defer_hit_charge)
+            tlb.record_hit(charge=False)
             # Re-stamp in place: the entry is resident, so no
             # allocation and no dict write.
             cached.restamp(entry.frame, entry.frame.number,
@@ -322,12 +310,58 @@ class Core:
     # ------------------------------------------------------------------
 
     def read(self, page_table: PageTable, addr: int, length: int) -> bytes:
-        """MMU-checked read of ``length`` bytes starting at ``addr``."""
+        """MMU-checked read of ``length`` bytes starting at ``addr``.  A
+        one-page read with an authoritative TLB entry is served here in
+        :meth:`_translate`'s order (LRU touch, counters, ``tlb_hit`` then
+        ``mem_access`` charge, page bits, then AD; :meth:`_enforce` only
+        raises); every other read goes to :meth:`_transfer`."""
+        offset = addr % PAGE_SIZE
+        entries = self.tlb._entries
+        cached = entries.get(addr // PAGE_SIZE)
+        if (0 < length <= PAGE_SIZE - offset and cached is not None
+                and cached.table is page_table
+                and cached.generation == page_table.generation):
+            entries.move_to_end(addr // PAGE_SIZE)
+            self.tlb.stats.hits += 1
+            self.data_accesses += 1
+            frame, prot, pkey = cached.frame, cached.prot, cached.pkey
+            self.clock.charge(self.costs.tlb_hit, site="hw.tlb.hit")
+            self.clock.charge(self.costs.mem_access, site="hw.mem.access")
+            if (not prot & 0x1
+                    or self.pkru.value >> 2 * pkey & PKEY_DISABLE_ACCESS):
+                self._enforce(prot, pkey, addr, READ)
+            fdata = frame._data
+            # bytes(), not a bare bytearray slice — read() promises
+            # bytes, and callers hash / compare the result.
+            return (bytes(length) if fdata is None
+                    else bytes(fdata[offset:offset + length]))
         return self._transfer(page_table, addr, length, READ, None)
 
     def write(self, page_table: PageTable, addr: int, data: bytes) -> None:
-        """MMU-checked write of ``data`` starting at ``addr``."""
-        self._transfer(page_table, addr, len(data), WRITE, data)
+        """MMU-checked write of ``data`` starting at ``addr``; a
+        one-page write with an authoritative TLB entry is served here as
+        in :meth:`read`, its PKRU test needing AD and WD clear."""
+        offset = addr % PAGE_SIZE
+        length = len(data)
+        entries = self.tlb._entries
+        cached = entries.get(addr // PAGE_SIZE)
+        if (0 < length <= PAGE_SIZE - offset and cached is not None
+                and cached.table is page_table
+                and cached.generation == page_table.generation):
+            entries.move_to_end(addr // PAGE_SIZE)
+            self.tlb.stats.hits += 1
+            self.data_accesses += 1
+            frame, prot, pkey = cached.frame, cached.prot, cached.pkey
+            self.clock.charge(self.costs.tlb_hit, site="hw.tlb.hit")
+            self.clock.charge(self.costs.mem_access, site="hw.mem.access")
+            if (not prot & 0x2 or self.pkru.value >> 2 * pkey
+                    & (PKEY_DISABLE_ACCESS | PKEY_DISABLE_WRITE)):
+                self._enforce(prot, pkey, addr, WRITE)
+            if frame._data is None:
+                frame._data = bytearray(PAGE_SIZE)
+            frame._data[offset:offset + length] = data
+        else:
+            self._transfer(page_table, addr, length, WRITE, data)
 
     def fetch(self, page_table: PageTable, addr: int, length: int) -> bytes:
         """Instruction fetch (PKRU-exempt) of ``length`` bytes."""
@@ -347,9 +381,12 @@ class Core:
         the fault is a permission fault — counts one access and pays
         one ``mem_access``; an unmapped page counts and pays nothing.
 
-        The loop body inlines the authoritative-hit case of
-        :meth:`_translate` — a dict probe, an identity/generation
-        compare, and an LRU touch, with no Python function calls — and
+        :meth:`read` and :meth:`write` serve one-page authoritative
+        hits themselves, so this sees their misses, stale stamps and
+        multi-page accesses, and every fetch.  The loop body inlines
+        the authoritative-hit case of :meth:`_translate` — a dict
+        probe, an identity/generation compare, and an LRU touch, with
+        no Python function calls — and
         memoizes the :meth:`_enforce` verdict per distinct
         ``(prot, pkey)`` (PKRU cannot change mid-transfer).  This is
         where the simulator spends its host time, so the statistics and
@@ -361,53 +398,6 @@ class Core:
         if length < 0:
             raise ValueError("length must be non-negative")
         entries = self.tlb._entries
-        offset = addr % PAGE_SIZE
-        if 0 < length <= PAGE_SIZE - offset:
-            # Single-page transfer — the dominant shape for the
-            # syscall-heavy workloads (table1's toggle-then-touch,
-            # fig14's per-item GET/SET), where every access also tends
-            # to be a TLB *miss* because the preceding mprotect's
-            # shootdown just dropped the page.  One probe, one
-            # translate, no loop/batching machinery.  Charges, counters,
-            # and ordering match one trip through the general loop
-            # below: counters before charges, charges before the
-            # permission check can raise (a permission fault still pays
-            # tlb_hit/mem_access; an unmapped fault pays neither).
-            vpn = addr // PAGE_SIZE
-            cached = entries.get(vpn)
-            charge = self.clock.charge
-            costs = self.costs
-            if (cached is not None and cached.table is page_table
-                    and cached.generation == page_table.generation):
-                entries.move_to_end(vpn)
-                self.tlb.stats.hits += 1
-                if kind == FETCH:
-                    self.instruction_fetches += 1
-                else:
-                    self.data_accesses += 1
-                frame = cached.frame
-                prot = cached.prot
-                pkey = cached.pkey
-                charge(costs.tlb_hit, site="hw.tlb.hit")
-            else:
-                frame, prot, pkey, hit = self._translate(
-                    page_table, vpn, addr, kind, defer_hit_charge=True,
-                    probed=cached)
-                if hit:
-                    charge(costs.tlb_hit, site="hw.tlb.hit")
-            charge(costs.mem_access, site="hw.mem.access")
-            self._enforce(prot, pkey, addr, kind)
-            fdata = frame._data
-            if data is None:
-                if fdata is None:
-                    return bytes(length)
-                # bytes(), not a bare bytearray slice — read() promises
-                # bytes, and callers hash / compare the result.
-                return bytes(fdata[offset:offset + length])
-            if fdata is None:
-                frame._data = fdata = bytearray(PAGE_SIZE)
-            fdata[offset:offset + length] = data
-            return None
         entries_get = entries.get
         move_to_end = entries.move_to_end
         gen = page_table.generation
@@ -436,8 +426,7 @@ class Core:
                     auth += 1
                 else:
                     frame, prot, pkey, hit = self._translate(
-                        page_table, vpn, pos, kind, defer_hit_charge=True,
-                        probed=cached)
+                        page_table, vpn, pos, kind, cached)
                     hits += hit
                     pages += 1
                     # Re-read the stamp: lookup() runs the demand-

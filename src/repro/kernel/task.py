@@ -13,6 +13,7 @@ import dataclasses
 import typing
 from collections import deque
 
+from repro.consts import NUM_PKEYS
 from repro.errors import MachineFault, SandboxViolation
 from repro.hw.pkru import PKRU, PkruEncodeMemo, with_key_rights
 
@@ -325,19 +326,14 @@ class Task:
         return self._gate
 
     def wrpkru(self, value: int) -> None:
-        """Userspace WRPKRU — updates this thread's PKRU only."""
-        self._wrpkru(value)
-
-    def _wrpkru(self, value: int, core=None) -> None:
-        """WRPKRU behind the sandbox gate, on ``core`` when the caller
-        already resolved this task's core.  The gate is checked first,
-        so a sandboxed WRPKRU outside a gate is a
-        :class:`SandboxViolation` even when the task is off-core."""
+        """Userspace WRPKRU — updates this thread's PKRU only.  The
+        sandbox gate is checked first, so a sandboxed WRPKRU outside a
+        gate is a :class:`SandboxViolation` even when the task is
+        off-core."""
         if self.wrpkru_sandboxed and self._gate_depth == 0:
             raise SandboxViolation(
                 f"task {self.tid}: WRPKRU outside a trusted call gate")
-        if core is None:
-            core = self._core()
+        core = self._core()
         core.wrpkru(value)
         self.pkru = pkru = core.pkru
         self._pkru_memo.note_pkru_write(pkru.value)
@@ -363,24 +359,30 @@ class Task:
         bad key or bad rights bits raise ``ValueError``, as
         :meth:`PKRU.with_rights` does.
         """
-        core = self._core()
-        self._wrpkru(with_key_rights(core.pkru.value, pkey, rights), core)
+        self.wrpkru(with_key_rights(self._core().pkru.value, pkey, rights))
 
     def trusted_pkey_set(self, pkey: int, rights: int) -> None:
         """:meth:`pkey_set` inside the trusted call gate: the WRPKRU
         libmpk's own entry points execute.  Equivalent to ``with
-        task.trusted_gate(): task.pkey_set(pkey, rights)``, which is
-        how the sandbox check always passes here."""
+        task.trusted_gate(): task.pkey_set(pkey, rights)`` (so the
+        sandbox check always passes), inlined for the domain-switch
+        hit path: :func:`with_key_rights` runs only to raise."""
         core_id = self.core_id
         if core_id is None:
             self._core()  # raises: not on a core
+        if not 0 <= pkey < NUM_PKEYS or rights & ~0x3:
+            with_key_rights(0, pkey, rights)  # raises ValueError
         core = self._cores[core_id]
-        value = with_key_rights(core.pkru.value, pkey, rights)
+        shift = 2 * pkey
         self._gate_depth += 1
         try:
-            self._wrpkru(value, core)
+            core.wrpkru(core.pkru.value & ~(0x3 << shift) | rights << shift)
         finally:
             self._gate_depth -= 1
+        self.pkru = pkru = core.pkru
+        memo = self._pkru_memo
+        if pkru.value != memo._base_value and memo._base_value >= 0:
+            memo.invalidate()
 
     def pkey_get(self, pkey: int) -> int:
         """glibc pkey_get(): RDPKRU and extract one key's rights."""
