@@ -12,27 +12,30 @@ functions count: frames whose ``co_name`` starts with ``<``
 skipped, so the counts agree across 3.11 and 3.12.  A budget failure
 prints the calls split by layer (``repro.<layer>``).
 
-Measured on Python 3.11.7: a cached ``mpk_begin`` + ``mpk_end`` pair
-makes 31 calls (37 before spans became nodes of a path tree, 47 before
-the key-miss path was made cheap, when each WRPKRU went through a gate
-context manager), and a cached 8-byte ``Task.read`` or ``Task.write``
-makes 6.  An evicting ``mpk_begin`` + ``mpk_end`` pair with 3 running
-siblings makes 158 (164 before the path tree, 295 before the key-miss
-work), and an ``mpk_mprotect`` that misses and evicts makes 149 (148
-before: its first call creates three span-tree nodes; 269 before the
-key-miss work).  A healthy 3-node, 2-replica cluster
-(``_build_cluster``, seed 5, 48 connections) makes 1,962 calls per
-connection (2,273 before TLB stamps moved only on unmap and spans
-became tree nodes, 2,485 before that).  A served ``mpk_begin``
-Memcached connection (``_serving``: 48 connections of 2 requests)
-makes 317 calls (368 before those two changes and before Memcached
-opened its domains without a generator).
+Measured on Python 3.11.7 and 3.12.1 (the counts agree): a cached
+``mpk_begin`` + ``mpk_end`` pair makes 19 calls (31 before the domain
+switch lost its call chain, 37 before spans became nodes of a path
+tree, 47 before the key-miss path was made cheap, when each WRPKRU
+went through a gate context manager), and a cached 8-byte
+``Task.read`` or ``Task.write`` makes 4 (6 before ``Core.read`` and
+``Core.write`` served authoritative single-page hits themselves).  An
+evicting ``mpk_begin`` + ``mpk_end`` pair with 3 running siblings makes
+142 (158 before, 164 before the path tree, 295 before the key-miss
+work), and an ``mpk_mprotect`` that misses and evicts makes 144 (149
+before; 148 before its first call created three span-tree nodes; 269
+before the key-miss work).  A healthy 3-node, 2-replica cluster
+(``_build_cluster``, seed 5, 48 connections) makes 1,660 calls per
+connection (1,962 before the one-frame hit paths, 2,273 before TLB
+stamps moved only on unmap and spans became tree nodes, 2,485 before
+that).  A served ``mpk_begin`` Memcached connection (``_serving``: 48
+connections of 2 requests) makes 256 calls (317 before the one-frame
+hit paths, 368 before those two changes and before Memcached opened
+its domains without a generator).  The counters live in
+:mod:`repro.bench.harness`, so an interpreter without pytest can take
+the same counts.
 """
 
 from __future__ import annotations
-
-import sys
-from collections import Counter
 
 import pytest
 
@@ -40,66 +43,23 @@ from repro import PAGE_SIZE, PROT_READ, PROT_WRITE, Kernel, Libmpk, Machine
 from repro.apps.kvstore import Memcached, Twemperf
 from repro.apps.kvstore.slab import SLAB_BYTES
 from repro.bench.cluster import _build_cluster
+from repro.bench.harness import calls_by_layer, named_calls
 from repro.bench.serving import PoissonArrivals, ServingEngine
 
 RW = PROT_READ | PROT_WRITE
 VKEY = 100
 
 #: Budgets: named Python calls per operation.
-PAIR_BUDGET = 40
-LOAD_BUDGET = 6
-STORE_BUDGET = 6
-EVICT_PAIR_BUDGET = 170
-MISS_MPROTECT_BUDGET = 155
+PAIR_BUDGET = 24
+LOAD_BUDGET = 4
+STORE_BUDGET = 4
+EVICT_PAIR_BUDGET = 150
+MISS_MPROTECT_BUDGET = 150
 #: Named Python calls per client connection of a cluster run.
-CLUSTER_BUDGET = 2_200
+CLUSTER_BUDGET = 1_800
 #: Named Python calls per connection served by Memcached in
 #: ``mpk_begin`` mode.
-SERVE_BUDGET = 340
-
-
-def _profile_calls(fn, on_call) -> None:
-    """Run ``fn()`` calling ``on_call(frame)`` for each named Python
-    function call it makes (``sys.setprofile`` ``"call"`` events;
-    builtins and ``<``-prefixed frames are not counted)."""
-    def profile(frame, event, _arg):
-        if event == "call" and not frame.f_code.co_name.startswith("<"):
-            on_call(frame)
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        fn()
-    finally:
-        sys.setprofile(previous)
-
-
-def named_calls(fn) -> int:
-    """Run ``fn()`` and count the named Python function calls it makes."""
-    count = 0
-
-    def on_call(_frame):
-        nonlocal count
-        count += 1
-
-    _profile_calls(fn, on_call)
-    return count
-
-
-def calls_by_layer(fn) -> Counter:
-    """Run ``fn()`` and count its named calls per layer: the package
-    under ``repro`` a frame's module lives in (``repro.kernel.sched``
-    counts for ``kernel``, ``repro.obs`` for ``obs``); frames outside
-    ``repro`` count for ``other``."""
-    layers: Counter = Counter()
-
-    def on_call(frame):
-        parts = frame.f_globals.get("__name__", "").split(".")
-        layers[parts[1] if len(parts) > 1 and parts[0] == "repro"
-               else "other"] += 1
-
-    _profile_calls(fn, on_call)
-    return layers
+SERVE_BUDGET = 280
 
 
 def within_budget(fn, budget: int, per: int = 1) -> None:
