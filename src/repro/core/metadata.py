@@ -102,8 +102,9 @@ class MetadataRegion:
                             pinned, flags)
         cached = self._page_frames.get(slot // _RECORDS_PER_PAGE)
         if (cached is not None
-                and cached[1] == self._page_table.map_generation
-                and cached[0]._data is not None):
+                and cached[1] == self._page_table.map_generation):
+            # _frame_write materialized the frame's bytes, and only an
+            # unmap (which moves the stamp) frees the frame.
             offset = slot % _RECORDS_PER_PAGE * RECORD_SIZE
             cached[0]._data[offset:offset + RECORD_SIZE] = data
         else:
@@ -156,19 +157,15 @@ class MetadataRegion:
     def _frame_write(self, slot: int, data: bytes) -> None:
         """Write one whole record into ``slot`` through the kernel
         alias: straight into the physical frame, resolved through the
-        page table only when a map or unmap happened since the cached
-        frame was resolved.
+        page table and cached for :meth:`kernel_upsert`'s in-place
+        writes, which trust it until a map or unmap.
         Records never straddle a page, so no range check is needed."""
-        page = slot // _RECORDS_PER_PAGE
         page_table = self._page_table
-        cached = self._page_frames.get(page)
-        if cached is not None and cached[1] == page_table.map_generation:
-            frame = cached[0]
-        else:
-            base, offset = self._slot_addr(slot * RECORD_SIZE)
-            frame = page_table.lookup((base + offset) // PAGE_SIZE).frame
-            # Stamped after the lookup: a demand fault bumps it.
-            self._page_frames[page] = (frame, page_table.map_generation)
+        base, offset = self._slot_addr(slot * RECORD_SIZE)
+        frame = page_table.lookup((base + offset) // PAGE_SIZE).frame
+        # Stamped after the lookup: a demand fault bumps it.
+        self._page_frames[slot // _RECORDS_PER_PAGE] = (
+            frame, page_table.map_generation)
         offset = slot % _RECORDS_PER_PAGE * RECORD_SIZE
         fdata = frame._data
         if fdata is None:
