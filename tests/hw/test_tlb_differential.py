@@ -3,14 +3,15 @@
 A seeded random mix of page-table edits (map, unmap, set_prot, set_pkey,
 update_range, bulk_update), TLB flushes (full, one page, a range), PKRU
 writes and reads, writes and fetches (half of them within one page, the
-rest over up to three) runs twice on identical machines.  The second run uses a page table whose generation stamp never
-matches, so every TLB hit takes the validating path (re-read the
-mapping, keep the cached prot/pkey, re-stamp).  Whatever rule decides
-when a stamp moves, and however the MMU serves an authoritative hit, it
-must be indistinguishable from a validating one: the returned bytes,
-every fault, the final contents of every mapped page, the TLB
-statistics, the cores' counters, every ``(site, cycles)`` charge in
-order and the clock's per-site ledger must be equal.
+rest over up to three) runs twice on identical machines.  The second
+run uses a page table whose generation stamp never matches, so every
+TLB hit takes the validating path (re-read the mapping, keep the
+cached prot/pkey, re-stamp).  Whatever rule decides when a stamp moves,
+and however the MMU serves an authoritative hit, it must be
+indistinguishable from a validating one: the returned bytes, every
+fault, the final contents of every mapped page, the TLB statistics,
+the cores' counters, every ``(site, cycles)`` charge in order and the
+clock's per-site ledger must be equal.
 """
 
 from __future__ import annotations
@@ -204,9 +205,8 @@ def test_the_mix_faults_on_authoritative_single_page_hits():
     checks for: page bits on a read and on a write, AD on a read and WD
     (without AD) on a write.  The never-authoritative table serves none
     of them."""
-    faults = {(kind, name, rights)
-              for seed in range(4)
-              for kind, name, rights in run(seed, PageTable)["auth_faults"]}
+    faults = {fault for seed in range(4)
+              for fault in run(seed, PageTable)["auth_faults"]}
     kinds = {(kind, name) for kind, name, _ in faults}
     assert {("read", "SegmentationFault"),
             ("write", "SegmentationFault")} <= kinds, faults
