@@ -190,14 +190,10 @@ class Core:
         """
         if kind not in _ACCESS_KINDS:
             raise ValueError(f"unknown access kind: {kind!r}")
-        vpn = page_number(addr)
-        _frame, prot, pkey, hit = self._translate(
-            page_table, vpn, addr, kind, self.tlb._entries.get(vpn))
-        if hit:
-            self.clock.charge(self.costs.tlb_hit, site="hw.tlb.hit")
-        self.clock.charge(self.costs.mem_access, site="hw.mem.access")
-        self._enforce(prot, pkey, addr, kind)
-        return page_table.lookup_populated(vpn)
+        # A one-byte transfer with no payload: translate, charge and
+        # enforce as ``kind``, then copy one byte out (no state change).
+        self._transfer(page_table, addr, 1, kind, None)
+        return page_table.lookup_populated(page_number(addr))
 
     def _translate(self, page_table: PageTable, vpn: int, addr: int,
                    kind: str, cached: TlbEntry | None):
@@ -237,7 +233,7 @@ class Core:
                 # the cached frame; prot/pkey are the TLB's own on
                 # every hit.
                 self._count_access(kind)
-                tlb.record_hit(charge=False)
+                tlb.record_hit()
                 return cached.frame, cached.prot, cached.pkey, True
             # Stale stamp: mapping existence and the frame come from
             # the paging structures, permission bits stay with the TLB
@@ -249,7 +245,7 @@ class Core:
                     f"{kind} of unmapped address {addr:#x}", addr=addr,
                     access=kind, unmapped=True)
             self._count_access(kind)
-            tlb.record_hit(charge=False)
+            tlb.record_hit()
             # Re-stamp in place: the entry is resident, so no
             # allocation and no dict write.
             cached.restamp(entry.frame, entry.frame.number,
@@ -311,10 +307,9 @@ class Core:
 
     def read(self, page_table: PageTable, addr: int, length: int) -> bytes:
         """MMU-checked read of ``length`` bytes starting at ``addr``.  A
-        one-page read with an authoritative TLB entry is served here in
-        :meth:`_translate`'s order (LRU touch, counters, ``tlb_hit`` then
-        ``mem_access`` charge, page bits, then AD; :meth:`_enforce` only
-        raises); every other read goes to :meth:`_transfer`."""
+        one-page authoritative TLB hit is served here (counters, then
+        ``tlb_hit`` and ``mem_access``, then page bits and AD, then the
+        copy); every other read goes to :meth:`_transfer`."""
         offset = addr % PAGE_SIZE
         entries = self.tlb._entries
         cached = entries.get(addr // PAGE_SIZE)
@@ -338,9 +333,8 @@ class Core:
         return self._transfer(page_table, addr, length, READ, None)
 
     def write(self, page_table: PageTable, addr: int, data: bytes) -> None:
-        """MMU-checked write of ``data`` starting at ``addr``; a
-        one-page write with an authoritative TLB entry is served here as
-        in :meth:`read`, its PKRU test needing AD and WD clear."""
+        """MMU-checked write of ``data`` starting at ``addr``, served
+        as in :meth:`read` (the PKRU test needs AD and WD clear)."""
         offset = addr % PAGE_SIZE
         length = len(data)
         entries = self.tlb._entries
@@ -382,22 +376,40 @@ class Core:
         one ``mem_access``; an unmapped page counts and pays nothing.
 
         :meth:`read` and :meth:`write` serve one-page authoritative
-        hits themselves, so this sees their misses, stale stamps and
-        multi-page accesses, and every fetch.  The loop body inlines
+        hits themselves; a one-page access that reaches here goes
+        through :meth:`_translate` once.  The multi-page loop inlines
         the authoritative-hit case of :meth:`_translate` — a dict
         probe, an identity/generation compare, and an LRU touch, with
-        no Python function calls — and
-        memoizes the :meth:`_enforce` verdict per distinct
-        ``(prot, pkey)`` (PKRU cannot change mid-transfer).  This is
-        where the simulator spends its host time, so the statistics and
-        architectural counters for inlined hits are accumulated locally
-        and folded in once, in the ``finally`` block, *before* any
-        charge — preserving the counter-conservation invariant even
-        when a fault injector raises out of a charge.
+        no Python function calls — and memoizes the :meth:`_enforce`
+        verdict per distinct ``(prot, pkey)`` (PKRU cannot change
+        mid-transfer).  The statistics and architectural counters for
+        inlined hits are accumulated locally and folded in once, in the
+        ``finally`` block, *before* any charge — preserving the
+        counter-conservation invariant even when a fault injector
+        raises out of a charge.
         """
         if length < 0:
             raise ValueError("length must be non-negative")
         entries = self.tlb._entries
+        offset = addr % PAGE_SIZE
+        if 0 < length <= PAGE_SIZE - offset:
+            # One page (a read/write miss or stale stamp, any fetch):
+            # charged before the permission check and the copy.
+            vpn = addr // PAGE_SIZE
+            frame, prot, pkey, hit = self._translate(
+                page_table, vpn, addr, kind, entries.get(vpn))
+            if hit:
+                self.clock.charge(self.costs.tlb_hit, site="hw.tlb.hit")
+            self.clock.charge(self.costs.mem_access, site="hw.mem.access")
+            self._enforce(prot, pkey, addr, kind)
+            fdata = frame._data
+            if data is None:
+                return (bytes(length) if fdata is None
+                        else bytes(fdata[offset:offset + length]))
+            if fdata is None:
+                frame._data = fdata = bytearray(PAGE_SIZE)
+            fdata[offset:offset + length] = data
+            return None
         entries_get = entries.get
         move_to_end = entries.move_to_end
         gen = page_table.generation

@@ -169,11 +169,10 @@ class TLB:
             self._entries.move_to_end(vpn)
         return entry
 
-    def record_hit(self, charge: bool = True) -> None:
-        """Account a probe that served a mapped page from the TLB."""
+    def record_hit(self) -> None:
+        """Account a probe that served a mapped page from the TLB (the
+        caller charges ``hw.tlb.hit``)."""
         self.stats.hits += 1
-        if charge:
-            self._clock.charge(self._costs.tlb_hit, site="hw.tlb.hit")
 
     def record_walk_miss(self) -> None:
         """Account a probe miss that proceeds to a charged page walk

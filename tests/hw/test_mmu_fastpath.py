@@ -5,7 +5,8 @@ overlay-pruning and stats-contract regressions it depends on."""
 import pytest
 
 from repro.consts import PAGE_SIZE, PROT_READ, PROT_WRITE
-from repro.errors import PkeyFault, SegmentationFault
+from repro.errors import InjectedFault, PkeyFault, SegmentationFault
+from repro.faults.inject import FaultInjector
 from repro.hw.machine import Machine
 from repro.hw.paging import PageTable
 from repro.hw.pkru import KEY_RIGHTS_NONE, PKRU
@@ -200,6 +201,27 @@ class TestBatchedTransfer:
         assert machine.obs.aggregator.cycles.get(
             "hw.mem.access") == pytest.approx(machine.costs.mem_access)
         assert core.data_accesses == 1
+
+    @pytest.mark.parametrize("tlb_state, site", [
+        ("miss", "hw.tlb.walk"), ("miss", "hw.mem.access"),
+        ("stale", "hw.tlb.hit"), ("stale", "hw.mem.access"),
+        ("authoritative", "hw.tlb.hit"),
+        ("authoritative", "hw.mem.access")])
+    def test_one_page_write_charges_before_it_copies(self, tlb_state, site):
+        """A one-page write pays its charges before its bytes land,
+        whatever the TLB holds: a fault injected at any of them leaves
+        the page as it was."""
+        machine, core, pt = make_core_and_table(pages=2)
+        if tlb_state != "miss":
+            core.read(pt, 0x10000, 1)       # fill the TLB entry
+        if tlb_state == "stale":
+            pt.unmap(0x11)                  # moves the stamp
+        injector = FaultInjector()
+        machine.obs.add_sink(injector)
+        injector.arm(site, occurrence=1)
+        with pytest.raises(InjectedFault):
+            core.write(pt, 0x10008, b"new!")
+        assert pt.lookup(0x10).frame.read(0, PAGE_SIZE) == bytes(PAGE_SIZE)
 
     def test_counter_conservation_invariant_audited(self):
         machine, core, pt = make_core_and_table()

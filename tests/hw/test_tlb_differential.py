@@ -10,14 +10,17 @@ cached prot/pkey, re-stamp).  Whatever rule decides when a stamp moves,
 and however the MMU serves an authoritative hit, it must be
 indistinguishable from a validating one: the returned bytes, every
 fault, the final contents of every mapped page, the TLB statistics,
-the cores' counters, every ``(site, cycles)`` charge in order and the
-clock's per-site ledger must be equal.
+the cores' counters, every ``(site, cycles)`` charge in order (with,
+for a charge an access makes, the contents of the pages it targets at
+that moment, so a copy moved across a charge shows) and the clock's
+per-site ledger must be equal.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import zlib
 from dataclasses import asdict
 
 import pytest
@@ -65,13 +68,18 @@ def _range(rng):
 
 
 class _Charges:
-    """Clock sink collecting every ``(site, cycles)`` charge in order."""
+    """Clock sink collecting every ``(site, cycles)`` charge in order,
+    each with a checksum of every frame in ``targets`` (the frames of
+    the pages the running access touches; empty between accesses)."""
 
     def __init__(self) -> None:
-        self.charges: list[tuple[str, float]] = []
+        self.charges: list[tuple[str, float, tuple]] = []
+        self.targets: list = []
 
     def on_charge(self, site, cycles, _now, _seq) -> None:
-        self.charges.append((site, cycles))
+        self.charges.append((site, cycles, tuple(
+            None if frame is None else zlib.crc32(frame.read(0, PAGE_SIZE))
+            for frame in self.targets)))
 
 
 def _authoritative(core, pt, addr: int, length: int) -> bool:
@@ -95,6 +103,7 @@ def run(seed: int, table_cls) -> dict:
     sink = _Charges()
     machine.clock.add_sink(sink)
     pt = table_cls()
+    frames = {}   # vpn -> the frame it maps
     outcomes = []
     auth_faults = []
     for _ in range(OPS):
@@ -103,14 +112,17 @@ def run(seed: int, table_cls) -> dict:
         core = machine.core(rng.randrange(2))
         if op == 0:
             if vpn not in pt:
-                pt.map(vpn, machine.memory.alloc_frame(),
-                       rng.choice(PROTS), pkey=rng.randrange(PKEYS))
+                frames[vpn] = machine.memory.alloc_frame()
+                pt.map(vpn, frames[vpn], rng.choice(PROTS),
+                       pkey=rng.randrange(PKEYS))
         elif op == 1:
             if vpn in pt:
                 pt.unmap(vpn)
+                del frames[vpn]
                 if rng.randrange(2):  # remap onto a fresh frame
-                    pt.map(vpn, machine.memory.alloc_frame(),
-                           rng.choice(PROTS), pkey=rng.randrange(PKEYS))
+                    frames[vpn] = machine.memory.alloc_frame()
+                    pt.map(vpn, frames[vpn], rng.choice(PROTS),
+                           pkey=rng.randrange(PKEYS))
         elif op == 2:
             if vpn in pt:
                 pt.set_prot(vpn, rng.choice(PROTS))
@@ -148,6 +160,8 @@ def run(seed: int, table_cls) -> dict:
             span = rng.choice([PAGE_SIZE, 3 * PAGE_SIZE])
             length = rng.randint(1, span - addr % PAGE_SIZE)
             authoritative = _authoritative(core, pt, addr, length)
+            sink.targets = [frames.get(page) for page in range(
+                vpn, (addr + length - 1) // PAGE_SIZE + 1)]
             try:
                 if kind == "write":
                     core.write(pt, addr, bytes([op]) * length)
@@ -164,6 +178,7 @@ def run(seed: int, table_cls) -> dict:
                     pkey = core.tlb._entries[vpn].pkey
                     auth_faults.append((kind, type(fault).__name__,
                                         core.pkru.value >> 2 * pkey & 3))
+            sink.targets = []
     memory = {vpn: pt.lookup_populated(vpn).frame.read(0, PAGE_SIZE)
               for vpn in range(FIRST_VPN, FIRST_VPN + PAGES) if vpn in pt}
     return {
