@@ -1,5 +1,4 @@
-"""The one bench harness: the run-twice determinism gate, the BENCH
-writer and the host call counters.
+"""The one bench harness: run-twice gate, BENCH writer, call counters.
 
 Every BENCH producer runs each scenario twice through :func:`run_twice`
 and compares the two runs' *fingerprints* (plain dicts built where the

@@ -284,7 +284,8 @@ class Libmpk:
             with suppress(Exception):
                 self._metadata.kernel_remove(vkey)
             raise
-        self._wake_key_waiters()
+        if self.key_waiters.parked:
+            self._wake_key_waiters()
 
     @traced("libmpk.mpk_munmap")
     def mpk_munmap(self, task: "Task", vkey: int) -> None:
@@ -318,7 +319,8 @@ class Libmpk:
             with suppress(Exception):
                 self._metadata.kernel_remove(vkey)
             raise
-        self._wake_key_waiters()
+        if self.key_waiters.parked:
+            self._wake_key_waiters()
 
     # ------------------------------------------------------------------
     # mpk_begin / mpk_end — domain-based thread-local isolation.
@@ -540,12 +542,11 @@ class Libmpk:
 
     def _wake_key_waiters(self) -> None:
         """Wake every thread blocked in :meth:`mpk_begin_wait` (a key
-        freed or a pin dropped).  Free when nobody waits, so workloads
-        that never block see identical cycle totals."""
-        waiting = len(self.key_waiters)
-        if not waiting:
-            return
-        self._charge(waiting * self._kernel.costs.futex_wake,
+        freed or a pin dropped).  Callers call it only when
+        ``key_waiters.parked`` is non-empty, so workloads that never
+        block see identical cycle totals."""
+        self._charge(len(self.key_waiters.parked)
+                     * self._kernel.costs.futex_wake,
                      site="libmpk.keycache.wake")
         self.key_waiters.wake_all()
 
@@ -579,7 +580,7 @@ class Libmpk:
             self._repair_record(group)
             raise
         # The dropped pin may make an eviction victim available.
-        if self.key_waiters._waiters:
+        if self.key_waiters.parked:
             self._wake_key_waiters()
 
     @contextmanager
@@ -804,7 +805,7 @@ class Libmpk:
                 group.pinned_by.discard(task.tid)
                 self._repair_record(group)
                 dropped = True
-        if dropped:
+        if dropped and self.key_waiters.parked:
             self._wake_key_waiters()
 
     def _kernel_update_range(self, task: "Task", group: PageGroup,

@@ -36,8 +36,9 @@ def _check_key(key: int) -> None:
 def with_key_rights(value: int, key: int, rights: int) -> int:
     """The register value ``value`` with ``key``'s two-bit rights field
     replaced by ``rights``; ``ValueError`` for a bad key or bad rights
-    bits.  The one encoder of a key's rights field: :meth:`PKRU.with_rights`
-    and glibc ``pkey_set`` (``Task.pkey_set``) both go through it."""
+    bits.  The one encoder of a key's rights field: :meth:`PKRU.with_rights`,
+    glibc ``pkey_set`` (``Task.pkey_set``) and libmpk's gated switch
+    (``Task.trusted_pkey_set``) all go through it."""
     if not 0 <= key < NUM_PKEYS:
         _check_key(key)  # raises
     if rights & ~(PKEY_DISABLE_ACCESS | PKEY_DISABLE_WRITE):
@@ -117,7 +118,7 @@ class PkruEncodeMemo:
     (``Task.set_pkru_rights_from_kernel``, the memo's one user) encodes
     against a base that rarely changes.  glibc ``pkey_set`` does not use
     it: the WRPKRU that follows every ``pkey_set`` would invalidate it
-    each time, so ``Task.pkey_set`` does the bit arithmetic itself.
+    each time, so ``Task.pkey_set`` calls :func:`with_key_rights`.
     The memo caches results for exactly one base value; the stamp is
     compared on every encode, so any write that lands a *different*
     PKRU on the task — WRPKRU, ``pkey_set``, a context-switch restore,

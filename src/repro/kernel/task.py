@@ -13,7 +13,6 @@ import dataclasses
 import typing
 from collections import deque
 
-from repro.consts import NUM_PKEYS
 from repro.errors import MachineFault, SandboxViolation
 from repro.hw.pkru import PKRU, PkruEncodeMemo, with_key_rights
 
@@ -77,7 +76,8 @@ class WaitQueue:
 
     def __init__(self, name: str = "wait") -> None:
         self.name = name
-        self._waiters: deque[Waiter] = deque()
+        #: Parked entries, oldest first; read-only outside the queue.
+        self.parked: deque[Waiter] = deque()
         self._next_seq = 0
         self.stats_waits = 0
         self.stats_wakes = 0
@@ -85,14 +85,11 @@ class WaitQueue:
         self.stats_dead_reaped = 0
 
     def __len__(self) -> int:
-        return len(self._waiters)
-
-    def waiters(self) -> list["Task"]:
-        return [entry.task for entry in self._waiters]
+        return len(self.parked)
 
     def entries(self) -> list[Waiter]:
         """Snapshot of the parked entries (watchdog/introspection use)."""
-        return list(self._waiters)
+        return list(self.parked)
 
     def add(self, task: "Task", on_wake: typing.Callable | None = None,
             deadline: float | None = None,
@@ -105,7 +102,7 @@ class WaitQueue:
         ``on_wake`` when it does.  ``now`` stamps ``parked_at`` so the
         watchdog can measure how long the waiter has been parked.
         """
-        if any(entry.task is task for entry in self._waiters):
+        if any(entry.task is task for entry in self.parked):
             raise RuntimeError(
                 f"task {task.tid} is already waiting on {self.name!r}")
         if task.waiting_on is not None:
@@ -117,16 +114,16 @@ class WaitQueue:
                        on_timeout=on_timeout, parked_at=now,
                        seq=self._next_seq)
         self._next_seq += 1
-        self._waiters.append(entry)
+        self.parked.append(entry)
         self.stats_waits += 1
         return entry
 
     def remove(self, task: "Task") -> bool:
         """Cancel ``task``'s wait (give-up path).  Returns True when
         the task was actually queued."""
-        for i, entry in enumerate(self._waiters):
+        for i, entry in enumerate(self.parked):
             if entry.task is task:
-                del self._waiters[i]
+                del self.parked[i]
                 task.waiting_on = None
                 return True
         return False
@@ -144,8 +141,8 @@ class WaitQueue:
     def _pop_live(self) -> Waiter | None:
         """Pop the oldest *live* waiter, dropping dead entries (a task
         killed while parked must neither be woken nor absorb a wake)."""
-        while self._waiters:
-            entry = self._waiters.popleft()
+        while self.parked:
+            entry = self.parked.popleft()
             if entry.task.state == "dead":
                 entry.task.waiting_on = None
                 self.stats_dead_reaped += 1
@@ -175,7 +172,7 @@ class WaitQueue:
 
     def next_deadline(self) -> float | None:
         """The earliest deadline among live parked waiters, or None."""
-        deadlines = [entry.deadline for entry in self._waiters
+        deadlines = [entry.deadline for entry in self.parked
                      if entry.deadline is not None
                      and entry.task.state != "dead"]
         return min(deadlines) if deadlines else None
@@ -184,9 +181,9 @@ class WaitQueue:
         """Expire one specific waiter: remove it and fire its
         ``on_timeout`` callback.  Returns True when the task was
         actually parked (False = it was already woken — wake wins)."""
-        for i, entry in enumerate(self._waiters):
+        for i, entry in enumerate(self.parked):
             if entry.task is task:
-                del self._waiters[i]
+                del self.parked[i]
                 task.waiting_on = None
                 if task.state == "blocked":
                     task.state = "runnable"
@@ -204,15 +201,15 @@ class WaitQueue:
         entries are dropped silently; expired waiters leave no residue
         in the queue.
         """
-        due = sorted((entry for entry in list(self._waiters)
+        due = sorted((entry for entry in list(self.parked)
                       if entry.deadline is not None
                       and entry.deadline <= now),
                      key=lambda e: (e.deadline, e.seq))
         expired = []
         for entry in due:
-            if entry not in self._waiters:
+            if entry not in self.parked:
                 continue  # a callback re-shaped the queue
-            self._waiters.remove(entry)
+            self.parked.remove(entry)
             task = entry.task
             task.waiting_on = None
             if task.state == "dead":
@@ -227,7 +224,7 @@ class WaitQueue:
         return expired
 
     def __repr__(self) -> str:
-        return f"<WaitQueue {self.name!r} waiters={len(self._waiters)}>"
+        return f"<WaitQueue {self.name!r} waiters={len(self.parked)}>"
 
 
 class Task:
@@ -365,24 +362,19 @@ class Task:
         """:meth:`pkey_set` inside the trusted call gate: the WRPKRU
         libmpk's own entry points execute.  Equivalent to ``with
         task.trusted_gate(): task.pkey_set(pkey, rights)`` (so the
-        sandbox check always passes), inlined for the domain-switch
-        hit path: :func:`with_key_rights` runs only to raise."""
+        sandbox check always passes); bad arguments raise uncharged."""
         core_id = self.core_id
         if core_id is None:
             self._core()  # raises: not on a core
-        if not 0 <= pkey < NUM_PKEYS or rights & ~0x3:
-            with_key_rights(0, pkey, rights)  # raises ValueError
         core = self._cores[core_id]
-        shift = 2 * pkey
+        value = with_key_rights(core.pkru.value, pkey, rights)
         self._gate_depth += 1
         try:
-            core.wrpkru(core.pkru.value & ~(0x3 << shift) | rights << shift)
+            core.wrpkru(value)
         finally:
             self._gate_depth -= 1
         self.pkru = pkru = core.pkru
-        memo = self._pkru_memo
-        if pkru.value != memo._base_value and memo._base_value >= 0:
-            memo.invalidate()
+        self._pkru_memo.note_pkru_write(pkru.value)
 
     def pkey_get(self, pkey: int) -> int:
         """glibc pkey_get(): RDPKRU and extract one key's rights."""
