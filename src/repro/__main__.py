@@ -9,7 +9,7 @@ examples       run every example script in sequence
 stats          run a sample workload, print per-site cycle attribution
 profile        run a sample workload, print the hierarchical span profile
 faultcampaign  sweep injected failures over a workload, audit every run
-hostbench      time access-heavy workloads on the host against a baseline
+hostbench      count the simulator's host calls per layer on the MMU hot path
 servebench     open-loop serving benchmark (latency percentiles), with a
                bit-identical determinism gate
 servechaos     chaos-soak campaign: seeded fault scripts over the serving
@@ -194,30 +194,8 @@ def _publish(cmd: str, produce, text, out_path, markdown=None,
 def cmd_hostbench(args: argparse.Namespace) -> int:
     from repro.bench import hostbench
 
-    workloads = args.only.split(",") if args.only else None
-    # Read the baseline before the run: --output may overwrite it.
-    baseline = None
-    if args.check_baseline:
-        baseline = json.loads(pathlib.Path(args.check_baseline).read_text())
-
-    def check(report) -> int:
-        if baseline is None:
-            return 0
-        problems = hostbench.check_against_baseline(report, baseline,
-                                                    workloads=workloads)
-        for problem in problems:
-            print(f"REGRESSION: {problem}", file=sys.stderr)
-        if problems:
-            return 1
-        print(f"baseline gate passed against {args.check_baseline}")
-        return 0
-
-    return _publish(
-        "hostbench",
-        lambda: hostbench.run_hostbench(repeat=args.repeat,
-                                        workloads=workloads),
-        hostbench.format_report, args.output,
-        markdown=hostbench.format_markdown, check=check)
+    return _publish("hostbench", hostbench.run_hostbench,
+                    hostbench.format_report, args.output)
 
 
 def cmd_servebench(args: argparse.Namespace) -> int:
@@ -396,18 +374,10 @@ def main(argv: list[str] | None = None) -> int:
                           help="sample seed for --mode random")
     hostbench = sub.add_parser(
         "hostbench",
-        help="wall-clock MMU hot-path benchmark (run-to-run determinism "
-             "gate, wall vs a committed baseline)")
-    hostbench.add_argument("--repeat", type=int, default=5,
-                           help="repetitions per workload (min wins)")
-    hostbench.add_argument("--only", default=None,
-                           help="comma-separated workload subset")
+        help="named host calls per layer on the MMU hot path "
+             "(run-twice determinism gate)")
     hostbench.add_argument("--output",
                            default=str(REPO_ROOT / "BENCH_hotpath.json"))
-    hostbench.add_argument("--check-baseline", default=None,
-                           help="baseline JSON to gate regressions "
-                                "against (e.g. the committed "
-                                "BENCH_hotpath.json)")
     servebench = sub.add_parser(
         "servebench",
         help="open-loop serving benchmark with determinism gate")

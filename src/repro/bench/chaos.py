@@ -274,7 +274,7 @@ def run_servechaos(seed: int = 13, connections: int = 32,
         "script": script_to_json(script, SCRIPT_FIELDS),
         "note": ("chaos soak: every scenario ran twice under the same "
                  "seeded failure script and produced bit-identical "
-                 "cycle totals and latency vectors; zero audit and "
+                 "cycle totals and digest states; zero audit and "
                  "zero liveness violations"),
         "scenarios": scenarios,
     }

@@ -1,47 +1,33 @@
-"""Wall-clock benchmark harness for the MMU hot path.
+"""Host-cost benchmark for the MMU hot path, in exact named calls.
 
 Simulated cycles measure the *modeled* machine; this module measures
-the *simulator itself* — how much host time the access-heavy workloads
-burn — so the perf trajectory of the hot path is tracked in CI instead
-of anecdotally.  Each workload runs ``repeat`` times, and every repeat
-must reproduce the first repeat's final simulated time and per-site
-cycle ledger bit for bit; the reported wall is the min over repeats —
-the least-perturbed observation.
+the *simulator itself* on the paper's three hot paths: Table 1's
+primitives, Figure 8's cached switches and Figure 14's slab epochs.
+Host cost is counted, not timed: each workload's ``run`` body is
+counted with :func:`repro.bench.harness.calls_by_layer`, whose counts,
+unlike wall time, are bit-identical run to run and agree across Python
+3.11 and 3.12.
 
-``python -m repro hostbench`` writes machine-readable
-``BENCH_hotpath.json`` at the repo root, and the committed file is the
-baseline that ``--check-baseline`` gates against
-(:func:`check_against_baseline`): per workload, ``sim_cycles`` must
-equal the baseline's exactly and ``baseline wall_s / wall_s`` must
-stay at or above :data:`FLOORS`.
+Each workload runs twice through :func:`repro.bench.harness.run_twice`;
+the two runs must agree on ``sim_cycles``, the per-site cycle ledger
+and the calls per layer.  ``python -m repro hostbench`` writes
+``BENCH_hotpath.json``, and the gate is byte equality with the
+committed file, as for every other BENCH artefact: a change that makes
+the hot paths cost more host calls shows as a diff even when it moves
+no simulated cycle.
 """
 
 from __future__ import annotations
 
-import time
-
 from repro.bench.fixtures import TestBed, make_testbed
-from repro.bench.harness import check_identical
+from repro.bench.harness import calls_by_layer, run_twice
 from repro.consts import PAGE_SIZE, PROT_READ, PROT_WRITE
 
 RW = PROT_READ | PROT_WRITE
 
-#: Per-workload wall floor: ``baseline wall_s / wall_s`` must be at
-#: least this, i.e. the measured wall may grow to ``1 / floor`` times
-#: the committed baseline's before the gate fails.  On a shared 2-vCPU
-#: host the min-of-5 wall swings by about 1.5x between quiet and busy
-#: periods, while a TLB that never serves an authoritative hit slows
-#: fig8_cache by about 1.45x: 0.5 tolerates the swing, and catches
-#: that regression only when it is measured in a busy period.
-FLOORS = {
-    "fig8_cache": 0.5,
-    "table1": 0.5,
-    "fig14_memcached": 0.5,
-}
-
 
 # ---------------------------------------------------------------------------
-# Workloads.  Each returns (setup_state) from ``setup`` and is timed
+# Workloads.  Each returns (setup_state) from ``setup`` and is counted
 # only over ``run`` — testbed construction is not what we benchmark.
 # ---------------------------------------------------------------------------
 
@@ -83,9 +69,7 @@ def _table1_setup(bed: TestBed):
 
 def _table1_run(bed: TestBed, addr) -> None:
     """Table-1 primitives in a loop: syscall-dominated, tracked to
-    catch regressions in the syscall path's host cost.  The iteration
-    count keeps the wall around tens of milliseconds: with sub-10ms
-    runs, fixed host noise swamps any regression."""
+    catch regressions in the syscall path's host cost."""
     kernel, task = bed.kernel, bed.task
     for i in range(500):
         key = kernel.sys_pkey_alloc(task)
@@ -134,118 +118,45 @@ WORKLOADS = {
 }
 
 
-# ---------------------------------------------------------------------------
-# Harness.
-# ---------------------------------------------------------------------------
-
-def _run_once(name: str):
-    """One timed run; returns (wall_seconds, fingerprint)."""
+def _run_once(name: str) -> dict:
+    """One run of ``name``: its fingerprint, after the audit."""
     setup, run, kwargs = WORKLOADS[name]
     bed = make_testbed(num_cores=2, **kwargs)
     state = setup(bed)
-    start = time.perf_counter()
-    run(bed, state)
-    wall = time.perf_counter() - start
+    calls = calls_by_layer(lambda: run(bed, state))
     machine = bed.kernel.machine
     ok, delta = machine.obs.audit()
     if not ok:
         raise AssertionError(
             f"{name}: conservation audit failed "
             f"(delta={delta}, {machine.obs.invariant_failures()})")
-    return wall, {"sim_cycles": machine.clock.now,
-                  "site_cycles": dict(machine.obs.aggregator.cycles)}
+    return {"sim_cycles": machine.clock.now,
+            "site_cycles": dict(machine.obs.aggregator.cycles),
+            "calls_by_layer": dict(calls)}
 
 
-def run_workload(name: str, repeat: int = 5) -> dict:
-    """Time ``name`` ``repeat`` times; every repeat must reproduce the
-    first one's simulated ledger.  The raw per-repeat walls are
-    recorded for post-hoc flakiness forensics."""
-    walls = []
-    first = None
-    for index in range(repeat):
-        wall, fingerprint = _run_once(name)
-        walls.append(wall)
-        if first is None:
-            first = fingerprint
-        else:
-            check_identical(f"{name} repeat {index + 1} vs 1", first,
-                            fingerprint)
+def run_workload(name: str) -> dict:
+    """Run ``name`` twice through the determinism gate; its report row."""
+    first = run_twice(name, lambda: _run_once(name), lambda fp: fp)
+    return {"sim_cycles": first["sim_cycles"],
+            "calls_by_layer": first["calls_by_layer"]}
+
+
+def run_hostbench() -> dict:
     return {
-        "sim_cycles": first["sim_cycles"],
-        "wall_s": round(min(walls), 6),
-        "wall_all_s": [round(w, 6) for w in walls],
-        "repeat": repeat,
+        "schema": 4,
+        "unit": {"sim": "cycles", "calls": "named Python calls"},
+        "note": ("calls_by_layer = named Python calls of the run body "
+                 "per repro layer; every workload ran twice and "
+                 "reproduced its cycles, site ledger and calls "
+                 "bit for bit"),
+        "benchmarks": {name: run_workload(name) for name in WORKLOADS},
     }
-
-
-def run_hostbench(repeat: int = 5, workloads=None) -> dict:
-    if repeat < 1:
-        raise ValueError(f"repeat must be at least 1 (got {repeat})")
-    names = list(workloads or WORKLOADS)
-    unknown = [name for name in names if name not in WORKLOADS]
-    if unknown:
-        raise ValueError(f"unknown workload(s) {unknown} "
-                         f"(choices: {sorted(WORKLOADS)})")
-    results = {name: run_workload(name, repeat=repeat)
-               for name in names}
-    return {
-        "schema": 3,
-        "unit": {"wall": "seconds", "sim": "cycles"},
-        "note": ("wall_s = min host wall over repeats; every repeat "
-                 "reproduces the first's simulated ledger bit for bit"),
-        "benchmarks": results,
-    }
-
-
-def check_against_baseline(report: dict, baseline: dict,
-                           workloads=None) -> list[str]:
-    """The regression gate: per workload, ``sim_cycles`` must equal the
-    baseline's exactly and ``baseline wall_s / wall_s`` must clear
-    :data:`FLOORS`.  Returns failure messages, each naming its
-    workload (empty when every check passes).  ``workloads`` restricts
-    the check to the subset ``--only`` ran; any other workload missing
-    from the report is a failure."""
-    problems = []
-    rows = report["benchmarks"]
-    base_rows = baseline.get("benchmarks", {})
-    for name, floor in FLOORS.items():
-        if workloads is not None and name not in workloads:
-            continue
-        row, base = rows.get(name), base_rows.get(name)
-        if row is None or base is None:
-            where = "report" if row is None else "baseline"
-            problems.append(f"{name}: missing from the {where}")
-            continue
-        if row["sim_cycles"] != base["sim_cycles"]:
-            problems.append(
-                f"{name}: sim_cycles {row['sim_cycles']!r} differ from "
-                f"the baseline's {base['sim_cycles']!r}")
-        ratio = base["wall_s"] / row["wall_s"]
-        if ratio < floor:
-            problems.append(
-                f"{name}: wall {row['wall_s']:.3f}s vs baseline "
-                f"{base['wall_s']:.3f}s — ratio {ratio:.2f} is below "
-                f"the {floor:.2f} floor")
-    return problems
 
 
 def format_report(report: dict) -> str:
-    lines = [f"{'workload':<18s} {'sim cycles':>16s} {'wall (s)':>10s} "
-             f"{'repeat':>6s}"]
+    lines = [f"{'workload':<18s} {'sim cycles':>16s} {'calls':>8s}"]
     for name, row in report["benchmarks"].items():
         lines.append(f"{name:<18s} {row['sim_cycles']:>16,.1f} "
-                     f"{row['wall_s']:>10.3f} {row['repeat']:>6d}")
-    return "\n".join(lines)
-
-
-def format_markdown(report: dict) -> str:
-    """GitHub-flavoured markdown table (for the CI step summary)."""
-    lines = ["### MMU hot-path hostbench",
-             "",
-             "| workload | sim cycles | wall (s) | floor |",
-             "|---|---:|---:|---:|"]
-    for name, row in report["benchmarks"].items():
-        lines.append(f"| {name} | {row['sim_cycles']:,.1f} "
-                     f"| {row['wall_s']:.3f} | {FLOORS[name]:.2f} |")
-    lines += ["", f"_{report['note']}_"]
+                     f"{sum(row['calls_by_layer'].values()):>8,d}")
     return "\n".join(lines)

@@ -1297,7 +1297,7 @@ def run_servebench(seed: int = 7, connections: int | None = None,
             ServingReport.fingerprint)
     note_smoke = ("open-loop serving benchmark; every scenario ran "
                   "twice with identical seeds and produced bit-identical "
-                  "cycle totals and latency vectors")
+                  "cycle totals and digest states")
     note_large = ("open-loop serving benchmark at large scale "
                   "(streaming digests, no retained latency vectors); "
                   "every scenario ran twice with identical seeds and "

@@ -18,7 +18,6 @@ per-site ledger must be equal.
 
 from __future__ import annotations
 
-import itertools
 import random
 import zlib
 from dataclasses import asdict
@@ -36,6 +35,7 @@ from repro.consts import (
 from repro.errors import MachineFault
 from repro.hw.machine import Machine
 from repro.hw.paging import PageTable
+from tests.mutants import NeverAuthoritativePageTable
 
 PAGES = 8
 FIRST_VPN = 0x40
@@ -43,23 +43,6 @@ PKEYS = 4
 PROTS = [0, PROT_READ, PROT_READ | PROT_WRITE, PROT_READ | PROT_EXEC,
          PROT_READ | PROT_WRITE | PROT_EXEC]
 OPS = 600
-
-
-class NeverAuthoritativePageTable(PageTable):
-    """A page table whose ``generation`` reads a fresh value every
-    time, so no TLB entry's stamp ever matches it."""
-
-    def __init__(self) -> None:
-        self._reads = itertools.count(1)
-        super().__init__()
-
-    @property
-    def generation(self) -> int:
-        return -next(self._reads)
-
-    @generation.setter
-    def generation(self, _value: int) -> None:
-        pass
 
 
 def _range(rng):

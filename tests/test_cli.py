@@ -147,10 +147,8 @@ class TestKeyscale:
         cases = [
             ("keyscale", ["--domains", "60", "--policies", "belady"],
              "belady"),
-            ("hostbench", ["--only", "nope"], "fig8_cache"),
             ("servechaos", ["--events", "-1"], "non-negative"),
             ("clusterchaos", ["--events", "0"], "at least 1 event"),
-            ("hostbench", ["--repeat", "0"], "repeat must be at least 1"),
             ("clusterchaos", ["--nodes", "1"], "at least 2 nodes"),
             ("keyscale", ["--domains", "0"], "at least 1"),
         ]

@@ -13,26 +13,15 @@ skipped, so the counts agree across 3.11 and 3.12.  A budget failure
 prints the calls split by layer (``repro.<layer>``).
 
 Measured on Python 3.11.7 and 3.12.1 (the counts agree): a cached
-``mpk_begin`` + ``mpk_end`` pair makes 23 calls (31 before the domain
-switch lost its call chain, 37 before spans became nodes of a path
-tree, 47 before the key-miss path was made cheap, when each WRPKRU
-went through a gate context manager), and a cached 8-byte
-``Task.read`` or ``Task.write`` makes 4 (6 before ``Core.read`` and
-``Core.write`` served authoritative single-page hits themselves).  An
-evicting ``mpk_begin`` + ``mpk_end`` pair with 3 running siblings makes
-148 (158 before, 164 before the path tree, 295 before the key-miss
-work), and an ``mpk_mprotect`` that misses and evicts makes 146 (149
-before; 148 before its first call created three span-tree nodes; 269
-before the key-miss work).  A healthy 3-node, 2-replica cluster
-(``_build_cluster``, seed 5, 48 connections) makes 1,740 calls per
-connection (1,962 before the one-frame hit paths, 2,273 before TLB
-stamps moved only on unmap and spans became tree nodes, 2,485 before
-that).  A served ``mpk_begin`` Memcached connection (``_serving``: 48
-connections of 2 requests) makes 272 calls (317 before the one-frame
-hit paths, 368 before those two changes and before Memcached opened
-its domains without a generator).  The counters live in
-:mod:`repro.bench.harness`, so an interpreter without pytest can take
-the same counts.
+``mpk_begin`` + ``mpk_end`` pair makes 23 calls, and a cached 8-byte
+``Task.read`` or ``Task.write`` makes 4.  An evicting ``mpk_begin`` +
+``mpk_end`` pair with 3 running siblings makes 148, and an
+``mpk_mprotect`` that misses and evicts makes 146.  A healthy 3-node,
+2-replica cluster (``_build_cluster``, seed 5, 48 connections) makes
+1,740 calls per connection.  A served ``mpk_begin`` Memcached
+connection (``_serving``: 48 connections of 2 requests) makes 272
+calls.  The counters live in :mod:`repro.bench.harness`, so an
+interpreter without pytest can take the same counts.
 """
 
 from __future__ import annotations
