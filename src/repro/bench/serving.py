@@ -28,16 +28,13 @@ the run-queue rotation decides who runs next.  Nothing consults wall
 time or unseeded randomness, so two runs with the same arrival
 schedule are bit-identical.
 
-Scaling: the event calendar
----------------------------
+Scaling
+-------
 The engine is sized for 100k+ offered connections:
 
-* **Core calendar** — runnable cores live in a lazy min-heap of
-  ``(core_time, core_index)`` entries instead of being rescanned per
-  iteration.  Core timelines are monotone non-decreasing, so a stale
-  entry can only *underestimate* its core; the head is corrected in
-  place until exact, which preserves the historical tie-break (lowest
-  core index among the earliest timelines) bit for bit.
+* **Next core** — each event scans the engine's few cores once and
+  picks the earliest timeline among cores with a running or queued
+  task; on a tie the core listed first in ``cores`` wins.
 * **Lazy arrivals** — ``offer()`` records (schedule, job factory,
   first-conn-id) triples; connections are materialized one at a time
   from a merged arrival stream (:class:`PoissonArrivals` generates
@@ -385,12 +382,6 @@ class ServingEngine:
         self.workers: list[_Worker] = []
         self._by_tid: dict[int, _Worker] = {}
         self._accept: deque[Connection] = deque()
-        # The event calendar: a lazy min-heap of (core_time, core_index)
-        # entries, at most one live entry per core (_cal_entries guards
-        # duplicates).  See the module docstring for the invariants.
-        self._core_index = {c: i for i, c in enumerate(self.cores)}
-        self._calendar: list[tuple[float, int]] = []
-        self._cal_entries = [0] * len(self.cores)
         # Offered load: (schedule, job_factory, first_conn_id) triples,
         # merged lazily into arrival order at run() time.
         self._offers: list[tuple] = []
@@ -536,8 +527,8 @@ class ServingEngine:
                 self.core_time[c] >= horizon for c in self.cores):
             return False
         self._fire_due_timeouts()
-        core_id = self._pick_core()
-        if core_id is None:
+        busy = self._busy_head()
+        if busy is None:
             head = self._peek_arrival()
             nxt = head.arrival if head is not None else None
             waiter = self._earliest_deadline_worker()
@@ -567,7 +558,7 @@ class ServingEngine:
             # dead past its restart budget: stop and report
             # the leftovers as unserved (accounted, not hung).
             return False
-        self._run_core(core_id)
+        self._run_core(busy[1])
         return True
 
     # -- external stepping (the cluster driver) --------------------------
@@ -607,9 +598,9 @@ class ServingEngine:
         return memo
 
     def _compute_next_time(self) -> float | None:
-        head = self._calendar_head()
-        if head is not None:
-            return head[0]
+        busy = self._busy_head()
+        if busy is not None:
+            return busy[0]
         conn = self._peek_arrival()
         waiter = self._earliest_deadline_worker()
         if waiter is None:
@@ -681,52 +672,25 @@ class ServingEngine:
             self._popped += 1
         return conn
 
-    # -- the core calendar ----------------------------------------------
+    # -- choosing the next core ---------------------------------------------
 
-    def _core_has_work(self, core_id: int) -> bool:
+    def _busy_head(self) -> tuple[float, int] | None:
+        """(core_time, core_id) of the earliest core with a running or
+        queued task, or None when every core idles.  One scan in
+        ``cores`` order with a strict ``<``: on a tie the core listed
+        first wins, the rule ``Cluster.run`` applies to nodes.  Reads
+        the scheduler's maps directly (no call per core)."""
         sched = self.kernel.scheduler
-        return (sched.running_task(core_id) is not None
-                or sched.runnable_count(core_id) > 0)
-
-    def _note_core(self, core_id: int) -> None:
-        """Record that ``core_id`` may now have work.  At most one live
-        calendar entry exists per core; an existing entry can only
-        underestimate the core's (monotone) timeline, so it covers the
-        core until lazily corrected at the heap head."""
-        idx = self._core_index[core_id]
-        if self._cal_entries[idx]:
-            return
-        self._cal_entries[idx] = 1
-        heapq.heappush(self._calendar, (self.core_time[core_id], idx))
-
-    def _calendar_head(self) -> tuple[float, int] | None:
-        """(core_time, core_id) of the earliest core that has work, or
-        None.  Pops entries for cores that went idle and corrects
-        stale-low entries in place; on return the head is exact, which
-        makes the (time, index) heap order reproduce the historical
-        first-strict-minimum linear scan."""
-        heap = self._calendar
-        while heap:
-            entry_time, idx = heap[0]
-            core_id = self.cores[idx]
-            if not self._core_has_work(core_id):
-                heapq.heappop(heap)
-                self._cal_entries[idx] = 0
-                continue
-            actual = self.core_time[core_id]
-            if entry_time < actual:
-                heapq.heapreplace(heap, (actual, idx))
-                continue
-            return entry_time, core_id
-        return None
-
-    def _pick_core(self) -> int | None:
-        head = self._calendar_head()
-        return None if head is None else head[1]
-
-    def _min_busy_time(self) -> float | None:
-        head = self._calendar_head()
-        return None if head is None else head[0]
+        running = sched.core_task
+        queues = sched.run_queues
+        core_time = self.core_time
+        best = None
+        for core_id in self.cores:
+            if core_id in running or queues.get(core_id):
+                now = core_time[core_id]
+                if best is None or now < best[0]:
+                    best = (now, core_id)
+        return best
 
     # -- internals ------------------------------------------------------
 
@@ -741,8 +705,8 @@ class ServingEngine:
             head = self._peek_arrival()
             if head is None:
                 break
-            busy_time = self._min_busy_time()
-            if busy_time is not None and head.arrival > busy_time:
+            busy = self._busy_head()
+            if busy is not None and head.arrival > busy[0]:
                 break
             conn = self._pop_arrival()
             if (self.queue_limit is not None
@@ -788,7 +752,6 @@ class ServingEngine:
                 self.core_time[worker.core_id], conn.arrival)
             self.kernel.scheduler.enqueue(worker.task, worker.core_id)
             worker.state = _READY
-            self._note_core(worker.core_id)
 
     def _start_conn(self, worker: _Worker, conn: Connection) -> None:
         conn.worker_tid = worker.task.tid
@@ -928,7 +891,6 @@ class ServingEngine:
             return
         self.kernel.scheduler.enqueue(worker.task, worker.core_id)
         worker.state = _READY
-        self._note_core(worker.core_id)
 
     # -- wait deadlines --------------------------------------------------
 
@@ -979,7 +941,6 @@ class ServingEngine:
         worker.timed_out = True
         self.kernel.scheduler.enqueue(worker.task, worker.core_id)
         worker.state = _READY
-        self._note_core(worker.core_id)
 
     def _timeout_conn(self, worker: _Worker) -> None:
         """The job let MpkTimeout propagate: the connection is dropped

@@ -42,7 +42,9 @@ class Scheduler:
 
     def __init__(self, machine: Machine) -> None:
         self.machine = machine
-        self._core_task: dict[int, "Task"] = {}
+        # core id -> running task.  Public, like ``run_queues``: the
+        # serving engine's core scan reads both without a call per core.
+        self.core_task: dict[int, "Task"] = {}
         self.ipis_sent = 0
         self.context_switches = 0
         self.preemptions = 0
@@ -63,13 +65,13 @@ class Scheduler:
             raise RuntimeError(f"{task!r} is already running")
         if core_id is None:
             core_id = self._first_free_core()
-        elif core_id in self._core_task:
+        elif core_id in self.core_task:
             raise RuntimeError(f"core {core_id} is busy")
         if charge:
             self.machine.clock.charge(self.machine.costs.context_switch,
                                       site="kernel.sched.context_switch")
         self.context_switches += 1
-        self._core_task[core_id] = task
+        self.core_task[core_id] = task
         task.core_id = core_id
         task.state = "running"
         self.kernel_exit(task)
@@ -79,12 +81,12 @@ class Scheduler:
         """Take ``task`` off its core (it becomes runnable again)."""
         if not task.running:
             raise RuntimeError(f"{task!r} is not running")
-        del self._core_task[task.core_id]
+        del self.core_task[task.core_id]
         task.core_id = None
         task.state = "runnable"
 
     def running_tasks(self, process: "Process | None" = None) -> list["Task"]:
-        core_task = self._core_task
+        core_task = self.core_task
         if process is not None:
             tasks = [t for t in core_task.values() if t.process is process]
         else:
@@ -95,11 +97,11 @@ class Scheduler:
 
     def running_task(self, core_id: int) -> "Task | None":
         """The task currently on ``core_id`` (None when the core idles)."""
-        return self._core_task.get(core_id)
+        return self.core_task.get(core_id)
 
     def _first_free_core(self) -> int:
         for core_id in range(self.machine.num_cores):
-            if core_id not in self._core_task:
+            if core_id not in self.core_task:
                 return core_id
         raise RuntimeError("no free core")
 
@@ -140,7 +142,7 @@ class Scheduler:
         queue = self.run_queues.get(core_id)
         if not queue:
             return None
-        if core_id in self._core_task:
+        if core_id in self.core_task:
             raise RuntimeError(f"core {core_id} is busy")
         task = queue.popleft()
         self.schedule(task, core_id=core_id)
@@ -150,7 +152,7 @@ class Scheduler:
         """Take the running task off ``core_id`` at a quantum boundary
         and requeue it at the tail.  The switch cost is charged when
         the next task dispatches."""
-        task = self._core_task.get(core_id)
+        task = self.core_task.get(core_id)
         if task is None:
             raise RuntimeError(f"core {core_id} is idle")
         self.unschedule(task)
@@ -208,7 +210,7 @@ class Scheduler:
             raise RuntimeError("shootdown initiator must be running")
         machine = self.machine
         cores = machine.cores
-        targets = {core_id for core_id, task in self._core_task.items()
+        targets = {core_id for core_id, task in self.core_task.items()
                    if task.process is process}
         if len(targets) < len(cores):
             page_table = process.mm.page_table

@@ -215,6 +215,28 @@ class TestServingEngine:
                               + kernel.costs.accept_cycles)
         assert report.makespan_cycles >= 1e6
 
+    def test_tie_goes_to_the_core_listed_first(self, kernel, process):
+        """Both cores become busy at time 0: the one listed first in
+        ``cores`` (core 2) runs first, not the one with the lower id.
+        Connection 0 goes to the first-added worker (core 1), so this
+        also rules out a tie broken by worker or connection order."""
+        engine = ServingEngine(kernel, cores=[2, 1])
+        engine.add_worker(process.spawn_task(), core_id=1)
+        engine.add_worker(process.spawn_task(), core_id=2)
+        order = []
+
+        def factory(task, conn_id):
+            def job():
+                for _ in range(3):
+                    order.append((conn_id, task.core_id))
+                    kernel.clock.charge(100.0, site="test.serve")
+                    yield
+            return job()
+
+        engine.offer(ArrivalSchedule((0.0, 0.0)), factory)
+        assert engine.run().completed == 2
+        assert order == [(1, 2)] * 3 + [(0, 1)] * 3
+
     def test_blocking_and_wake_across_workers(self, kernel, process):
         """A job yielding a WaitQueue parks its worker; another worker's
         job wakes it and both run to completion."""

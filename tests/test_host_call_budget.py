@@ -18,8 +18,8 @@ Measured on Python 3.11.7 and 3.12.1 (the counts agree): a cached
 ``mpk_end`` pair with 3 running siblings makes 148, and an
 ``mpk_mprotect`` that misses and evicts makes 146.  A healthy 3-node,
 2-replica cluster (``_build_cluster``, seed 5, 48 connections) makes
-1,740 calls per connection.  A served ``mpk_begin`` Memcached
-connection (``_serving``: 48 connections of 2 requests) makes 272
+1,686 calls per connection.  A served ``mpk_begin`` Memcached
+connection (``_serving``: 48 connections of 2 requests) makes 252
 calls.  The counters live in :mod:`repro.bench.harness`, so an
 interpreter without pytest can take the same counts.
 """
@@ -45,10 +45,10 @@ STORE_BUDGET = 4
 EVICT_PAIR_BUDGET = 150
 MISS_MPROTECT_BUDGET = 150
 #: Named Python calls per client connection of a cluster run.
-CLUSTER_BUDGET = 1_800
+CLUSTER_BUDGET = 1_735
 #: Named Python calls per connection served by Memcached in
 #: ``mpk_begin`` mode.
-SERVE_BUDGET = 280
+SERVE_BUDGET = 260
 
 
 def within_budget(fn, budget: int, per: int = 1) -> None:
