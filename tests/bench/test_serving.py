@@ -237,6 +237,34 @@ class TestServingEngine:
         assert engine.run().completed == 2
         assert order == [(1, 2)] * 3 + [(0, 1)] * 3
 
+    def test_offers_and_pushes_start_in_arrival_then_conn_id_order(
+            self, kernel, process):
+        """Offered streams and pushed arrivals form one arrival order,
+        keyed ``(arrival, conn_id)``: ties between streams and pushes
+        go to the lower conn id, and a push that arrives first runs
+        first whatever its id."""
+        engine = self._engine(kernel, process)
+        started = []
+
+        def factory(task, conn_id):
+            def job():
+                started.append(conn_id)
+                kernel.clock.charge(100.0, site="test.serve")
+                yield
+            return job()
+
+        engine.offer(ArrivalSchedule((0.0, 1e5, 2e5)), factory)  # 0-2
+        engine.offer(ArrivalSchedule((1e5, 2e5, 3e5)), factory)  # 3-5
+        engine.start()
+        pushed = [engine.push(arrival, factory)
+                  for arrival in (2e5, 1e5, 5e4)]                # 6-8
+        assert pushed == [6, 7, 8]
+        while engine.step():
+            pass
+        report = engine.stop()
+        assert started == [0, 8, 1, 3, 7, 2, 4, 6, 5]
+        assert report.offered == report.completed == 9
+
     def test_blocking_and_wake_across_workers(self, kernel, process):
         """A job yielding a WaitQueue parks its worker; another worker's
         job wakes it and both run to completion."""
