@@ -104,8 +104,7 @@ class Twemperf:
                                        "back as missing")
             yield
 
-    def run_open_loop(self, engine, schedule,
-                      horizon: float | None = None):
+    def run_open_loop(self, engine, schedule):
         """Drive the store through a serving engine under an open-loop
         arrival schedule; returns the engine's ServingReport.
 
@@ -114,7 +113,7 @@ class Twemperf:
         contention (queue depth, latency percentiles, preemption).
         """
         engine.offer(schedule, self.connection_job)
-        return engine.run(horizon=horizon)
+        return engine.run()
 
     def measure_connection_cost(self, task: "Task",
                                 sample_connections: int = 8) -> float:

@@ -90,8 +90,7 @@ class ApacheBench:
                            total_cycles=elapsed, connections=connections)
 
     def run_open_loop(self, engine, schedule, response_size: int,
-                      requests_per_connection: int = 1,
-                      horizon: float | None = None):
+                      requests_per_connection: int = 1):
         """Drive the server through a serving engine under an open-loop
         arrival schedule; returns the engine's ServingReport.
 
@@ -108,4 +107,4 @@ class ApacheBench:
                 task, response_size, requests=requests_per_connection)
 
         engine.offer(schedule, job)
-        return engine.run(horizon=horizon)
+        return engine.run()

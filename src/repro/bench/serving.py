@@ -35,11 +35,14 @@ The engine is sized for 100k+ offered connections:
 * **Next core** — each event scans the engine's few cores once and
   picks the earliest timeline among cores with a running or queued
   task; on a tie the core listed first in ``cores`` wins.
-* **Lazy arrivals** — ``offer()`` records (schedule, job factory,
-  first-conn-id) triples; connections are materialized one at a time
-  from a merged arrival stream (:class:`PoissonArrivals` generates
-  gaps in batches, never the whole vector), so offered load costs O(1)
-  memory instead of O(connections).
+* **Lazy arrivals** — one heap of ``(arrival, conn_id, job_factory,
+  rest)`` entries holds the next arrival of each offered schedule
+  (``rest`` is the rest of its iterator) and every connection pushed
+  mid-run (``rest`` is None).  Popping an entry re-pushes its
+  schedule's next arrival and only then materializes the connection
+  (:class:`PoissonArrivals` generates gaps in batches, never the whole
+  vector), so offered load costs O(offers) memory instead of
+  O(connections).
 * **Streaming metrics** — the engine keeps no per-connection
   records.  Queue depth is pre-aggregated (count/total/max), and each
   completion folds its latency and queue wait into a
@@ -201,8 +204,6 @@ class Connection:
     job_factory: typing.Callable
     start: float | None = None
     finish: float | None = None
-    worker_tid: int | None = None
-    core_id: int | None = None
     accept_charged: bool = False
     retries: int = 0
 
@@ -236,8 +237,6 @@ class _Worker:
     state: str = _IDLE
     gen: typing.Iterator | None = None
     conn: Connection | None = None
-    served: int = 0
-    aborted: int = 0
     # Deadline-wait state (set while _BLOCKED on a timed WaitSpec).
     wait_spec: WaitSpec | None = None
     wait_deadline: float | None = None   # core-time cycles
@@ -382,19 +381,14 @@ class ServingEngine:
         self.workers: list[_Worker] = []
         self._by_tid: dict[int, _Worker] = {}
         self._accept: deque[Connection] = deque()
-        # Offered load: (schedule, job_factory, first_conn_id) triples,
-        # merged lazily into arrival order at run() time.
-        self._offers: list[tuple] = []
+        # Offered load, in (arrival, conn_id) order: a heap of
+        # (arrival, conn_id, job_factory, rest) entries, one per live
+        # offer() stream (rest iterates its later arrivals) and one per
+        # push() (rest is None).  Conn ids are unique, so a comparison
+        # never reaches the factory.
+        self._arrivals: list[tuple] = []
         self._offered_total = 0
         self._next_conn_id = 0
-        self._arrival_stream: typing.Iterator | None = None
-        self._stream_done = False
-        self._static_head: tuple | None = None
-        self._next_arrival: Connection | None = None
-        # Dynamic arrivals (the cluster's network plane pushes
-        # connections mid-run): a heap of (arrival, conn_id, factory),
-        # merged with the static offer stream at _peek_arrival.
-        self._pushed: list[tuple] = []
         self._popped = 0
         # next_time()'s memo, cleared by every call that can move the
         # next event: step(), push() and _on_wake().
@@ -483,30 +477,47 @@ class ServingEngine:
         :class:`ArrivalSchedule` or the lazy :class:`PoissonArrivals`.
         Connections are *not* materialized here; conn-ids are assigned
         in offer order and arrivals are streamed during :meth:`run`.
+        Offers close when the run starts; mid-run load goes through
+        :meth:`push`.
         """
+        if self._ran:
+            raise RuntimeError(
+                f"serving engine {self.name!r} has started; offer() "
+                "before the run, push() during it")
         count = len(schedule)
         if count == 0:
             return
-        self._offers.append((schedule, job_factory, self._next_conn_id))
+        rest = schedule.iter_arrivals()
+        heapq.heappush(self._arrivals, (next(rest), self._next_conn_id,
+                                        job_factory, rest))
         self._next_conn_id += count
         self._offered_total += count
 
     # -- the event loop -------------------------------------------------
 
-    def run(self, horizon: float | None = None) -> ServingReport:
-        """Serve every offered connection (or stop once all cores pass
-        ``horizon`` cycles); returns the :class:`ServingReport`."""
+    def run(self) -> ServingReport:
+        """Serve every offered connection; returns the
+        :class:`ServingReport`.  An un-wakeable stall raises."""
         self._start()
         try:
-            while self._tick(horizon):
+            while self._tick():
                 pass
+            if any(w.state == _BLOCKED for w in self.workers):
+                raise RuntimeError(
+                    "serving engine stalled: blocked workers "
+                    "with no waker and no deadline (all "
+                    "waiters and no waker)")
+            if self._accept and any(w.state != _DEAD
+                                    for w in self.workers):
+                raise RuntimeError(
+                    "serving engine stalled: queued work but "
+                    "no runnable worker")
         finally:
             self._park_workers()
         return self._report()
 
     def _start(self) -> None:
-        """Arm the (single-use) run: freeze the offer set into the
-        merged arrival stream."""
+        """Arm the (single-use) run: no offer() after this."""
         if self._ran:
             raise RuntimeError(
                 f"serving engine {self.name!r} (cores {self.cores}) is "
@@ -514,23 +525,18 @@ class ServingEngine:
         if not self.workers:
             raise RuntimeError("engine has no workers")
         self._ran = True
-        self._arrival_stream = self._merged_arrivals()
 
-    def _tick(self, horizon: float | None, strict: bool = True) -> bool:
-        """One event-loop iteration; False when there is nothing left
-        to do.  In strict mode (the :meth:`run` loop) an un-wakeable
-        stall raises; externally stepped runs pass ``strict=False``
-        because an idle engine is not stuck — more work can still
-        arrive via :meth:`push`."""
+    def _tick(self) -> bool:
+        """One event-loop iteration; False when the engine is idle (no
+        runnable work, arrival or wait deadline).  Only :meth:`run`
+        treats an idle engine with blocked workers or queued work as a
+        stall: a stepped engine can still get work via :meth:`push`."""
         self._inject()
-        if horizon is not None and all(
-                self.core_time[c] >= horizon for c in self.cores):
-            return False
         self._fire_due_timeouts()
         busy = self._busy_head()
         if busy is None:
-            head = self._peek_arrival()
-            nxt = head.arrival if head is not None else None
+            arrivals = self._arrivals
+            nxt = arrivals[0][0] if arrivals else None
             waiter = self._earliest_deadline_worker()
             if nxt is not None and (
                     waiter is None
@@ -544,19 +550,6 @@ class ServingEngine:
                 # deadline: time passes, the wait expires.
                 self._expire_wait(waiter)
                 return True
-            if strict and any(w.state == _BLOCKED for w in self.workers):
-                raise RuntimeError(
-                    "serving engine stalled: blocked workers "
-                    "with no waker and no deadline (all "
-                    "waiters and no waker)")
-            if strict and self._accept and any(w.state != _DEAD
-                                               for w in self.workers):
-                raise RuntimeError(
-                    "serving engine stalled: queued work but "
-                    "no runnable worker")
-            # Either everything drained, or every worker is
-            # dead past its restart budget: stop and report
-            # the leftovers as unserved (accounted, not hung).
             return False
         self._run_core(busy[1])
         return True
@@ -573,12 +566,13 @@ class ServingEngine:
     def push(self, arrival: float, job_factory: typing.Callable) -> int:
         """Offer one connection dynamically, mid-run (the network plane
         delivers requests as messages arrive).  Returns the assigned
-        conn id.  Pushed arrivals need not be monotone; they merge with
-        the static offer stream by ``(arrival, conn_id)``."""
+        conn id.  Pushed arrivals need not be monotone; they join the
+        offered streams in ``(arrival, conn_id)`` order."""
         conn_id = self._next_conn_id
         self._next_conn_id += 1
         self._offered_total += 1
-        heapq.heappush(self._pushed, (arrival, conn_id, job_factory))
+        heapq.heappush(self._arrivals, (arrival, conn_id, job_factory,
+                                        None))
         self._next_memo = _STALE
         return conn_id
 
@@ -601,18 +595,19 @@ class ServingEngine:
         busy = self._busy_head()
         if busy is not None:
             return busy[0]
-        conn = self._peek_arrival()
+        arrivals = self._arrivals
+        nxt = arrivals[0][0] if arrivals else None
         waiter = self._earliest_deadline_worker()
         if waiter is None:
-            return None if conn is None else conn.arrival
-        if conn is None or waiter.wait_deadline < conn.arrival:
+            return nxt
+        if nxt is None or waiter.wait_deadline < nxt:
             return waiter.wait_deadline
-        return conn.arrival
+        return nxt
 
     def step(self) -> bool:
         """Advance one event of an externally stepped run; False when
         idle (never raises on a stall — see :meth:`_tick`)."""
-        more = self._tick(None, strict=False)
+        more = self._tick()
         self._next_memo = _STALE
         return more
 
@@ -621,56 +616,21 @@ class ServingEngine:
         self._park_workers()
         return self._report()
 
-    # -- the arrival stream ---------------------------------------------
+    # -- the arrival heap ------------------------------------------------
 
-    def _merged_arrivals(self) -> typing.Iterator[tuple]:
-        """(arrival, conn_id, job_factory) triples in global arrival
-        order — identical to sorting all materialized connections by
-        ``(arrival, conn_id)``, since each offer's stream is already
-        non-decreasing in that key."""
-        def stream(schedule, job_factory, first_id):
-            conn_id = first_id
-            for arrival in schedule.iter_arrivals():
-                yield (arrival, conn_id, job_factory)
-                conn_id += 1
-
-        streams = [stream(s, f, b) for s, f, b in self._offers]
-        if len(streams) == 1:
-            return streams[0]
-        return heapq.merge(*streams, key=lambda t: (t[0], t[1]))
-
-    def _peek_arrival(self) -> Connection | None:
-        """The next offered connection, materialized but not consumed —
-        the earlier of the static offer stream and the pushed heap,
-        keyed ``(arrival, conn_id)``."""
-        if self._next_arrival is not None:
-            return self._next_arrival
-        if (self._static_head is None and not self._stream_done
-                and self._arrival_stream is not None):
-            try:
-                self._static_head = next(self._arrival_stream)
-            except StopIteration:
-                self._stream_done = True
-        head = self._static_head
-        if self._pushed and (head is None
-                             or self._pushed[0][:2] < head[:2]):
-            arrival, conn_id, factory = heapq.heappop(self._pushed)
-        elif head is not None:
-            arrival, conn_id, factory = head
-            self._static_head = None
+    def _pop_arrival(self) -> Connection:
+        """Take the next arrival off the heap, re-pushing its stream's
+        following arrival, and materialize its connection."""
+        arrivals = self._arrivals
+        arrival, conn_id, factory, rest = arrivals[0]
+        nxt = None if rest is None else next(rest, None)
+        if nxt is None:
+            heapq.heappop(arrivals)
         else:
-            return None
-        self._next_arrival = Connection(conn_id=conn_id,
-                                        arrival=arrival,
-                                        job_factory=factory)
-        return self._next_arrival
-
-    def _pop_arrival(self) -> Connection | None:
-        conn = self._peek_arrival()
-        if conn is not None:
-            self._next_arrival = None
-            self._popped += 1
-        return conn
+            heapq.heapreplace(arrivals, (nxt, conn_id + 1, factory, rest))
+        self._popped += 1
+        return Connection(conn_id=conn_id, arrival=arrival,
+                          job_factory=factory)
 
     # -- choosing the next core ---------------------------------------------
 
@@ -701,12 +661,10 @@ class ServingEngine:
         busy core's timeline has reached the arrival time (idle cores
         never hold time back — they are parked in epoll_wait).
         """
-        while True:
-            head = self._peek_arrival()
-            if head is None:
-                break
+        arrivals = self._arrivals
+        while arrivals:
             busy = self._busy_head()
-            if busy is not None and head.arrival > busy[0]:
+            if busy is not None and arrivals[0][0] > busy[0]:
                 break
             conn = self._pop_arrival()
             if (self.queue_limit is not None
@@ -754,8 +712,6 @@ class ServingEngine:
             worker.state = _READY
 
     def _start_conn(self, worker: _Worker, conn: Connection) -> None:
-        conn.worker_tid = worker.task.tid
-        conn.core_id = worker.core_id
         worker.conn = conn
         worker.gen = conn.job_factory(worker.task, conn.conn_id)
 
@@ -852,7 +808,6 @@ class ServingEngine:
             self._makespan = conn.finish
         if self.on_complete is not None:
             self.on_complete(conn, conn.finish)
-        worker.served += 1
         worker.conn = None
         worker.gen = None
         if self._accept:
@@ -953,7 +908,6 @@ class ServingEngine:
         """A signal handler abandoned the request (RequestAborted):
         the connection is lost but the worker keeps serving."""
         conn = worker.conn
-        worker.aborted += 1
         self.aborted += 1
         worker.conn = None
         worker.gen = None
@@ -986,13 +940,10 @@ class ServingEngine:
             conn.retries += 1
             conn.accept_charged = False
             conn.start = None
-            conn.worker_tid = None
-            conn.core_id = None
             self._accept.appendleft(conn)
             self.readmitted += 1
             readmitted = True
         if conn is not None and not readmitted:
-            worker.aborted += 1
             self.aborted += 1
             if self.on_abort is not None:
                 self.on_abort(conn, self.core_time[core_id])

@@ -265,6 +265,17 @@ class TestServingEngine:
         assert started == [0, 8, 1, 3, 7, 2, 4, 6, 5]
         assert report.offered == report.completed == 9
 
+    def test_offer_after_start_raises(self, kernel, process):
+        """Offers close when the run starts: a late offer would count
+        as offered and never be served."""
+        engine = self._engine(kernel, process, name="late")
+        engine.start()
+        with pytest.raises(RuntimeError, match=r"'late' has started"):
+            engine.offer(ArrivalSchedule((0.0,)),
+                         _charging_job(kernel, 10.0, steps=1))
+        report = engine.stop()
+        assert report.offered == report.unserved == 0
+
     def test_blocking_and_wake_across_workers(self, kernel, process):
         """A job yielding a WaitQueue parks its worker; another worker's
         job wakes it and both run to completion."""
@@ -303,14 +314,6 @@ class TestServingEngine:
         engine.offer(ArrivalSchedule((0.0,)), blocker)
         with pytest.raises(RuntimeError, match="stalled"):
             engine.run()
-
-    def test_horizon_leaves_late_arrivals_unserved(self, kernel, process):
-        engine = self._engine(kernel, process)
-        engine.offer(ArrivalSchedule((0.0, 5e6)),
-                     _charging_job(kernel, 100.0, steps=1))
-        report = engine.run(horizon=1e6)
-        assert report.completed == 1
-        assert report.unserved == 1
 
     def test_engines_are_single_use(self, kernel, process):
         engine = self._engine(kernel, process, name="httpd-test")
