@@ -1103,7 +1103,11 @@ class Cluster:
         return merged
 
     def total_cycles(self) -> float:
-        total = sum(node.retired_clock for node in self.nodes.values())
+        # A plain left-to-right loop: from Python 3.12 ``sum()``
+        # compensates float rounding, which would move the last digit.
+        total = 0.0
+        for node in self.nodes.values():
+            total += node.retired_clock
         if self.client is not None:
             total += self.client.machine.clock.now
         return total
