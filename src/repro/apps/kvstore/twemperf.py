@@ -63,28 +63,13 @@ class Twemperf:
 
     # ------------------------------------------------------------------
 
-    def _run_connection(self, task: "Task", conn_id: int) -> None:
-        """One client connection: a mixed get/set request stream."""
-        self.store.kernel.clock.charge(CONNECTION_SETUP_CYCLES,
-                                       site="apps.memcached.connect")
-        value = bytes(self.value_size)
-        for req in range(self.requests_per_connection):
-            op, key = request_plan(conn_id, req,
-                                   self.requests_per_connection)
-            if op == "set":
-                self.store.set(task, key, value)
-            else:
-                got = self.store.get(task, key)
-                if got is None:
-                    raise RuntimeError("twemperf read its own write back "
-                                       "as missing")
-
     def connection_job(self, task: "Task", conn_id: int):
-        """One client connection as a serving-engine job (generator).
+        """One client connection, a mixed get/set request stream, as a
+        serving-engine job (generator); :meth:`measure_connection_cost`
+        drains it without an engine.
 
-        The same mixed get/set stream as :meth:`_run_connection`, but
-        yielding after setup and after every request — the engine's
-        preemption points — and running on the *worker* task, so four
+        Yields after setup and after every request — the engine's
+        preemption points — and runs on the *worker* task, so four
         workers genuinely interleave on time-sliced cores instead of
         being folded into an analytic capacity formula.
         """
@@ -121,7 +106,8 @@ class Twemperf:
         clock = self.store.kernel.clock
         start = clock.snapshot()
         for conn_id in range(sample_connections):
-            self._run_connection(task, conn_id)
+            for _ in self.connection_job(task, conn_id):
+                pass
         return (clock.snapshot() - start) / sample_connections
 
     # ------------------------------------------------------------------
