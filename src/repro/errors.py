@@ -87,11 +87,6 @@ class NoSpace(KernelError):
         super().__init__("ENOSPC", message)
 
 
-class PermissionDenied(KernelError):
-    def __init__(self, message: str) -> None:
-        super().__init__("EACCES", message)
-
-
 # --------------------------------------------------------------------------
 # libmpk errors.
 # --------------------------------------------------------------------------

@@ -244,10 +244,6 @@ class ClusterAuditReport:
     violations: list[str] = field(default_factory=list)
     checks: int = 0
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
 
 class FleetClient:
     """The twemperf fleet: open-loop connections, each a sequence of
