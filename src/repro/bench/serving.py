@@ -381,11 +381,8 @@ class ServingEngine:
         self.workers: list[_Worker] = []
         self._by_tid: dict[int, _Worker] = {}
         self._accept: deque[Connection] = deque()
-        # Offered load, in (arrival, conn_id) order: a heap of
-        # (arrival, conn_id, job_factory, rest) entries, one per live
-        # offer() stream (rest iterates its later arrivals) and one per
-        # push() (rest is None).  Conn ids are unique, so a comparison
-        # never reaches the factory.
+        # The one arrival heap (see "Lazy arrivals" above).  Conn ids
+        # are unique, so a comparison never reaches the factory.
         self._arrivals: list[tuple] = []
         self._offered_total = 0
         self._next_conn_id = 0
@@ -498,7 +495,7 @@ class ServingEngine:
     def run(self) -> ServingReport:
         """Serve every offered connection; returns the
         :class:`ServingReport`.  An un-wakeable stall raises."""
-        self._start()
+        self.start()
         try:
             while self._tick():
                 pass
@@ -515,16 +512,6 @@ class ServingEngine:
         finally:
             self._park_workers()
         return self._report()
-
-    def _start(self) -> None:
-        """Arm the (single-use) run: no offer() after this."""
-        if self._ran:
-            raise RuntimeError(
-                f"serving engine {self.name!r} (cores {self.cores}) is "
-                "single-use: build a fresh engine per run")
-        if not self.workers:
-            raise RuntimeError("engine has no workers")
-        self._ran = True
 
     def _tick(self) -> bool:
         """One event-loop iteration; False when the engine is idle (no
@@ -559,9 +546,16 @@ class ServingEngine:
     def start(self) -> None:
         """Begin an externally stepped run: the driver interleaves this
         engine with others via :meth:`next_time`/:meth:`step` and
-        finishes with :meth:`stop` instead of calling :meth:`run`.
-        Same single-use contract."""
-        self._start()
+        finishes with :meth:`stop` instead of calling :meth:`run`
+        (which starts the engine itself).  Engines are single-use, and
+        offers close here."""
+        if self._ran:
+            raise RuntimeError(
+                f"serving engine {self.name!r} (cores {self.cores}) is "
+                "single-use: build a fresh engine per run")
+        if not self.workers:
+            raise RuntimeError("engine has no workers")
+        self._ran = True
 
     def push(self, arrival: float, job_factory: typing.Callable) -> int:
         """Offer one connection dynamically, mid-run (the network plane

@@ -18,10 +18,11 @@ Measured on Python 3.11.7 and 3.12.1 (the counts agree): a cached
 ``mpk_end`` pair with 3 running siblings makes 148, and an
 ``mpk_mprotect`` that misses and evicts makes 146.  A healthy 3-node,
 2-replica cluster (``_build_cluster``, seed 5, 48 connections) makes
-1,656 calls per connection.  A served ``mpk_begin`` Memcached
-connection (``_serving``: 48 connections of 2 requests) makes 247
-calls (these two last measured on 3.11.7 only).  The counters live in :mod:`repro.bench.harness`, so an
-interpreter without pytest can take the same counts.
+1,656 calls per connection, and a served ``mpk_begin`` Memcached
+connection (``_serving``: 48 connections of 2 requests) makes 247;
+these two were last measured on 3.11.7 only.  The counters live in
+:mod:`repro.bench.harness`, so an interpreter without pytest can take
+the same counts.
 """
 
 from __future__ import annotations
