@@ -4,8 +4,12 @@ Each case runs the commands CI runs for one committed file, writing to
 a scratch path through ``repro.__main__.main``, and compares the bytes
 with the committed file.  ``BENCH_cluster.json`` is two commands on one
 path: ``clusterchaos`` writes it and ``clusterbench --sweep`` merges its
-``sweep`` key in.  Running these in tier-1 checks the files on every
-interpreter the suite runs on, not only the one the CI BENCH jobs use.
+``sweep`` key in.  ``keyscale`` takes about 25 s, so tier-1 pins its
+``--smoke`` grid (every policy's key-miss cycles at 100 and 1,000
+domains) in a small fixture beside this file instead of
+``BENCH_keyscale.json``.  Running these in tier-1 checks the files on
+every interpreter the suite runs on, not only the one the CI BENCH jobs
+use.
 """
 
 from __future__ import annotations
@@ -23,12 +27,13 @@ CASES = {
     "BENCH_serving.json": [["servebench"]],
     "BENCH_chaos.json": [["servechaos"]],
     "BENCH_cluster.json": [["clusterchaos"], ["clusterbench", "--sweep"]],
+    "tests/bench/keyscale_smoke.json": [["keyscale", "--smoke"]],
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_regenerates_the_committed_file(name, tmp_path, capsys):
-    out = tmp_path / name
+    out = tmp_path / pathlib.Path(name).name
     commands = CASES[name]
     for argv in commands:
         assert main([*argv, "--output", str(out)]) == 0
