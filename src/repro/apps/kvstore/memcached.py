@@ -64,6 +64,7 @@ class Memcached:
         if begin_timeout is not None and mode != "mpk_begin":
             raise ValueError("begin_timeout only applies to mpk_begin mode")
         self.kernel = kernel
+        self._request_site = kernel.clock.site("apps.memcached.request")
         self.process = process
         self.mode = mode
         self.lib = lib
@@ -168,8 +169,7 @@ class Memcached:
         When the slab class is full, the least-recently-used items are
         evicted to make room, as Memcached does.
         """
-        self.kernel.clock.charge(REQUEST_BASE_CYCLES,
-                                 site="apps.memcached.request")
+        self._request_site.charge(REQUEST_BASE_CYCLES)
         self.stats_requests += 1
         expires_at = (self.now_seconds() + ttl_seconds) if ttl_seconds \
             else 0
@@ -188,8 +188,7 @@ class Memcached:
         self._lru.move_to_end(key)
 
     def get(self, task: "Task", key: bytes) -> bytes | None:
-        self.kernel.clock.charge(REQUEST_BASE_CYCLES,
-                                 site="apps.memcached.request")
+        self._request_site.charge(REQUEST_BASE_CYCLES)
         self.stats_requests += 1
         self._open(task)
         try:
@@ -206,8 +205,7 @@ class Memcached:
         return value
 
     def delete(self, task: "Task", key: bytes) -> bool:
-        self.kernel.clock.charge(REQUEST_BASE_CYCLES,
-                                 site="apps.memcached.request")
+        self._request_site.charge(REQUEST_BASE_CYCLES)
         self.stats_requests += 1
         self._open(task)
         try:

@@ -57,6 +57,7 @@ class Twemperf:
         if workers <= 0:
             raise ValueError("workers must be positive")
         self.store = store
+        self._connect_site = store.kernel.clock.site("apps.memcached.connect")
         self.workers = workers
         self.requests_per_connection = requests_per_connection
         self.value_size = value_size
@@ -73,8 +74,7 @@ class Twemperf:
         workers genuinely interleave on time-sliced cores instead of
         being folded into an analytic capacity formula.
         """
-        self.store.kernel.clock.charge(CONNECTION_SETUP_CYCLES,
-                                       site="apps.memcached.connect")
+        self._connect_site.charge(CONNECTION_SETUP_CYCLES)
         yield
         value = bytes(self.value_size)
         for req in range(self.requests_per_connection):

@@ -428,6 +428,7 @@ class ServingEngine:
         self._obs = obs
         self._depth_metric = obs.metric_id("apps.serving.queue_depth")
         self._wait_metric = obs.metric_id("apps.serving.queue_wait")
+        self._accept_site = kernel.clock.site("apps.serving.accept")
 
     @property
     def current_task(self) -> "Task | None":
@@ -739,9 +740,9 @@ class ServingEngine:
                     # accept(2)/epoll bookkeeping, paid by the serving
                     # core; marks the start of service.
                     conn.accept_charged = True
-                    self._advance(core_id, lambda: self.kernel.clock.charge(
-                        self.kernel.costs.accept_cycles,
-                        site="apps.serving.accept"))
+                    before = clock.now
+                    self._accept_site.charge(self.kernel.costs.accept_cycles)
+                    self.core_time[core_id] += clock.now - before
                     conn.start = self.core_time[core_id]
                     self._obs.record_metric_id(self._wait_metric,
                                                conn.queue_wait)

@@ -80,6 +80,8 @@ class Libmpk:
         self._kernel: "Kernel" = process.kernel
         # The machine's instrumentation spine (for @traced spans).
         self._obs = process.kernel.machine.obs
+        self._lookup_site = process.kernel.clock.site(
+            "libmpk.keycache.lookup")
         self._cache: KeyCache | None = None
         self._groups: dict[int, PageGroup] = {}
         self._heaps: dict[int, GroupHeap] = {}
@@ -341,8 +343,7 @@ class Libmpk:
         if cache is None:
             self._require_init()
         kernel = self._kernel
-        kernel.clock.charge(kernel.costs.mpk_cache_lookup,
-                            site="libmpk.keycache.lookup")
+        self._lookup_site.charge(kernel.costs.mpk_cache_lookup)
         static = self._registry.static
         if static is not None and vkey not in static:
             self._registry.verify(vkey)  # raises
@@ -556,8 +557,7 @@ class Libmpk:
         if self._cache is None:
             self._require_init()
         kernel = self._kernel
-        kernel.clock.charge(kernel.costs.mpk_cache_lookup,
-                            site="libmpk.keycache.lookup")
+        self._lookup_site.charge(kernel.costs.mpk_cache_lookup)
         static = self._registry.static
         if static is not None and vkey not in static:
             self._registry.verify(vkey)  # raises
@@ -608,8 +608,7 @@ class Libmpk:
         request routes to the reserved execute-only key.
         """
         cache = self._require_init()
-        self._charge(self._kernel.costs.mpk_cache_lookup,
-                     site="libmpk.keycache.lookup")
+        self._lookup_site.charge(self._kernel.costs.mpk_cache_lookup)
         self._registry.verify(vkey)
         group = self._lookup_group(vkey)
 

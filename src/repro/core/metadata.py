@@ -69,6 +69,7 @@ class MetadataRegion:
         # mapped or unmapped since (PTE attribute rewrites never move
         # a page to another frame).  One entry per page of the region.
         self._page_frames: dict[int, tuple[Frame, int]] = {}
+        self._update_site = kernel.clock.site("libmpk.metadata.update")
         self._slots: dict[int, int] = {}  # vkey -> slot index
         self._free_slots: list[int] = []
         self._next_slot = 0
@@ -109,8 +110,7 @@ class MetadataRegion:
             cached[0]._data[offset:offset + RECORD_SIZE] = data
         else:
             self._frame_write(slot, data)
-        self._kernel.clock.charge(self._kernel.costs.mpk_metadata_op,
-                                  site="libmpk.metadata.update")
+        self._update_site.charge(self._kernel.costs.mpk_metadata_op)
 
     def kernel_remove(self, vkey: int) -> None:
         slot = self._slots.pop(vkey, None)

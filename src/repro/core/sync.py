@@ -58,8 +58,7 @@ def do_pkey_sync(kernel: "Kernel", caller: "Task", pkey: int,
     costs = kernel.costs
     scheduler = kernel.scheduler
     with kernel.machine.obs.span("kernel.do_pkey_sync"):
-        clock.charge(costs.syscall_overhead(),
-                     site="kernel.pkey_sync.entry_exit")
+        kernel._sync_entry_exit_site.charge(kernel._syscall_overhead)
 
         # Siblings usually share one PKRU value, so each distinct old
         # value is encoded once.
@@ -75,18 +74,15 @@ def do_pkey_sync(kernel: "Kernel", caller: "Task", pkey: int,
 
         for sibling in siblings:
             sibling.task_work_add(update_pkru)
-            clock.charge(costs.task_work_add,
-                         site="kernel.sync.task_work_add")
+            kernel._task_work_add_site.charge(costs.task_work_add)
         for sibling in siblings:
             if sibling.core_id is not None:
                 # A rescheduling IPI drives the running sibling through
                 # the kernel exit path; the caller waits for its ack.
-                clock.charge(costs.resched_ipi,
-                             site="kernel.sched.resched_ipi")
+                kernel._resched_ipi_site.charge(costs.resched_ipi)
                 scheduler.ipis_sent += 1
                 scheduler.kernel_exit(sibling)
-                clock.charge(costs.resched_ack_wait,
-                             site="kernel.sync.ipi_ack_wait")
+                kernel._ipi_ack_wait_site.charge(costs.resched_ack_wait)
             if eager:
                 # Synchronous handshake: wait for the sibling to enter
                 # the kernel, run the update, and send an explicit ack.

@@ -1,7 +1,8 @@
 """Deterministic failure injection over the charge-site stream.
 
-Every simulated cycle flows through :meth:`~repro.hw.cycles.Clock.charge`
-with a dotted ``layer.op.component`` site label, so "the Nth PTE update
+Every simulated cycle flows through the clock's one charge body,
+:meth:`~repro.hw.cycles.Site.charge`, with a dotted
+``layer.op.component`` site label, so "the Nth PTE update
 of this run" or "the next keycache lookup" is a well-defined, exactly
 reproducible point in time.  :class:`FaultInjector` is a
 :class:`~repro.obs.ChargeSink` that counts occurrences per site and

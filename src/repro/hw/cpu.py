@@ -24,7 +24,7 @@ re-reads; demand paging's ``map`` and attribute rewrites leave every
 resident hit authoritative.  ``read``/``write``/``fetch``
 batch their bookkeeping: each page is resolved once and the per-page
 ``mem_access`` and (zero-cost) ``tlb_hit`` charges are folded into one
-:meth:`Clock.charge` each per call.
+charge each per call, on ledger slots the core binds at construction.
 """
 
 from __future__ import annotations
@@ -65,6 +65,12 @@ class Core:
         # _PKRU_INTERN_LIMIT entries (cleared when full).
         self._pkru_interned: dict[int, PKRU] = {}
         self.tlb = TLB(clock, costs)
+        # Ledger slots of the hot charges (bound once, charged
+        # positionally).
+        self._hit_site = clock.site("hw.tlb.hit")
+        self._mem_site = clock.site("hw.mem.access")
+        self._walk_site = clock.site("hw.tlb.walk")
+        self._wrpkru_site = clock.site("hw.cpu.wrpkru")
         # Remaining instructions that execute without out-of-order overlap
         # because a WRPKRU recently serialized the pipeline.
         self._serial_shadow = 0
@@ -95,7 +101,7 @@ class Core:
         # The measured 23.3 cycles already include WRPKRU's own pipeline
         # drain; the serialization shadow it leaves behind penalizes the
         # *following* instructions (Figure 2's W2 > W1).
-        self.clock.charge(self.costs.wrpkru, site="hw.cpu.wrpkru")
+        self._wrpkru_site.charge(self.costs.wrpkru)
         self.wrpkru_count += 1
         value &= 0xFFFF_FFFF
         if value != self.pkru.value:
@@ -216,7 +222,7 @@ class Core:
         no access and charging nothing, when no translation exists.
         Returns a fourth value, True when the translation was a TLB
         hit: the caller charges the hit's (zero-cost) ``hw.tlb.hit``
-        (the batched transfer folds them into one :meth:`Clock.charge`).
+        (the batched transfer folds them into one charge).
 
         Counters first, charges after: the architectural access counter
         and the TLB outcome are recorded before any cycle charge, so the
@@ -260,7 +266,7 @@ class Core:
                 access=kind, unmapped=True)
         self._count_access(kind)
         tlb.record_walk_miss()
-        self.clock.charge(self.costs.tlb_miss_walk, site="hw.tlb.walk")
+        self._walk_site.charge(self.costs.tlb_miss_walk)
         tlb.fill(vpn, TlbEntry(
             frame_number=entry.frame.number, prot=entry.prot,
             pkey=entry.pkey, frame=entry.frame,
@@ -320,8 +326,8 @@ class Core:
             self.tlb.stats.hits += 1
             self.data_accesses += 1
             frame, prot, pkey = cached.frame, cached.prot, cached.pkey
-            self.clock.charge(self.costs.tlb_hit, site="hw.tlb.hit")
-            self.clock.charge(self.costs.mem_access, site="hw.mem.access")
+            self._hit_site.charge(self.costs.tlb_hit)
+            self._mem_site.charge(self.costs.mem_access)
             if (not prot & 0x1
                     or self.pkru.value >> 2 * pkey & PKEY_DISABLE_ACCESS):
                 self._enforce(prot, pkey, addr, READ)
@@ -346,8 +352,8 @@ class Core:
             self.tlb.stats.hits += 1
             self.data_accesses += 1
             frame, prot, pkey = cached.frame, cached.prot, cached.pkey
-            self.clock.charge(self.costs.tlb_hit, site="hw.tlb.hit")
-            self.clock.charge(self.costs.mem_access, site="hw.mem.access")
+            self._hit_site.charge(self.costs.tlb_hit)
+            self._mem_site.charge(self.costs.mem_access)
             if (not prot & 0x2 or self.pkru.value >> 2 * pkey
                     & (PKEY_DISABLE_ACCESS | PKEY_DISABLE_WRITE)):
                 self._enforce(prot, pkey, addr, WRITE)
@@ -399,8 +405,8 @@ class Core:
             frame, prot, pkey, hit = self._translate(
                 page_table, vpn, addr, kind, entries.get(vpn))
             if hit:
-                self.clock.charge(self.costs.tlb_hit, site="hw.tlb.hit")
-            self.clock.charge(self.costs.mem_access, site="hw.mem.access")
+                self._hit_site.charge(self.costs.tlb_hit)
+            self._mem_site.charge(self.costs.mem_access)
             self._enforce(prot, pkey, addr, kind)
             fdata = frame._data
             if data is None:
@@ -482,11 +488,9 @@ class Core:
                 else:
                     self.data_accesses += auth
             if auth or hits:
-                self.clock.charge((auth + hits) * self.costs.tlb_hit,
-                                  site="hw.tlb.hit")
+                self._hit_site.charge((auth + hits) * self.costs.tlb_hit)
             if auth or pages:
-                self.clock.charge((auth + pages) * self.costs.mem_access,
-                                  site="hw.mem.access")
+                self._mem_site.charge((auth + pages) * self.costs.mem_access)
         return b"".join(pieces) if pieces is not None else None
 
     # ------------------------------------------------------------------

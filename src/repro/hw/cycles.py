@@ -6,6 +6,15 @@ and 10).  The simulator charges these costs on the :class:`Clock` so the
 benchmark harness reproduces the paper's *relative* results — orderings,
 linear slopes, and crossovers — rather than wall-clock time.
 
+Charging
+--------
+The clock keeps its per-site ledger in :class:`Site` slots, one per
+attribution label.  ``clock.site(label)`` interns a slot and
+``slot.charge(cycles)`` is the one charge body; hot callers bind their
+slots once, at construction, and :meth:`Clock.charge` resolves a label
+per call for everyone else.  Ledger views list sites in first-charge
+order, whatever order the slots were interned in.
+
 Calibration notes
 -----------------
 Table 1 totals are decomposed so each syscall's cost is::
@@ -42,7 +51,7 @@ while mpk_mprotect stays ahead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -136,74 +145,125 @@ class CostModel:
 DEFAULT_COST_MODEL = CostModel()
 
 
-@dataclass
+class Site:
+    """One ledger slot of a :class:`Clock`: a site label, its dense id,
+    and the cycles and charges booked to it so far.
+
+    Made only by :meth:`Clock.site`, which returns the same slot for
+    the same label.  Hot call sites bind their slots once, at
+    construction, and charge with ``slot.charge(cycles)``.
+    """
+
+    __slots__ = ("label", "id", "cycles", "count", "_clock")
+
+    def __init__(self, clock: "Clock", label: str, site_id: int) -> None:
+        self.label = label
+        self.id = site_id
+        self.cycles = 0.0
+        self.count = 0
+        self._clock = clock
+
+    def charge(self, cycles: float) -> None:
+        """Advance the clock by ``cycles`` (non-negative), booked to
+        this site — the clock's one charge body.  The check comes
+        first, so a negative charge changes nothing; then the clock,
+        then this slot, then each sink in registration order."""
+        if cycles < 0:
+            raise ValueError(f"negative cycle charge: {cycles}")
+        clock = self._clock
+        clock.now += cycles
+        self.cycles += cycles
+        if not self.count:
+            clock._charged.append(self)
+        self.count += 1
+        if clock._sinks:
+            clock._seq += 1
+            now, seq = clock.now, clock._seq
+            for sink in clock._sinks:
+                sink.on_charge(self.label, cycles, now, seq)
+
+
 class Clock:
     """Monotonic cycle counter for one simulated machine.
 
-    All hardware and kernel operations call :meth:`charge`; benchmarks
-    bracket regions of interest with :meth:`snapshot` deltas.
+    All hardware and kernel operations charge it; benchmarks bracket
+    regions of interest with :meth:`snapshot` deltas.
 
     Every charge carries a *site* — a dotted ``layer.op.component``
     attribution label (see :mod:`repro.obs`).  The clock keeps the
-    per-site ledger itself: each label is interned to a small dense id
-    on first use, and :meth:`charge` adds to the flat
-    :attr:`site_cycles`/:attr:`site_counts` slots of that id, so the
-    always-on :class:`~repro.obs.SiteAggregator` is only a read-only
-    view and ``sum(site_cycles) == now`` holds from cycle zero.
+    per-site ledger itself, one :class:`Site` slot per label:
+    :meth:`site` interns a label to its slot (with a dense id, in
+    interning order), and :meth:`Site.charge` is the one charge body.
+    Hot call sites bind their slots at construction; :meth:`charge`
+    resolves a label to its slot on every call, for tests, examples and
+    cold paths.  The always-on :class:`~repro.obs.SiteAggregator` is a
+    read-only view of the slots that have seen a charge, in first-charge
+    order, so ``sum(site_cycles) == now`` holds from cycle zero.
 
     Optional sinks (ring logs, fault injectors) registered with
     :meth:`add_sink` then get ``on_charge(site, cycles, now, seq)`` for
-    every charge, in registration order.
+    every charge, in registration order.  ``seq`` is the charge's
+    ordinal on this clock.  No charge counts events: the counter is set
+    to :attr:`events` (the sum of the slots' counts) when the first sink
+    attaches, and only charges made while sinks are attached advance it.
     """
 
-    now: float = 0.0
-    _events: int = field(default=0, repr=False)
-    _sinks: list = field(default_factory=list, repr=False)
-    # site label <-> dense id, and the per-id ledger slots.
-    _site_ids: dict = field(default_factory=dict, repr=False)
-    _site_names: list = field(default_factory=list, repr=False)
-    site_cycles: list = field(default_factory=list, repr=False)
-    site_counts: list = field(default_factory=list, repr=False)
+    def __init__(self) -> None:
+        self.now = 0.0
+        self._sinks: list = []
+        self._seq = 0
+        # label -> slot (in dense-id order), and the slots in
+        # first-charge order (the order of every ledger view).
+        self._sites: dict[str, Site] = {}
+        self._charged: list[Site] = []
+
+    def site(self, label: str) -> Site:
+        """The ledger slot for ``label``, interned on first use."""
+        slot = self._sites.get(label)
+        if slot is None:
+            slot = self._sites[label] = Site(self, label, len(self._sites))
+        return slot
 
     def site_id(self, site: str) -> int:
         """The dense integer id for ``site`` (interning it if new)."""
-        sid = self._site_ids.get(site)
-        if sid is None:
-            sid = len(self._site_names)
-            self._site_ids[site] = sid
-            self._site_names.append(site)
-            self.site_cycles.append(0.0)
-            self.site_counts.append(0)
-        return sid
+        return self.site(site).id
 
     def site_name(self, site_id: int) -> str:
         """The label interned as ``site_id``."""
-        return self._site_names[site_id]
+        return list(self._sites)[site_id]
+
+    @property
+    def site_cycles(self) -> list[float]:
+        """Cycles per site, indexed by dense id."""
+        return [slot.cycles for slot in self._sites.values()]
+
+    @property
+    def site_counts(self) -> list[int]:
+        """Charges per site, indexed by dense id."""
+        return [slot.count for slot in self._sites.values()]
+
+    def charged(self) -> list[Site]:
+        """The slots that have seen a charge, in first-charge order."""
+        return list(self._charged)
 
     def charge(self, cycles: float, site: str = "unattributed") -> None:
         """Advance time by ``cycles`` (non-negative), attributed to
-        ``site``.  Code inside ``src/repro`` must always pass ``site=``
-        (enforced by the repo-consistency tests); the default exists
-        for exploratory/external callers only."""
-        if cycles < 0:
-            raise ValueError(f"negative cycle charge: {cycles}")
-        self.now += cycles
-        self._events += 1
-        sid = self._site_ids.get(site)
-        if sid is None:
-            sid = self.site_id(site)
-        self.site_cycles[sid] += cycles
-        self.site_counts[sid] += 1
-        if self._sinks:
-            now, seq = self.now, self._events
-            for sink in self._sinks:
-                sink.on_charge(site, cycles, now, seq)
+        ``site``, through that site's slot.  Code inside ``src/repro``
+        must always attribute its charges (enforced by the
+        repo-consistency tests); the default exists for
+        exploratory/external callers only."""
+        resolved_site = self._sites.get(site)
+        if resolved_site is None:
+            resolved_site = self.site(site)
+        resolved_site.charge(cycles)
 
     def add_sink(self, sink) -> None:
         """Register a charge sink: ``sink.on_charge(site, cycles, now,
         seq)`` runs on every charge, in registration order."""
         if sink in self._sinks:
             raise ValueError("sink is already registered")
+        if not self._sinks:
+            self._seq = self.events
         self._sinks.append(sink)
 
     def remove_sink(self, sink) -> None:
@@ -220,7 +280,7 @@ class Clock:
     @property
     def events(self) -> int:
         """Number of individual charges (for diagnostics)."""
-        return self._events
+        return sum(slot.count for slot in self._sites.values())
 
 
 class Region:

@@ -137,6 +137,8 @@ class TLB:
             raise ValueError("TLB capacity must be positive")
         self._clock = clock
         self._costs = costs
+        self._flush_full_site = clock.site("hw.tlb.flush_full")
+        self._flush_page_site = clock.site("hw.tlb.flush_page")
         self._capacity = capacity
         self._entries: OrderedDict[int, TlbEntry] = OrderedDict()
         # Page tables whose translations may be resident — the per-core
@@ -234,15 +236,13 @@ class TLB:
         else:
             self.stats.noop_flushes += 1
         self._tables.clear()
-        self._clock.charge(self._costs.tlb_flush_full,
-                           site="hw.tlb.flush_full")
+        self._flush_full_site.charge(self._costs.tlb_flush_full)
 
     def invalidate_page(self, vpn: int) -> None:
         """INVLPG a single page; charges the per-page cost."""
         self._entries.pop(vpn, None)
         self.stats.page_invalidations += 1
-        self._clock.charge(self._costs.tlb_flush_page,
-                           site="hw.tlb.flush_page")
+        self._flush_page_site.charge(self._costs.tlb_flush_page)
 
     def invalidate_range(self, vpns: list[int],
                          charge_pages: int | None = None) -> None:
@@ -261,8 +261,8 @@ class TLB:
             self._entries.pop(vpn, None)
         if charge_pages:
             self.stats.page_invalidations += charge_pages
-            self._clock.charge(charge_pages * self._costs.tlb_flush_page,
-                               site="hw.tlb.flush_page")
+            self._flush_page_site.charge(
+                charge_pages * self._costs.tlb_flush_page)
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -112,6 +112,23 @@ class Kernel:
         self.clock = self.machine.clock
         self._obs = self.machine.obs
         self._syscall_overhead = self.costs.syscall_overhead()
+        # Ledger slots of the syscall and lazy-sync charges (the
+        # do_pkey_sync slots are charged from repro.core.sync).
+        site = self.clock.site
+        self._entry_exit_site = site("kernel.syscall.entry_exit")
+        self._mmap_site = site("kernel.mmap.body")
+        self._munmap_site = site("kernel.munmap.body")
+        self._pkey_alloc_site = site("kernel.pkey_alloc.body")
+        self._pkey_free_site = site("kernel.pkey_free.body")
+        self._mprotect_base_site = site("kernel.mprotect.base")
+        self._vma_find_site = site("kernel.mprotect.vma_find")
+        self._vma_split_site = site("kernel.mprotect.vma_split")
+        self._pte_update_site = site("kernel.mprotect.pte_update")
+        self._pkey_check_site = site("kernel.mprotect.pkey_check")
+        self._sync_entry_exit_site = site("kernel.pkey_sync.entry_exit")
+        self._task_work_add_site = site("kernel.sync.task_work_add")
+        self._resched_ipi_site = site("kernel.sched.resched_ipi")
+        self._ipi_ack_wait_site = site("kernel.sync.ipi_ack_wait")
         self.scheduler = Scheduler(self.machine)
         self.processes: list[Process] = []
 
@@ -162,9 +179,9 @@ class Kernel:
                  flags: int = 0, addr: int | None = None) -> int:
         self._enter(task)
         address, stats = task.process.mm.mmap(length, prot, flags, addr)
-        self.clock.charge(self.costs.mmap_base
-                          + stats.pages_mapped * self.costs.mmap_per_page,
-                          site="kernel.mmap.body")
+        self._mmap_site.charge(
+            self.costs.mmap_base
+            + stats.pages_mapped * self.costs.mmap_per_page)
         return address
 
     def create_shared_object(self, name: str, size: int):
@@ -188,9 +205,9 @@ class Kernel:
     def sys_munmap(self, task: Task, addr: int, length: int) -> None:
         self._enter(task)
         stats = task.process.mm.munmap(addr, length)
-        self.clock.charge(self.costs.munmap_base
-                          + stats.pages_unmapped * self.costs.munmap_per_page,
-                          site="kernel.munmap.body")
+        self._munmap_site.charge(
+            self.costs.munmap_base
+            + stats.pages_unmapped * self.costs.munmap_per_page)
         self.scheduler.tlb_shootdown(task.process, task)
 
     # ------------------------------------------------------------------
@@ -233,21 +250,17 @@ class Kernel:
                         pkey_variant: bool = False) -> None:
         """Itemized mprotect body: each Table-1 component is charged to
         its own site so the breakdown shows *where* protect time goes."""
-        charge = self.clock.charge
         costs = self.costs
-        charge(costs.mprotect_base, site="kernel.mprotect.base")
+        self._mprotect_base_site.charge(costs.mprotect_base)
         if stats.vmas_found:
-            charge(stats.vmas_found * costs.vma_find,
-                   site="kernel.mprotect.vma_find")
+            self._vma_find_site.charge(stats.vmas_found * costs.vma_find)
         if stats.splits:
-            charge(stats.splits * costs.vma_split,
-                   site="kernel.mprotect.vma_split")
+            self._vma_split_site.charge(stats.splits * costs.vma_split)
         if stats.pages_updated:
-            charge(stats.pages_updated * costs.pte_update,
-                   site="kernel.mprotect.pte_update")
+            self._pte_update_site.charge(
+                stats.pages_updated * costs.pte_update)
         if pkey_variant:
-            charge(costs.pkey_mprotect_extra,
-                   site="kernel.mprotect.pkey_check")
+            self._pkey_check_site.charge(costs.pkey_mprotect_extra)
 
     def _protect_shootdown(self, process, task: Task,
                            stats: ProtectStats) -> None:
@@ -297,8 +310,7 @@ class Kernel:
                        init_rights: int = 0) -> int:
         self._enter(task)
         key = task.process.pkeys.alloc(flags, init_rights)
-        self.clock.charge(self.costs.pkey_alloc_kernel,
-                          site="kernel.pkey_alloc.body")
+        self._pkey_alloc_site.charge(self.costs.pkey_alloc_kernel)
         # The kernel installs the requested initial rights in the calling
         # thread's PKRU before returning (an xstate write, part of the
         # measured syscall cost, not a userspace WRPKRU).
@@ -312,8 +324,7 @@ class Kernel:
         key is next allocated for (§3.1)."""
         self._enter(task)
         task.process.pkeys.free(pkey)
-        self.clock.charge(self.costs.pkey_free_kernel,
-                          site="kernel.pkey_free.body")
+        self._pkey_free_site.charge(self.costs.pkey_free_kernel)
 
     # ------------------------------------------------------------------
     # Kernel-internal helpers (used by libmpk's kernel component).
@@ -322,16 +333,14 @@ class Kernel:
     def ktask_work_add(self, target: Task, work) -> None:
         """In-kernel task_work_add(): queue work on another task."""
         target.task_work_add(work)
-        self.clock.charge(self.costs.task_work_add,
-                          site="kernel.sync.task_work_add")
+        self._task_work_add_site.charge(self.costs.task_work_add)
 
     def kick(self, target: Task) -> bool:
         """Send a rescheduling IPI; charge the caller's ack wait if the
         target was actually running (lazy sync, Figure 7 steps 3-5)."""
         sent = self.scheduler.send_resched_ipi(target)
         if sent:
-            self.clock.charge(self.costs.resched_ack_wait,
-                              site="kernel.sync.ipi_ack_wait")
+            self._ipi_ack_wait_site.charge(self.costs.resched_ack_wait)
         return sent
 
     # ------------------------------------------------------------------
@@ -431,5 +440,4 @@ class Kernel:
         if task.core_id is None:
             raise RuntimeError(
                 f"syscall from task {task.tid} which is not on a core")
-        self.clock.charge(self._syscall_overhead,
-                          site="kernel.syscall.entry_exit")
+        self._entry_exit_site.charge(self._syscall_overhead)

@@ -34,7 +34,6 @@ from repro.hw.paging import PageTable, PageTableEntry
 from repro.kernel.vma import VMA, VmaTree
 
 
-@dataclass
 class ProtectStats:
     """What one mprotect-style operation touched (for cost accounting).
 
@@ -54,12 +53,19 @@ class ProtectStats:
       fall back to a full flush when ``vpns_populated`` is False.
     """
 
-    vmas_found: int = 0
-    splits: int = 0
-    merges: int = 0
-    pages_updated: int = 0
-    vpns: list[int] = field(default_factory=list)
-    vpns_populated: bool = True
+    __slots__ = ("vmas_found", "splits", "merges", "pages_updated", "vpns",
+                 "vpns_populated")
+
+    def __init__(self, vmas_found: int = 0, splits: int = 0,
+                 merges: int = 0, pages_updated: int = 0,
+                 vpns: list[int] | None = None,
+                 vpns_populated: bool = True) -> None:
+        self.vmas_found = vmas_found
+        self.splits = splits
+        self.merges = merges
+        self.pages_updated = pages_updated
+        self.vpns = [] if vpns is None else vpns
+        self.vpns_populated = vpns_populated
 
 
 @dataclass
@@ -90,6 +96,7 @@ class MM:
         self.vmas = VmaTree()
         self._mmap_cursor = MMAP_BASE
         self.minor_faults = 0
+        self._minor_fault_site = machine.clock.site("kernel.fault.minor")
         # The protect fast path: the last exact-fit (addr, end) -> VMA
         # resolution, validated against the VMA tree's structural
         # version.  Syscall-heavy workloads (Table 1's mprotect loop,
@@ -134,8 +141,7 @@ class MM:
         entry = self.page_table.map(vpn, frame, vma.effective_pte_prot,
                                     vma.pkey)
         self.minor_faults += 1
-        self.machine.clock.charge(self.machine.costs.minor_fault,
-                                  site="kernel.fault.minor")
+        self._minor_fault_site.charge(self.machine.costs.minor_fault)
         return entry
 
     def populate(self, addr: int, length: int) -> int:

@@ -49,6 +49,11 @@ class Scheduler:
         self.context_switches = 0
         self.preemptions = 0
         self.run_queues: dict[int, deque["Task"]] = {}
+        site = machine.clock.site
+        self._context_switch_site = site("kernel.sched.context_switch")
+        self._task_work_run_site = site("kernel.sched.task_work_run")
+        self._resched_ipi_site = site("kernel.sched.resched_ipi")
+        self._shootdown_ipi_site = site("hw.tlb.shootdown_ipi")
 
     # ------------------------------------------------------------------
     # Placement.
@@ -68,8 +73,8 @@ class Scheduler:
         elif core_id in self.core_task:
             raise RuntimeError(f"core {core_id} is busy")
         if charge:
-            self.machine.clock.charge(self.machine.costs.context_switch,
-                                      site="kernel.sched.context_switch")
+            self._context_switch_site.charge(
+                self.machine.costs.context_switch)
         self.context_switches += 1
         self.core_task[core_id] = task
         task.core_id = core_id
@@ -173,8 +178,7 @@ class Scheduler:
         """
         if not task.running:
             return False
-        self.machine.clock.charge(self.machine.costs.resched_ipi,
-                                  site="kernel.sched.resched_ipi")
+        self._resched_ipi_site.charge(self.machine.costs.resched_ipi)
         self.ipis_sent += 1
         self.kernel_exit(task)
         return True
@@ -208,37 +212,33 @@ class Scheduler:
         # cycle ledger and ipis_sent permanently skewed.
         if initiator is not None and initiator.core_id is None:
             raise RuntimeError("shootdown initiator must be running")
+        local = initiator.core_id if initiator is not None else None
         machine = self.machine
-        cores = machine.cores
-        targets = {core_id for core_id, task in self.core_task.items()
-                   if task.process is process}
-        if len(targets) < len(cores):
-            page_table = process.mm.page_table
-            targets.update([core.core_id for core in cores
-                            if core.core_id not in targets
-                            and core.tlb.may_hold(page_table)])
-        # The initiator may be running a task of a *different* process
-        # (the kernel editing another mm).  Cores have no ASIDs here,
-        # so its TLB can still hold stale translations of the flushed
-        # process — the local flush is mandatory.
-        local = None
-        if initiator is not None:
-            local = initiator.core_id
-            targets.add(local)
+        core_task = self.core_task
+        page_table = process.mm.page_table
         ipi_cost = machine.costs.tlb_shootdown_ipi
-        charge = machine.clock.charge
         precise = not full and vpns is not None
         remote = 0
-        for core_id in sorted(targets):
+        # One walk in core-id order.  The initiator may be running a
+        # task of a *different* process (the kernel editing another
+        # mm).  Cores have no ASIDs here, so its TLB can still hold
+        # stale translations of the flushed process — the local flush
+        # is mandatory.
+        for core in machine.cores:
+            core_id = core.core_id
+            tlb = core.tlb
             if core_id != local:
-                charge(ipi_cost, site="hw.tlb.shootdown_ipi")
+                task = core_task.get(core_id)
+                if ((task is None or task.process is not process)
+                        and not tlb.may_hold(page_table)):
+                    continue
+                self._shootdown_ipi_site.charge(ipi_cost)
                 self.ipis_sent += 1
                 remote += 1
             if precise:
-                cores[core_id].tlb.invalidate_range(
-                    vpns, charge_pages=charge_pages)
+                tlb.invalidate_range(vpns, charge_pages=charge_pages)
             else:
-                cores[core_id].tlb.flush()
+                tlb.flush()
         return remote
 
     # ------------------------------------------------------------------
@@ -256,7 +256,7 @@ class Scheduler:
         machine = self.machine
         ran = task.run_task_works()
         if ran:
-            machine.clock.charge(ran * machine.costs.task_work_run,
-                                 site="kernel.sched.task_work_run")
+            self._task_work_run_site.charge(
+                ran * machine.costs.task_work_run)
         if task.core_id is not None:
             machine.cores[task.core_id].load_pkru(task.pkru)

@@ -185,6 +185,12 @@ class Node:
     sync_peer_idx: int = 0
     sync_cursor: bytes = b""
     sync_attempts: int = 0
+    # Ledger slots of the replica-write round trip on this
+    # incarnation's clock, bound at boot (hint and sync charges run
+    # only after faults and name their sites per charge).
+    repl_tx_site: typing.Any = None
+    repl_rx_site: typing.Any = None
+    repl_ack_site: typing.Any = None
     # --- cumulative counters (carried across restarts) ---------------
     repl_writes: int = 0         # replica writes sent
     repl_applied: int = 0        # replica writes applied (version won)
@@ -280,6 +286,8 @@ class FleetClient:
         self.name = name
         self.shard_map = shard_map
         self.machine = machine
+        self._connect_site = machine.clock.site("net.cluster.connect")
+        self._rpc_site = machine.clock.site("net.cluster.rpc")
         self.requests_per_connection = requests_per_connection
         self.value_size = value_size
         self.rpc_timeout = rpc_timeout
@@ -316,8 +324,7 @@ class FleetClient:
 
     def _start_conn(self, conn_id: int, arrival: float,
                     now: float) -> None:
-        self.machine.clock.charge(CONNECTION_SETUP_CYCLES,
-                                  site="net.cluster.connect")
+        self._connect_site.charge(CONNECTION_SETUP_CYCLES)
         self._conns[conn_id] = {"req": 0, "attempt": 0,
                                 "arrival": arrival, "done": None,
                                 "last_target": None}
@@ -342,8 +349,7 @@ class FleetClient:
         if state["attempt"] > 0 and target != state["last_target"]:
             self.failovers += 1
         state["last_target"] = target
-        self.machine.clock.charge(RPC_CLIENT_CYCLES,
-                                  site="net.cluster.rpc")
+        self._rpc_site.charge(RPC_CLIENT_CYCLES)
         size = (self.value_size if op == "set"
                 else REQUEST_HEADER_BYTES)
         self.plane.send(self.name, target, "req",
@@ -528,6 +534,10 @@ class Cluster:
     def _boot(self, name: str, incarnation: int) -> Node:
         parts = self.node_factory(name, incarnation)
         node = Node(name=name, incarnation=incarnation, **parts)
+        site = node.machine.clock.site
+        node.repl_tx_site = site("net.repl.tx")
+        node.repl_rx_site = site("net.repl.rx")
+        node.repl_ack_site = site("net.repl.ack")
         self.nodes[name] = node
         if self.injector is not None:
             node.machine.obs.add_sink(PrefixTap(name, self.injector))
@@ -754,7 +764,7 @@ class Cluster:
                                   "version": version, "size": size,
                                   "attempts": attempts}
         node.repl_writes += 1
-        node.machine.clock.charge(REPL_TX_CYCLES, site="net.repl.tx")
+        node.repl_tx_site.charge(REPL_TX_CYCLES)
         self.plane.send(node.name, peer, "repl",
                         {"rid": rid, "key": key, "version": version,
                          "size": size, "origin": node.name},
@@ -780,7 +790,7 @@ class Cluster:
         """A replica write arrives: apply it iff its version wins
         (duplicates and reordered deliveries are gated, counted, and
         still acked — the sender only needs to know the data landed)."""
-        node.machine.clock.charge(REPL_RX_CYCLES, site="net.repl.rx")
+        node.repl_rx_site.charge(REPL_RX_CYCLES)
         key, version = payload["key"], payload["version"]
         if version > node.kv.get(key, (0, 0))[0]:
             node.store.set(node.process.main_task, key,
@@ -795,7 +805,7 @@ class Cluster:
 
     def _on_repl_ack(self, node: Node, payload: dict,
                      now: float) -> None:
-        node.machine.clock.charge(REPL_ACK_CYCLES, site="net.repl.ack")
+        node.repl_ack_site.charge(REPL_ACK_CYCLES)
         node.repl_acks += 1
         holder = payload["holder"]
         node.hint_backoff[holder] = 0

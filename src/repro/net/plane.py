@@ -67,7 +67,8 @@ class Message:
 @dataclass
 class _Endpoint:
     name: str
-    clock: typing.Any = None                  # the machine's Clock
+    tx_site: typing.Any = None   # the machine clock's net.link.tx slot
+    rx_site: typing.Any = None   # ... and its net.link.rx slot
     handler: typing.Callable | None = None    # handler(msg, now)
     up: bool = True
 
@@ -96,8 +97,12 @@ class NetworkPlane:
         """Register (or re-register, across node restarts) an endpoint.
         ``clock`` takes this endpoint's tx/rx charges; ``handler(msg,
         now)`` runs at each delivery."""
-        self._endpoints[name] = _Endpoint(name=name, clock=clock,
-                                          handler=handler)
+        tx_site = rx_site = None
+        if clock is not None:
+            tx_site = clock.site("net.link.tx")
+            rx_site = clock.site("net.link.rx")
+        self._endpoints[name] = _Endpoint(name=name, tx_site=tx_site,
+                                          rx_site=rx_site, handler=handler)
 
     def set_up(self, name: str, up: bool) -> None:
         """Mark an endpoint's machine up/down (down endpoints neither
@@ -137,10 +142,9 @@ class NetworkPlane:
         """
         sender = self._endpoints[src]
         link = self.default_link
-        if sender.clock is not None:
-            sender.clock.charge(
-                link.per_message_cycles + size_bytes * link.cycles_per_byte,
-                site="net.link.tx")
+        if sender.tx_site is not None:
+            sender.tx_site.charge(
+                link.per_message_cycles + size_bytes * link.cycles_per_byte)
         self.sent += 1
         receiver = self._endpoints.get(dst)
         if (self.partitioned(src, dst) or not sender.up
@@ -189,9 +193,8 @@ class NetworkPlane:
         if receiver is None or not receiver.up:
             self.dropped += 1     # died while the message was in flight
             return True
-        if receiver.clock is not None:
-            receiver.clock.charge(self.default_link.rx_cycles,
-                                  site="net.link.rx")
+        if receiver.rx_site is not None:
+            receiver.rx_site.charge(self.default_link.rx_cycles)
         self.delivered += 1
         if receiver.handler is not None:
             receiver.handler(message, self.now)

@@ -1,7 +1,7 @@
 """repro.obs — the attributed instrumentation spine.
 
 Every simulated cycle enters the system through
-:meth:`~repro.hw.cycles.Clock.charge`, and every charge now carries a
+:meth:`~repro.hw.cycles.Site.charge`, and every charge now carries a
 *site*: a dotted attribution label of the form ``layer.op.component``
 (``kernel.mprotect.pte_update``, ``hw.tlb.shootdown_ipi``,
 ``libmpk.keycache.lookup``).  This module turns that stream into
@@ -84,41 +84,39 @@ class SiteAggregator:
     """Read-only per-site view of a clock's ledger: cycle totals and
     charge counts, keyed by site label.
 
-    The clock itself keeps the ledger (flat lists indexed by interned
-    site id, updated inline by :meth:`~repro.hw.cycles.Clock.charge`);
-    this view resolves ids back to labels.  The dict-shaped views
-    (:attr:`cycles`, :attr:`counts`) are rebuilt on access — they are
-    read on report boundaries, never per charge.
+    The clock itself keeps the ledger (one
+    :class:`~repro.hw.cycles.Site` slot per label, updated by the one
+    charge body); this view reads the slots that have seen a charge,
+    in first-charge order.  The dict-shaped views (:attr:`cycles`,
+    :attr:`counts`) are rebuilt on access — they are read on report
+    boundaries, never per charge.
     """
 
     def __init__(self, clock) -> None:
         self._clock = clock
 
-    def _items(self, values: list) -> typing.Iterator[tuple[str, object]]:
+    def _items(self, field: str) -> typing.Iterator[tuple[str, object]]:
         """(site, value) pairs for every site that has seen a charge."""
-        clock = self._clock
-        for sid, count in enumerate(clock.site_counts):
-            if count:
-                yield clock.site_name(sid), values[sid]
+        for slot in self._clock.charged():
+            yield slot.label, getattr(slot, field)
 
     # -- dict-shaped views (report boundaries, not per charge) ----------
 
     @property
     def cycles(self) -> dict[str, float]:
-        return dict(self._items(self._clock.site_cycles))
+        return dict(self._items("cycles"))
 
     @property
     def counts(self) -> dict[str, int]:
-        return dict(self._items(self._clock.site_counts))
+        return dict(self._items("count"))
 
     # ------------------------------------------------------------------
 
     def total(self) -> float:
-        return sum(self._clock.site_cycles)
+        return sum(slot.cycles for slot in self._clock.charged())
 
     def sites(self) -> list[str]:
-        return sorted(site for site, _ in
-                      self._items(self._clock.site_counts))
+        return sorted(slot.label for slot in self._clock.charged())
 
     def breakdown(self, depth: int | None = None) -> dict[str, float]:
         """Cycles aggregated by label prefix of ``depth`` components
@@ -126,7 +124,7 @@ class SiteAggregator:
         if depth is None:
             return self.cycles
         grouped: dict[str, float] = {}
-        for site, cycles in self._items(self._clock.site_cycles):
+        for site, cycles in self._items("cycles"):
             label = ".".join(site.split(".")[:depth])
             grouped[label] = grouped.get(label, 0.0) + cycles
         return grouped

@@ -283,6 +283,85 @@ class TestSiteInterning:
             assert agg.counts == {"kernel.test.x": 2, "kernel.test.y": 1}
 
 
+class TestSlotLedger:
+    """The clock's one charge body: ``Clock.site`` slots, the sink
+    ``seq`` rule and the first-charge order of every ledger view."""
+
+    def test_interning_returns_one_slot_with_a_stable_id(self):
+        clock = Clock()
+        clock.site("hw.test.other")
+        slot = clock.site("hw.test.x")
+        assert clock.site("hw.test.x") is slot
+        assert slot.id == clock.site_id("hw.test.x") == 1
+        assert clock.site_name(slot.id) == "hw.test.x"
+        slot.charge(4.0)
+        clock.charge(1.0, site="hw.test.x")
+        assert (slot.cycles, slot.count) == (5.0, 2)
+        assert clock.site_cycles == [0.0, 5.0]
+        assert clock.site_counts == [0, 2]
+
+    def test_events_count_every_charge(self):
+        clock = Clock()
+        slot = clock.site("hw.test.a")
+        for _ in range(3):
+            slot.charge(1.0)
+        clock.charge(0.0, site="hw.test.b")
+        assert clock.events == 4
+
+    def test_late_sink_sees_the_charge_ordinal(self):
+        clock = Clock()
+        slot = clock.site("hw.test.a")
+        for _ in range(5):
+            slot.charge(1.0)
+        log = RingLog(capacity=16)
+        clock.add_sink(log)
+        slot.charge(2.0)
+        clock.charge(3.0, site="hw.test.b")
+        assert [e.seq for e in log.events()] == [6, 7]
+
+    def test_seq_survives_detach_and_reattach(self):
+        clock = Clock()
+        slot = clock.site("hw.test.a")
+        log = RingLog(capacity=16)
+        clock.add_sink(log)
+        slot.charge(1.0)
+        clock.remove_sink(log)
+        for _ in range(3):
+            slot.charge(1.0)
+        clock.add_sink(log)
+        slot.charge(1.0)
+        clock.charge(1.0, site="hw.test.b")
+        assert [e.seq for e in log.events()] == [1, 5, 6]
+        assert clock.events == 6
+
+    def test_negative_slot_charge_changes_nothing(self):
+        clock = Clock()
+        slot = clock.site("hw.test.a")
+        slot.charge(2.0)
+        log = RingLog(capacity=4)
+        clock.add_sink(log)
+        with pytest.raises(ValueError, match="negative cycle charge"):
+            slot.charge(-1.0)
+        assert clock.now == 2.0
+        assert (slot.cycles, slot.count) == (2.0, 1)
+        assert len(log) == 0 and clock.events == 1
+
+    def test_views_keep_first_charge_order(self):
+        """Interning order (construction time) never leaks into the
+        ledger views: they list sites in first-charge order."""
+        clock = Clock()
+        agg = SiteAggregator(clock)
+        late, early = clock.site("kernel.test.late"), \
+            clock.site("hw.test.early")
+        early.charge(1.0)
+        late.charge(2.0)
+        early.charge(4.0)
+        assert list(agg.cycles) == ["hw.test.early", "kernel.test.late"]
+        assert list(agg.breakdown(depth=1)) == ["hw", "kernel"]
+        assert [slot.label for slot in clock.charged()] == \
+            ["hw.test.early", "kernel.test.late"]
+
+
 class TestKeyCostTables:
     def test_mean_cost_per_key(self):
         clock = Clock()

@@ -1,5 +1,6 @@
 """Meta-tests: the documentation and the repository must agree."""
 
+import ast
 import pathlib
 import re
 
@@ -49,53 +50,95 @@ class TestReadme:
 
 
 class TestAttribution:
-    """Every cycle charge inside src/repro must carry a site label."""
+    """Every cycle charge inside src/repro must carry a site label:
+    either ``clock.charge(cycles, site="layer.op")``, or a charge on a
+    ledger slot, ``slot.charge(cycles)``, whose receiver is bound from
+    a ``clock.site("layer.op")`` call somewhere in src/repro."""
+
+    LAYERS = {"hw", "kernel", "libmpk", "apps", "net"}
 
     @staticmethod
-    def _charge_calls(source: str):
-        """Yield (line_number, call_text) for each ``.charge(`` call,
-        following the call to its balancing close paren so multi-line
-        calls are inspected whole."""
-        for match in re.finditer(r"\.charge\(", source):
-            start = match.end()  # just past the open paren
-            depth = 1
-            pos = start
-            while depth and pos < len(source):
-                if source[pos] == "(":
-                    depth += 1
-                elif source[pos] == ")":
-                    depth -= 1
-                pos += 1
-            line = source.count("\n", 0, match.start()) + 1
-            yield line, source[start:pos - 1]
+    def _sources():
+        """(relative path, parsed module) for every file in src/repro."""
+        for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+            yield path.relative_to(REPO), ast.parse(path.read_text())
+
+    @staticmethod
+    def _name(expr) -> str | None:
+        """The last identifier of ``x``, ``a.x`` or ``a.b.x``."""
+        if isinstance(expr, ast.Attribute):
+            return expr.attr
+        if isinstance(expr, ast.Name):
+            return expr.id
+        return None
+
+    @classmethod
+    def _is_site_call(cls, node) -> bool:
+        return isinstance(node, ast.Call) and cls._name(node.func) == "site"
+
+    @classmethod
+    def _slot_names(cls) -> set[str]:
+        """Names assigned from a ``site(...)`` call anywhere in src."""
+        names = set()
+        for _, tree in cls._sources():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Assign) and \
+                        cls._is_site_call(node.value):
+                    names.update(cls._name(target)
+                                 for target in node.targets)
+        names.discard(None)
+        return names
 
     def test_no_unattributed_charges_in_src(self):
+        slots = self._slot_names()
+        assert slots, "no ledger slot is bound from a site() call"
         offenders = []
-        for path in (REPO / "src" / "repro").rglob("*.py"):
-            for line, call in self._charge_calls(path.read_text()):
-                if "site=" not in call:
-                    offenders.append(
-                        f"{path.relative_to(REPO)}:{line}: "
-                        f".charge({call.strip()})")
+        for path, tree in self._sources():
+            for node in ast.walk(tree):
+                if not (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "charge"):
+                    continue
+                if any(kw.arg == "site" for kw in node.keywords):
+                    continue
+                receiver = node.func.value
+                if (self._is_site_call(receiver)
+                        or self._name(receiver) in slots):
+                    continue
+                offenders.append(f"{path}:{node.lineno}: "
+                                 f"{ast.unparse(node)}")
         assert not offenders, (
-            "charge calls without site= attribution:\n"
+            "charge calls with neither site= nor a ledger slot:\n"
             + "\n".join(offenders))
 
     def test_site_labels_follow_the_taxonomy(self):
-        """Literal site labels are layer.op[.component] with a known
-        layer prefix (docs/ARCHITECTURE.md; the cluster additionally
-        prefixes node names at merge time, which is outside this
-        literal-label check)."""
-        pattern = re.compile(r'site="([^"]+)"')
-        for path in (REPO / "src" / "repro").rglob("*.py"):
-            for label in pattern.findall(path.read_text()):
-                layer = label.split(".")[0]
-                assert layer in {"hw", "kernel", "libmpk", "apps",
-                                 "net"}, (
-                    f"{path.name}: site '{label}' has unknown layer "
-                    f"'{layer}'")
-                assert label.count(".") >= 1, (
-                    f"{path.name}: site '{label}' is not dotted")
+        """Literal site labels — ``site="..."`` keywords and the labels
+        interned with ``site("...")`` — are layer.op[.component] with a
+        known layer prefix (docs/ARCHITECTURE.md; the cluster
+        additionally prefixes node names at merge time, which is
+        outside this literal-label check)."""
+        seen = {"site=": 0, "site()": 0}
+        for path, tree in self._sources():
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                literals = [("site=", kw.value) for kw in node.keywords
+                            if kw.arg == "site"]
+                if self._is_site_call(node) and node.args:
+                    literals.append(("site()", node.args[0]))
+                for kind, value in literals:
+                    if not (isinstance(value, ast.Constant)
+                            and isinstance(value.value, str)):
+                        continue
+                    seen[kind] += 1
+                    label = value.value
+                    layer = label.split(".")[0]
+                    assert layer in self.LAYERS, (
+                        f"{path}: site '{label}' has unknown layer "
+                        f"'{layer}'")
+                    assert label.count(".") >= 1, (
+                        f"{path}: site '{label}' is not dotted")
+        assert all(seen.values()), f"no literal labels found: {seen}"
 
 
 class TestPackaging:
