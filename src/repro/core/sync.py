@@ -79,7 +79,7 @@ def do_pkey_sync(kernel: "Kernel", caller: "Task", pkey: int,
             if sibling.core_id is not None:
                 # A rescheduling IPI drives the running sibling through
                 # the kernel exit path; the caller waits for its ack.
-                kernel._resched_ipi_site.charge(costs.resched_ipi)
+                scheduler._resched_ipi_site.charge(costs.resched_ipi)
                 scheduler.ipis_sent += 1
                 scheduler.kernel_exit(sibling)
                 kernel._ipi_ack_wait_site.charge(costs.resched_ack_wait)

@@ -112,8 +112,9 @@ class Kernel:
         self.clock = self.machine.clock
         self._obs = self.machine.obs
         self._syscall_overhead = self.costs.syscall_overhead()
-        # Ledger slots of the syscall and lazy-sync charges (the
-        # do_pkey_sync slots are charged from repro.core.sync).
+        # Ledger slots of the syscall and lazy-sync charges
+        # (do_pkey_sync in repro.core.sync charges the sync slots, and
+        # the scheduler's resched-IPI slot).
         site = self.clock.site
         self._entry_exit_site = site("kernel.syscall.entry_exit")
         self._mmap_site = site("kernel.mmap.body")
@@ -127,7 +128,6 @@ class Kernel:
         self._pkey_check_site = site("kernel.mprotect.pkey_check")
         self._sync_entry_exit_site = site("kernel.pkey_sync.entry_exit")
         self._task_work_add_site = site("kernel.sync.task_work_add")
-        self._resched_ipi_site = site("kernel.sched.resched_ipi")
         self._ipi_ack_wait_site = site("kernel.sync.ipi_ack_wait")
         self.scheduler = Scheduler(self.machine)
         self.processes: list[Process] = []

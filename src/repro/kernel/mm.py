@@ -56,16 +56,13 @@ class ProtectStats:
     __slots__ = ("vmas_found", "splits", "merges", "pages_updated", "vpns",
                  "vpns_populated")
 
-    def __init__(self, vmas_found: int = 0, splits: int = 0,
-                 merges: int = 0, pages_updated: int = 0,
-                 vpns: list[int] | None = None,
-                 vpns_populated: bool = True) -> None:
-        self.vmas_found = vmas_found
-        self.splits = splits
-        self.merges = merges
-        self.pages_updated = pages_updated
-        self.vpns = [] if vpns is None else vpns
-        self.vpns_populated = vpns_populated
+    def __init__(self) -> None:
+        self.vmas_found = 0
+        self.splits = 0
+        self.merges = 0
+        self.pages_updated = 0
+        self.vpns: list[int] = []
+        self.vpns_populated = True
 
 
 @dataclass

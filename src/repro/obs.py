@@ -95,10 +95,10 @@ class SiteAggregator:
     def __init__(self, clock) -> None:
         self._clock = clock
 
-    def _items(self, field: str) -> typing.Iterator[tuple[str, object]]:
-        """(site, value) pairs for every site that has seen a charge."""
+    def _items(self, attr: str) -> typing.Iterator[tuple[str, object]]:
+        """(site, slot.<attr>) for every site that has seen a charge."""
         for slot in self._clock.charged():
-            yield slot.label, getattr(slot, field)
+            yield slot.label, getattr(slot, attr)
 
     # -- dict-shaped views (report boundaries, not per charge) ----------
 
