@@ -84,9 +84,6 @@ class Libmpk:
             "libmpk.keycache.lookup")
         self._cache: KeyCache | None = None
         self._groups: dict[int, PageGroup] = {}
-        self._heaps: dict[int, GroupHeap] = {}
-        self._models: dict[int, str] = {}
-        self._page_prots: dict[int, int] = {}  # PTE-level prot while cached
         self._metadata: MetadataRegion | None = None
         self._registry = CallSiteRegistry(None)
         self._xo_pkey: int | None = None
@@ -194,23 +191,21 @@ class Libmpk:
             if pkey is not None:
                 group.pkey = pkey
                 self._kernel_update_range(task, group, prot, pkey)
-                self._page_prots[vkey] = prot
                 self._quiesce_key(task, pkey)
             else:
                 # No key available: revoke data access (keep EXEC, see
                 # _unload_group) until a begin/mprotect loads the group.
                 self._kernel_update_range(task, group, prot & PROT_EXEC,
                                           DEFAULT_PKEY)
-            self._metadata.kernel_upsert(vkey, group.pkey, 0)
+            self._metadata.kernel_upsert(group)
         except BaseException:
             # Unwind to "the group never existed": drop the binding and
-            # bookkeeping, unmap the pages, scrub any metadata record.
+            # the group, unmap the pages, scrub any metadata record.
             if group.cached:
                 with suppress(Exception):
                     cache.release(vkey)
             group.pkey = None
             self._groups.pop(vkey, None)
-            self._page_prots.pop(vkey, None)
             with suppress(Exception):
                 self._kernel.sys_munmap(task, base, length)
             with suppress(Exception):
@@ -237,7 +232,7 @@ class Libmpk:
         group = PageGroup(vkey=vkey, base=addr, length=length, prot=prot)
         self._groups[vkey] = group
         try:
-            self._metadata.kernel_upsert(vkey, None, 0)
+            self._metadata.kernel_upsert(group)
         except BaseException:
             self._groups.pop(vkey, None)
             with suppress(Exception):
@@ -254,18 +249,12 @@ class Libmpk:
         code pages to the undedicated pool (freeing their virtual keys)
         while the code itself stays mapped and executable.
         """
-        cache = self._require_init()
+        self._require_init()
         self._registry.verify(vkey)
         group = self._lookup_group(vkey)
         if group.pinned:
-            raise MpkError(
-                f"mpk_disown: vkey {vkey} is pinned by threads "
-                f"{sorted(group.pinned_by)}")
-        if group.exec_only:
-            self._leave_exec_only(vkey)
-        elif group.cached:
-            cache.release(vkey)
-        group.pkey = None
+            raise self._pinned_error("mpk_disown", group)
+        self._drop_key(group)
         try:
             self._kernel_update_range(task, group, prot, DEFAULT_PKEY)
         except BaseException:
@@ -276,18 +265,7 @@ class Libmpk:
                 self._kernel_update_range(task, group, prot, DEFAULT_PKEY)
             self._repair_record(group)
             raise
-        self._groups.pop(vkey)
-        self._heaps.pop(vkey, None)
-        self._models.pop(vkey, None)
-        self._page_prots.pop(vkey, None)
-        try:
-            self._metadata.kernel_remove(vkey)
-        except BaseException:
-            with suppress(Exception):
-                self._metadata.kernel_remove(vkey)
-            raise
-        if self.key_waiters.parked:
-            self._wake_key_waiters()
+        self._dissolve(vkey)
 
     @traced("libmpk.mpk_munmap")
     def mpk_munmap(self, task: "Task", vkey: int) -> None:
@@ -296,33 +274,16 @@ class Libmpk:
         libmpk tracks the group→pages mapping precisely so destruction
         never scans the whole page table (§4.1).
         """
-        cache = self._require_init()
+        self._require_init()
         group = self._lookup_group(vkey)
         if group.pinned:
-            raise MpkError(
-                f"mpk_munmap: vkey {vkey} is pinned by threads "
-                f"{sorted(group.pinned_by)}")
+            raise self._pinned_error("mpk_munmap", group)
         # Unmap *first*: a failure here leaves the group fully intact
         # (and an already-unmapped range audits vacuously); only then
-        # release the binding and dissolve the bookkeeping.
+        # release the binding and dissolve the group.
         self._kernel.sys_munmap(task, group.base, group.length)
-        if group.exec_only:
-            self._leave_exec_only(vkey)
-        elif group.cached:
-            cache.release(vkey)
-        group.pkey = None
-        self._groups.pop(vkey)
-        self._heaps.pop(vkey, None)
-        self._models.pop(vkey, None)
-        self._page_prots.pop(vkey, None)
-        try:
-            self._metadata.kernel_remove(vkey)
-        except BaseException:
-            with suppress(Exception):
-                self._metadata.kernel_remove(vkey)
-            raise
-        if self.key_waiters.parked:
-            self._wake_key_waiters()
+        self._drop_key(group)
+        self._dissolve(vkey)
 
     # ------------------------------------------------------------------
     # mpk_begin / mpk_end — domain-based thread-local isolation.
@@ -361,7 +322,7 @@ class Libmpk:
                 pkey = self._load_group(task, group, group.prot)
                 loaded = True
                 self._quiesce_key(task, pkey)
-            elif self._models.get(vkey) == _MODEL_GLOBAL:
+            elif group.model == _MODEL_GLOBAL:
                 # The group is moving from mprotect semantics (all
                 # threads hold its rights) to domain isolation: revoke
                 # the global grants so only begin/end windows open it
@@ -378,17 +339,14 @@ class Libmpk:
         # Pin and record the usage model only once the grant is live, so
         # a failure above cannot leave a pin without rights (the seed's
         # mpk_begin pinned first and leaked the pin on error).
-        prev_model = self._models.get(vkey)
+        prev_model = group.model
         group.pinned_by.add(task.tid)
-        self._models[vkey] = _MODEL_DOMAIN
+        group.model = _MODEL_DOMAIN
         try:
-            self._metadata.kernel_upsert(vkey, pkey, len(group.pinned_by))
+            self._metadata.kernel_upsert(group)
         except BaseException:
             group.pinned_by.discard(task.tid)
-            if prev_model is None:
-                self._models.pop(vkey, None)
-            else:
-                self._models[vkey] = prev_model
+            group.model = prev_model
             with suppress(Exception):
                 task.trusted_pkey_set(pkey, KEY_RIGHTS_NONE)
             self._repair_record(group)
@@ -487,8 +445,7 @@ class Libmpk:
         self._begin_wait_waits += 1
         parked_at = self._kernel.clock.now
         woken: list["Task"] = []
-        self.key_waiters.add(task, on_wake=woken.append,
-                             deadline=deadline, now=parked_at)
+        self.key_waiters.add(task, on_wake=woken.append, now=parked_at)
         # An already-expired deadline (a previous on_wait overshot it)
         # skips the progress hook: the wait is over before it starts.
         expired_on_entry = deadline is not None and parked_at >= deadline
@@ -571,8 +528,7 @@ class Libmpk:
         task.trusted_pkey_set(group.pkey, KEY_RIGHTS_NONE)
         group.pinned_by.discard(task.tid)
         try:
-            self._metadata.kernel_upsert(vkey, group.pkey,
-                                         len(group.pinned_by))
+            self._metadata.kernel_upsert(group)
         except BaseException:
             # Rights are already revoked and the pin dropped — roll
             # forward by retrying the record update, never backwards
@@ -621,8 +577,7 @@ class Libmpk:
                 # the PTEs immediately — otherwise these pages would
                 # silently rejoin a *future* exec-only group that
                 # reuses the key.
-                self._leave_exec_only(vkey)
-                group.pkey = None
+                self._drop_key(group)
                 try:
                     self._kernel_update_range(task, group, prot,
                                               DEFAULT_PKEY)
@@ -632,9 +587,8 @@ class Libmpk:
                                                   DEFAULT_PKEY)
                     raise
                 group.current_prot = prot
-                self._models[vkey] = _MODEL_GLOBAL
-                self._metadata.kernel_upsert(vkey, None,
-                                             len(group.pinned_by))
+                group.model = _MODEL_GLOBAL
+                self._metadata.kernel_upsert(group)
                 return
 
             pkey = cache.lookup(vkey)
@@ -649,9 +603,8 @@ class Libmpk:
                 self._kernel.sys_mprotect(task, group.base, group.length,
                                           prot)
             group.current_prot = prot
-            self._models[vkey] = _MODEL_GLOBAL
-            self._metadata.kernel_upsert(vkey, group.pkey,
-                                         len(group.pinned_by))
+            group.model = _MODEL_GLOBAL
+            self._metadata.kernel_upsert(group)
         except BaseException:
             # Whatever progress stood (a load, an exec-only exit) is
             # kept; only the record is forced back into agreement.
@@ -662,11 +615,11 @@ class Libmpk:
                       prot: int) -> None:
         """Fast path: adjust PKRU rights; widen page bits only if the
         request needs bits the PTEs do not yet carry (e.g. adding EXEC)."""
-        page_prot = self._page_prots.get(group.vkey, group.prot)
+        page_prot = group.page_prot
         if prot & ~page_prot:
             widened = page_prot | prot
             self._kernel_update_range(task, group, widened, pkey)
-            self._page_prots[group.vkey] = widened
+            group.page_prot = widened
         self._apply_rights_globally(task, pkey, rights_for_prot(prot))
 
     # ------------------------------------------------------------------
@@ -681,11 +634,9 @@ class Libmpk:
                      site="libmpk.heap.metadata")
         self._registry.verify(vkey)
         group = self._lookup_group(vkey)
-        heap = self._heaps.get(vkey)
-        if heap is None:
-            heap = GroupHeap(group.base, group.length)
-            self._heaps[vkey] = heap
-        return heap.malloc(size)
+        if group.heap is None:
+            group.heap = GroupHeap(group.base, group.length)
+        return group.heap.malloc(size)
 
     @traced("libmpk.mpk_free")
     def mpk_free(self, task: "Task", vkey: int, addr: int) -> None:
@@ -694,7 +645,7 @@ class Libmpk:
         self._charge(self._kernel.costs.mpk_metadata_op,
                      site="libmpk.heap.metadata")
         self._registry.verify(vkey)
-        heap = self._heaps.get(vkey)
+        heap = self.heap(vkey)
         if heap is None:
             raise MpkError(f"vkey {vkey} has no heap allocations")
         heap.free(addr)
@@ -710,7 +661,8 @@ class Libmpk:
         return dict(self._groups)
 
     def heap(self, vkey: int) -> GroupHeap | None:
-        return self._heaps.get(vkey)
+        group = self._groups.get(vkey)
+        return None if group is None else group.heap
 
     @property
     def cache(self) -> KeyCache:
@@ -787,12 +739,42 @@ class Libmpk:
         """Failure-path fix-up: force ``group``'s metadata record back
         into agreement with the in-memory state.  Idempotent; a second
         failure here is swallowed and left for the audit to report."""
-        if self._metadata is None:
-            return
         with suppress(Exception):
-            self._metadata.kernel_upsert(
-                group.vkey, group.pkey, len(group.pinned_by),
-                flags=1 if group.exec_only else 0)
+            self._metadata.kernel_upsert(group)
+
+    @staticmethod
+    def _pinned_error(call: str, group: PageGroup) -> MpkError:
+        """The refusal for a call that would take a pinned group's key
+        (§4.2: a key pinned by mpk_begin cannot be taken away)."""
+        return MpkError(f"{call}: vkey {group.vkey} is pinned by threads "
+                        f"{sorted(group.pinned_by)}")
+
+    def _drop_key(self, group: PageGroup) -> None:
+        """Release ``group``'s hardware key: its cache binding, or its
+        claim on the reserved execute-only key (unreserved once the
+        last execute-only group leaves)."""
+        if group.exec_only:
+            group.exec_only = False
+            self._xo_groups.discard(group.vkey)
+            if not self._xo_groups and self._xo_pkey is not None:
+                self._cache.unreserve(self._xo_pkey)
+                self._xo_pkey = None
+        elif group.cached:
+            self._cache.release(group.vkey)
+        group.pkey = None
+
+    def _dissolve(self, vkey: int) -> None:
+        """The tail of mpk_munmap/mpk_disown: drop the (key-less) group,
+        remove its record (one retry) and wake key waiters."""
+        self._groups.pop(vkey)
+        try:
+            self._metadata.kernel_remove(vkey)
+        except BaseException:
+            with suppress(Exception):
+                self._metadata.kernel_remove(vkey)
+            raise
+        if self.key_waiters.parked:
+            self._wake_key_waiters()
 
     def _task_death_hook(self, task: "Task", info) -> None:
         """A thread killed by a signal implicitly mpk_ends its open
@@ -846,17 +828,7 @@ class Libmpk:
         load_started = self._kernel.clock.now
         pkey = cache.assign_free(group.vkey)
         if pkey is None:
-            groups = self._groups
-            victim_vkey = cache.choose_victim(
-                lambda v: not groups[v].pinned_by)
-            pkey = cache.evict(victim_vkey)
-            try:
-                self._unload_group(task, groups[victim_vkey])
-            except BaseException:
-                # The victim rolled itself forward to "evicted"; the
-                # key is unbound but not free — return it to the pool.
-                cache.refund(pkey)
-                raise
+            pkey = self._evict_victim(task)
             cache.bind(group.vkey, pkey)
         group.pkey = pkey
         try:
@@ -866,7 +838,6 @@ class Libmpk:
             # their evicted state (idempotent if the PTE write never
             # happened).
             group.pkey = None
-            self._page_prots.pop(group.vkey, None)
             with suppress(Exception):
                 cache.release(group.vkey)
             with suppress(Exception):
@@ -875,11 +846,27 @@ class Libmpk:
                                           DEFAULT_PKEY)
             self._repair_record(group)
             raise
-        self._page_prots[group.vkey] = page_prot
+        group.page_prot = page_prot
         # Observational only: remember what this (re)load cost so the
         # cost-aware policy can later prefer cheap-to-reload victims.
         self._obs.charge_key_cost(RELOAD_COST_TABLE, group.vkey,
                                   self._kernel.clock.now - load_started)
+        return pkey
+
+    def _evict_victim(self, task: "Task") -> int:
+        """Evict the policy's victim among the unpinned keys and unload
+        its group; returns the key, unbound but not yet free."""
+        cache = self._cache
+        groups = self._groups
+        victim_vkey = cache.choose_victim(lambda v: not groups[v].pinned_by)
+        pkey = cache.evict(victim_vkey)
+        try:
+            self._unload_group(task, groups[victim_vkey])
+        except BaseException:
+            # The victim rolled itself forward to "evicted"; the key is
+            # unbound but not free — return it to the pool.
+            cache.refund(pkey)
+            raise
         return pkey
 
     def _unload_group(self, task: "Task", group: PageGroup) -> None:
@@ -897,12 +884,10 @@ class Libmpk:
         """
         evicted_prot = self._evicted_prot(group)
         group.pkey = None
-        self._page_prots.pop(group.vkey, None)
         try:
             self._kernel_update_range(task, group, evicted_prot,
                                       DEFAULT_PKEY)
-            self._metadata.kernel_upsert(group.vkey, None,
-                                         len(group.pinned_by))
+            self._metadata.kernel_upsert(group)
         except BaseException:
             # The binding is gone either way: roll forward — retry the
             # PTE reset (idempotent) and repair the record.
@@ -915,8 +900,7 @@ class Libmpk:
     def _evicted_prot(self, group: PageGroup) -> int:
         """The page-bit permission an evicted group falls back to (see
         :meth:`_unload_group`'s docstring for the rationale)."""
-        model = self._models.get(group.vkey, _MODEL_DOMAIN)
-        if model == _MODEL_GLOBAL:
+        if group.model == _MODEL_GLOBAL:
             return group.current_prot
         return group.prot & PROT_EXEC
 
@@ -939,6 +923,8 @@ class Libmpk:
     # ------------------------------------------------------------------
 
     def _make_group_exec_only(self, task: "Task", group: PageGroup) -> None:
+        if group.pinned:
+            raise self._pinned_error("mpk_mprotect(PROT_EXEC)", group)
         cache = self._require_init()
         self._charge(self._kernel.costs.mpk_metadata_op,
                      site="libmpk.metadata.exec_only")
@@ -958,8 +944,7 @@ class Libmpk:
             self._xo_groups.add(group.vkey)
             self._apply_rights_globally(task, self._xo_pkey,
                                         KEY_RIGHTS_NONE)
-            self._metadata.kernel_upsert(group.vkey, group.pkey,
-                                         len(group.pinned_by), flags=1)
+            self._metadata.kernel_upsert(group)
         except BaseException:
             # Drive the group to a consistent *evicted* state (the key
             # stays reserved; a later exec-only group reuses it).
@@ -981,23 +966,6 @@ class Libmpk:
         try:
             return cache.reserve_free_key()
         except MpkError:
-            groups = self._groups
-            victim_vkey = cache.choose_victim(
-                lambda v: not groups[v].pinned_by)
-            pkey = cache.evict(victim_vkey)
-            try:
-                self._unload_group(task, groups[victim_vkey])
-            except BaseException:
-                cache.refund(pkey)
-                raise
+            pkey = self._evict_victim(task)
             cache.reserve_key(pkey)
             return pkey
-
-    def _leave_exec_only(self, vkey: int) -> None:
-        cache = self._require_init()
-        self._xo_groups.discard(vkey)
-        group = self._groups[vkey]
-        group.exec_only = False
-        if not self._xo_groups and self._xo_pkey is not None:
-            cache.unreserve(self._xo_pkey)
-            self._xo_pkey = None

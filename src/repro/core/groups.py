@@ -2,16 +2,23 @@
 
 A page group is the unit libmpk protects: a contiguous anonymous mapping
 created by ``mpk_mmap`` and identified by a developer-chosen *virtual
-key*.  The group tracks whether it currently holds a hardware key, its
-page-level protection in both cached and evicted states, and which
-threads have it pinned via ``mpk_begin``.
+key*.  The group holds all of libmpk's per-group state: whether it
+currently holds a hardware key, its page-level protection in both
+cached and evicted states, the usage model that last drove it, its
+heap, and which threads have it pinned via ``mpk_begin``.  The §4.3
+metadata record is derived from it
+(:meth:`~repro.core.metadata.MetadataRegion.kernel_upsert`).
 """
 
 from __future__ import annotations
 
+import typing
 from dataclasses import dataclass, field
 
 from repro.consts import PAGE_SIZE
+
+if typing.TYPE_CHECKING:
+    from repro.core.heap import GroupHeap
 
 
 @dataclass
@@ -42,6 +49,17 @@ class PageGroup:
     exec_only:
         The group holds execute-only pages and lives under the reserved
         execute-only key (§4.2's special case).
+    page_prot:
+        The page permission the PTEs carry, written at every load and
+        widened by an ``mpk_mprotect`` hit that adds bits; read only
+        while the group holds a key.
+    model:
+        The usage model that last drove the group: ``"domain"``
+        (``mpk_begin``), ``"global"`` (``mpk_mprotect``) or ``None``
+        (neither yet, treated as domain).  It decides what an evicted
+        group keeps in its page bits.
+    heap:
+        The ``mpk_malloc`` heap, created by the first allocation.
     """
 
     vkey: int
@@ -52,6 +70,9 @@ class PageGroup:
     pkey: int | None = None
     pinned_by: set[int] = field(default_factory=set)
     exec_only: bool = False
+    page_prot: int = 0
+    model: str | None = None
+    heap: "GroupHeap | None" = None
 
     # 32 bytes of metadata per group (§6.2, "Memory overhead").
     METADATA_BYTES = 32
@@ -64,6 +85,8 @@ class PageGroup:
                 f"group length must be a positive page multiple: {self.length}")
         if not self.current_prot:
             self.current_prot = self.prot
+        if not self.page_prot:
+            self.page_prot = self.prot
 
     @property
     def end(self) -> int:

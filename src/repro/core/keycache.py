@@ -48,9 +48,12 @@ class EvictionPolicy:
     #: :data:`EVICTION_POLICIES`).
     name = "base"
 
-    #: True when the policy wants per-candidate costs: the cache then
-    #: routes victim selection through :meth:`choose_victim_cost`,
-    #: feeding it the caller-installed ``victim_cost`` hook's numbers.
+    #: True when the policy wants per-candidate costs: while a
+    #: ``victim_cost`` hook is installed, the cache then calls the
+    #: policy's ``choose_victim_cost(candidates, rng, costs)`` (which
+    #: such a policy must define; ``costs[i]`` prices evicting
+    #: ``candidates[i]``, +inf for a key parked waiters sleep on)
+    #: instead of :meth:`choose_victim`.
     uses_cost = False
 
     def on_hit(self, lru: "OrderedDict[int, int]", vkey: int) -> None:
@@ -66,17 +69,6 @@ class EvictionPolicy:
         """Pick the vkey to evict from the non-empty, LRU-ordered
         (oldest-first) ``candidates``."""
         return candidates[0]
-
-    def choose_victim_cost(self, candidates: list[int],
-                           rng: random.Random,
-                           costs: list[float]) -> int:
-        """Cost-weighted victim selection: ``costs[i]`` is the caller's
-        price for evicting ``candidates[i]`` (e.g. its reload cost, or
-        +inf for a key that parked waiters are sleeping on).  The base
-        implementation ignores the costs and defers to
-        :meth:`choose_victim`, so cost-blind policies behave the same
-        whether or not a cost hook is installed."""
-        return self.choose_victim(candidates, rng)
 
 
 class LruPolicy(EvictionPolicy):

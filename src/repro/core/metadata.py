@@ -24,13 +24,15 @@ from repro.consts import PAGE_SIZE, PROT_READ
 from repro.errors import MpkMetadataTampering
 
 if typing.TYPE_CHECKING:
+    from repro.core.groups import PageGroup
     from repro.hw.phys import Frame
     from repro.kernel.kcore import Kernel, Process
     from repro.kernel.task import Task
 
 # Packed per-group record: vkey (u32), pkey (i16, -1 = evicted),
-# pinned count (u16), flags (u16), pad to 16 bytes on the page.  The
-# paper budgets 32 bytes of heap metadata per group in addition.
+# pinned count (u16), flags (u16, bit 0 = exec-only), pad to 16 bytes
+# on the page.  The paper budgets 32 bytes of heap metadata per group
+# in addition.
 _RECORD = struct.Struct("<IhHHxxxxxx")
 RECORD_SIZE = _RECORD.size
 assert RECORD_SIZE == 16
@@ -92,15 +94,19 @@ class MetadataRegion:
     # Kernel-side (writable alias) operations.
     # ------------------------------------------------------------------
 
-    def kernel_upsert(self, vkey: int, pkey: int | None, pinned: int,
-                      flags: int = 0) -> None:
-        """Write/update the record for ``vkey`` via the kernel alias,
-        in place while the page's cached frame is still current."""
+    def kernel_upsert(self, group: "PageGroup") -> None:
+        """Write/update ``group``'s record via the kernel alias, in
+        place while the page's cached frame is still current.  The
+        record is derived from the group alone: its vkey, pkey, pin
+        count and exec-only flag."""
+        vkey = group.vkey
         slot = self._slots.get(vkey)
         if slot is None:
             slot = self._take_slot(vkey)
+        pkey = group.pkey
         data = _RECORD.pack(vkey, -1 if pkey is None else pkey,
-                            pinned, flags)
+                            len(group.pinned_by),
+                            1 if group.exec_only else 0)
         cached = self._page_frames.get(slot // _RECORDS_PER_PAGE)
         if (cached is not None
                 and cached[1] == self._page_table.map_generation):

@@ -38,19 +38,16 @@ if typing.TYPE_CHECKING:
 
 @dataclasses.dataclass
 class Waiter:
-    """One parked task: callbacks plus the timing the resilience layer
-    needs (when it parked, and the deadline after which it times out)."""
+    """One parked task: its wake callback and when it parked (the
+    watchdog's stall measure)."""
 
     task: "Task"
     on_wake: typing.Callable | None = None
-    deadline: float | None = None     # absolute cycles; None = forever
-    on_timeout: typing.Callable | None = None
     parked_at: float = 0.0            # cycles at add() time
-    seq: int = 0                      # queue-wide arrival ordinal
 
 
 class WaitQueue:
-    """A futex-style FIFO wait queue with deadline-aware parking.
+    """A futex-style FIFO wait queue.
 
     Waiters park here with an optional ``on_wake(task)`` callback; a
     waker pops them in arrival order.  The queue itself never touches
@@ -60,25 +57,25 @@ class WaitQueue:
     synchronous ``mpk_begin_wait`` retry path and the serving engine's
     genuinely-blocking workers.
 
-    Deadlines make lost wakeups survivable: a waiter parked with
-    ``deadline=`` (absolute cycles) is eligible for :meth:`expire`,
-    which times waiters out in *deadline* order (ties broken by arrival
-    order), independent of the FIFO wake order.  A wake always beats a
-    pending timeout: once :meth:`wake_one`/:meth:`wake_all` pops a
-    waiter it can no longer expire, so the wake-vs-timeout race is
-    resolved by whichever the (deterministic) caller drives first.
+    Deadlines belong to the waiter, not the queue: whoever parked a
+    task with a deadline (``mpk_begin_wait``'s ``timeout``, the serving
+    engine's timed ``WaitSpec``) keeps it and, once it passes, expires
+    the wait with :meth:`timeout`.  A wake always beats a pending
+    timeout: once :meth:`wake_one`/:meth:`wake_all` pops a waiter,
+    :meth:`timeout` finds nothing to expire, so the wake-vs-timeout
+    race is resolved by whichever the (deterministic) caller drives
+    first.
 
     Dead tasks never come back from a wake: a task killed while parked
     is normally detached by the kill path, and as defense in depth the
-    wake/expire paths skip-and-drop any dead entry rather than waking
-    it (or worse, letting it consume a wake a live waiter needed).
+    wake paths skip-and-drop any dead entry rather than waking it (or
+    worse, letting it consume a wake a live waiter needed).
     """
 
     def __init__(self, name: str = "wait") -> None:
         self.name = name
         #: Parked entries, oldest first; read-only outside the queue.
         self.parked: deque[Waiter] = deque()
-        self._next_seq = 0
         self.stats_waits = 0
         self.stats_wakes = 0
         self.stats_timeouts = 0
@@ -92,15 +89,12 @@ class WaitQueue:
         return list(self.parked)
 
     def add(self, task: "Task", on_wake: typing.Callable | None = None,
-            deadline: float | None = None,
-            on_timeout: typing.Callable | None = None,
             now: float = 0.0) -> Waiter:
         """Park ``task`` on the queue (FIFO).
 
-        ``deadline`` (absolute cycles) opts the waiter into
-        :meth:`expire`; ``on_timeout(task)`` fires instead of
-        ``on_wake`` when it does.  ``now`` stamps ``parked_at`` so the
-        watchdog can measure how long the waiter has been parked.
+        ``on_wake(task)`` fires when a wake pops it.  ``now`` stamps
+        ``parked_at`` so the watchdog can measure how long the waiter
+        has been parked.
         """
         if any(entry.task is task for entry in self.parked):
             raise RuntimeError(
@@ -110,10 +104,7 @@ class WaitQueue:
                 f"task {task.tid} is already waiting on "
                 f"{task.waiting_on.name!r}")
         task.waiting_on = self
-        entry = Waiter(task=task, on_wake=on_wake, deadline=deadline,
-                       on_timeout=on_timeout, parked_at=now,
-                       seq=self._next_seq)
-        self._next_seq += 1
+        entry = Waiter(task=task, on_wake=on_wake, parked_at=now)
         self.parked.append(entry)
         self.stats_waits += 1
         return entry
@@ -168,19 +159,11 @@ class WaitQueue:
                 return woken
             woken.append(self._wake(entry))
 
-    # -- deadlines ------------------------------------------------------
-
-    def next_deadline(self) -> float | None:
-        """The earliest deadline among live parked waiters, or None."""
-        deadlines = [entry.deadline for entry in self.parked
-                     if entry.deadline is not None
-                     and entry.task.state != "dead"]
-        return min(deadlines) if deadlines else None
-
     def timeout(self, task: "Task") -> bool:
-        """Expire one specific waiter: remove it and fire its
-        ``on_timeout`` callback.  Returns True when the task was
-        actually parked (False = it was already woken — wake wins)."""
+        """Expire ``task``'s wait (its deadline passed): remove it
+        without waking it and count the timeout.  Returns True when the
+        task was actually parked (False = it was already woken — wake
+        wins)."""
         for i, entry in enumerate(self.parked):
             if entry.task is task:
                 del self.parked[i]
@@ -188,40 +171,8 @@ class WaitQueue:
                 if task.state == "blocked":
                     task.state = "runnable"
                 self.stats_timeouts += 1
-                if entry.on_timeout is not None:
-                    entry.on_timeout(task)
                 return True
         return False
-
-    def expire(self, now: float) -> list["Task"]:
-        """Time out every live waiter whose deadline has passed.
-
-        Expiry order is (deadline, arrival): a waiter with an earlier
-        deadline times out first even when it enqueued later.  Dead
-        entries are dropped silently; expired waiters leave no residue
-        in the queue.
-        """
-        due = sorted((entry for entry in list(self.parked)
-                      if entry.deadline is not None
-                      and entry.deadline <= now),
-                     key=lambda e: (e.deadline, e.seq))
-        expired = []
-        for entry in due:
-            if entry not in self.parked:
-                continue  # a callback re-shaped the queue
-            self.parked.remove(entry)
-            task = entry.task
-            task.waiting_on = None
-            if task.state == "dead":
-                self.stats_dead_reaped += 1
-                continue
-            if task.state == "blocked":
-                task.state = "runnable"
-            self.stats_timeouts += 1
-            if entry.on_timeout is not None:
-                entry.on_timeout(task)
-            expired.append(task)
-        return expired
 
     def __repr__(self) -> str:
         return f"<WaitQueue {self.name!r} waiters={len(self.parked)}>"

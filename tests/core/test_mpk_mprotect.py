@@ -1,5 +1,7 @@
 """mpk_mprotect: global semantics, eviction-rate policy, exec-only."""
 
+from contextlib import suppress
+
 import pytest
 
 from repro.consts import (
@@ -251,3 +253,54 @@ class TestExecOnlyGroups:
         lib.mpk_mprotect(task, G, PROT_EXEC)
         with pytest.raises(MpkError):
             lib.mpk_begin(task, G, RW)
+
+
+class TestExecOnlyRespectsPins:
+    """§4.2: a key pinned by another thread's mpk_begin cannot be taken
+    away, so mpk_mprotect(PROT_EXEC) refuses a pinned group (as
+    mpk_munmap and mpk_disown do) before any exec-only work: the only
+    charge is the cache lookup every mpk_mprotect pays."""
+
+    def _pinned(self, lib, kernel, process, task):
+        other = process.spawn_task()
+        kernel.scheduler.schedule(other, charge=False)
+        lib.mpk_mmap(task, G, PAGE_SIZE, RW)
+        lib.mpk_begin(task, G, RW)
+        return other
+
+    def test_exec_only_on_pinned_group_is_refused(self, lib, kernel,
+                                                  process, task):
+        from repro.errors import MpkError
+        other = self._pinned(lib, kernel, process, task)
+        pkey = lib.group(G).pkey
+        before = kernel.clock.now
+        with pytest.raises(MpkError, match="pinned"):
+            lib.mpk_mprotect(other, G, PROT_EXEC)
+        assert kernel.clock.now - before == kernel.costs.mpk_cache_lookup
+        assert lib.group(G).pkey == pkey
+        assert not lib.group(G).exec_only
+        assert lib.exec_only_pkey is None
+
+    def test_begin_exec_end_keeps_the_record(self, lib, kernel, process,
+                                             task):
+        """A.begin, B.mprotect(EXEC), A.end: mpk_end used to rewrite the
+        record of the group B had made exec-only with the flag clear."""
+        from repro.errors import MpkError
+        other = self._pinned(lib, kernel, process, task)
+        with suppress(MpkError):
+            lib.mpk_mprotect(other, G, PROT_EXEC)
+        lib.mpk_end(task, G)
+        assert lib.audit().ok, lib.audit().violations
+
+    def test_begin_exec_read_end_keeps_a_key(self, lib, kernel, process,
+                                             task):
+        """A.begin, B.mprotect(EXEC), A.mprotect(READ), A.end: leaving
+        exec-only dropped the pinned group's key, and mpk_end then
+        passed pkey None to the WRPKRU (TypeError)."""
+        from repro.errors import MpkError
+        other = self._pinned(lib, kernel, process, task)
+        with suppress(MpkError):
+            lib.mpk_mprotect(other, G, PROT_EXEC)
+        lib.mpk_mprotect(task, G, PROT_READ)
+        lib.mpk_end(task, G)
+        assert lib.audit().ok, lib.audit().violations

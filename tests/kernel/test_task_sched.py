@@ -171,10 +171,10 @@ class TestWaitQueue:
 
 class TestDeadlineWakeTiesUnderDelay:
     """The exact-tie corner: an injected delay stretches the waker's
-    operation so the clock lands *precisely on* the waiter's deadline.
-    The contract says the wake still wins — expiry only claims waiters
-    the caller has not already woken — and the loser path (expire
-    first) must be just as deterministic."""
+    operation so the clock lands *precisely on* the waiter's deadline
+    (which its owner keeps, as ``mpk_begin_wait`` does).  The wake
+    still wins — ``timeout`` only claims waiters nothing has woken yet
+    — and the loser path (timeout first) is just as deterministic."""
 
     def _tie(self, kernel, process, extra: float):
         from repro.faults.inject import FaultInjector, delay
@@ -186,8 +186,6 @@ class TestDeadlineWakeTiesUnderDelay:
         waiter.state = "blocked"
         deadline = clock.now + 100.0 + extra
         wq.add(waiter, on_wake=lambda t: events.append("wake"),
-               deadline=deadline,
-               on_timeout=lambda t: events.append("timeout"),
                now=clock.now)
         injector = FaultInjector()
         kernel.machine.obs.add_sink(injector)
@@ -198,117 +196,65 @@ class TestDeadlineWakeTiesUnderDelay:
         finally:
             kernel.machine.obs.remove_sink(injector)
         assert clock.now == deadline  # the delay made it an exact tie
-        return clock, wq, waiter, events
+        return wq, waiter, events
 
     def test_wake_wins_an_exact_tie(self, kernel, process):
-        clock, wq, waiter, events = self._tie(kernel, process, 400.0)
+        wq, waiter, events = self._tie(kernel, process, 400.0)
         assert wq.wake_one() is waiter
-        assert wq.expire(clock.now) == []
         assert not wq.timeout(waiter)
         assert events == ["wake"]
         assert wq.stats_timeouts == 0
 
-    def test_expire_claims_the_tie_when_nothing_wakes(self, kernel,
-                                                      process):
-        # deadline <= now is inclusive: with no wake driven first, the
-        # exact-tie waiter times out (a waiter can never be left parked
-        # past its deadline just because the clock stopped *on* it).
-        clock, wq, waiter, events = self._tie(kernel, process, 400.0)
-        assert wq.expire(clock.now) == [waiter]
+    def test_timeout_claims_an_unwoken_tie(self, kernel, process):
+        # A deadline check is inclusive (deadline <= now): with no wake
+        # driven first, the exact-tie waiter times out and a later wake
+        # finds nobody (a waiter is never left parked past its deadline
+        # just because the clock stopped *on* it).
+        wq, waiter, events = self._tie(kernel, process, 400.0)
+        assert wq.timeout(waiter)
         assert wq.wake_one() is None
-        assert events == ["timeout"]
+        assert events == []
         assert wq.stats_timeouts == 1
-
-    def test_tied_deadlines_expire_in_arrival_order_after_delay(
-            self, kernel, process):
-        clock, wq, first, events = self._tie(kernel, process, 300.0)
-        second = process.spawn_task()
-        second.state = "blocked"
-        wq.add(second, deadline=clock.now,
-               on_timeout=lambda t: events.append("timeout2"),
-               now=clock.now)
-        assert wq.expire(clock.now) == [first, second]
-        assert events == ["timeout", "timeout2"]
 
 
 class TestWaitQueueDeadlines:
-    def test_expire_orders_by_deadline_not_arrival(self, process):
-        """The earlier deadline times out first even when that waiter
-        enqueued later."""
-        wq = WaitQueue("test")
-        late = process.spawn_task()
-        early = process.spawn_task()
-        wq.add(late, deadline=200.0, now=0.0)     # enqueued first
-        wq.add(early, deadline=100.0, now=0.0)    # earlier deadline
-        assert wq.expire(150.0) == [early]
-        assert wq.expire(150.0) == []             # late not due yet
-        assert wq.expire(250.0) == [late]
-        assert len(wq) == 0
-
-    def test_expire_ties_break_by_arrival(self, process):
-        wq = WaitQueue("test")
-        a, b = process.spawn_task(), process.spawn_task()
-        wq.add(a, deadline=100.0)
-        wq.add(b, deadline=100.0)
-        assert wq.expire(100.0) == [a, b]
-
-    def test_next_deadline_is_the_minimum(self, process):
-        wq = WaitQueue("test")
-        assert wq.next_deadline() is None
-        wq.add(process.spawn_task(), deadline=300.0)
-        wq.add(process.spawn_task())               # forever waiter
-        wq.add(process.spawn_task(), deadline=100.0)
-        assert wq.next_deadline() == 100.0
-
     def test_wake_beats_pending_timeout(self, process):
         """The wake-vs-timeout race is deterministic: once woken, a
         waiter can no longer time out."""
         wq = WaitQueue("test")
-        fired = []
         waiter = process.spawn_task()
-        wq.add(waiter, deadline=100.0, on_timeout=fired.append)
+        wq.add(waiter)
         assert wq.wake_one() is waiter
         assert not wq.timeout(waiter)              # wake won
-        assert wq.expire(1e9) == []
-        assert fired == []
         assert wq.stats_wakes == 1
         assert wq.stats_timeouts == 0
 
     def test_timeout_fires_on_timeout_not_on_wake(self, process):
+        """A timeout wakes the waiter as timed out: its on_wake hook
+        never runs, and it leaves the queue runnable and counted."""
         wq = WaitQueue("test")
-        woken, timed_out = [], []
+        woken = []
         waiter = process.spawn_task()
         waiter.state = "blocked"
-        wq.add(waiter, on_wake=woken.append, deadline=50.0,
-               on_timeout=timed_out.append)
+        wq.add(waiter, on_wake=woken.append)
         assert wq.timeout(waiter)
-        assert (woken, timed_out) == ([], [waiter])
+        assert woken == []
         assert waiter.waiting_on is None
         assert waiter.state == "runnable"
         assert wq.stats_timeouts == 1
 
     def test_timed_out_waiter_leaves_no_residue(self, process):
-        """After expiry the waiter is fully gone: not wakeable, not
+        """After a timeout the waiter is fully gone: not wakeable, not
         re-expirable, free to park again."""
         wq = WaitQueue("test")
         waiter = process.spawn_task()
-        wq.add(waiter, deadline=10.0)
-        assert wq.expire(10.0) == [waiter]
+        wq.add(waiter)
+        assert wq.timeout(waiter)
         assert wq.wake_one() is None
-        assert wq.expire(1e9) == []
+        assert not wq.timeout(waiter)
+        assert wq.stats_timeouts == 1
         wq.add(waiter)                             # no double-wait error
         assert wq.wake_one() is waiter
-
-    def test_expired_dead_waiter_is_reaped_not_timed_out(self, process):
-        wq = WaitQueue("test")
-        fired = []
-        waiter = process.spawn_task()
-        wq.add(waiter, deadline=10.0, on_timeout=fired.append)
-        waiter.state = "dead"
-        assert wq.expire(100.0) == []
-        assert fired == []
-        assert wq.stats_dead_reaped == 1
-        assert wq.stats_timeouts == 0
 
     def test_killed_waiter_never_absorbs_a_wake(self, kernel, process):
         """Regression (the kill-while-parked bug): a task killed while

@@ -119,7 +119,7 @@ def _policy_machine(policy_name: str):
                                   policy=policy_name, seed=11)
             if policy_name == "cost-aware":
                 # Deterministic synthetic pricing so the cost path
-                # (choose_victim_cost) actually runs in the sweep.
+                # (CostAwarePolicy.choose_victim_cost) runs in the sweep.
                 self.cache.victim_cost = lambda cands: [
                     float((v * 2654435761) % 97) for v in cands]
             self.bound: dict[int, int] = {}   # vkey -> pkey (shadow)

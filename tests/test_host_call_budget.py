@@ -16,8 +16,8 @@ Measured on Python 3.11.7 (3.12.1 gave the same counts for the
 cached paths when last measured): a cached ``mpk_begin`` +
 ``mpk_end`` pair makes 23 calls, and a cached 8-byte ``Task.read`` or
 ``Task.write`` makes 4.  An evicting ``mpk_begin`` + ``mpk_end`` pair
-with 3 running siblings makes 147, an ``mpk_mprotect`` that misses and
-evicts makes 144, and a one-page ``pkey_mprotect`` makes 23.  A healthy 3-node, 2-replica cluster
+with 3 running siblings makes 148, an ``mpk_mprotect`` that misses and
+evicts makes 145, and a one-page ``pkey_mprotect`` makes 23.  A healthy 3-node, 2-replica cluster
 (``_build_cluster``, seed 5, 48 connections) makes 1,645.8 calls per
 connection, and a served ``mpk_begin`` Memcached connection
 (``_serving``: 48 connections of 2 requests) makes 245.9.  Each budget
