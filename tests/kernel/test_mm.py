@@ -224,3 +224,48 @@ class TestProtectStatsContract:
         assert stats.vpns_populated
         assert stats.vpns == []
         assert stats.pages_updated == 2
+
+
+class TestLargePkeyMprotect:
+    """A pkey_mprotect over 512 pages with a few resident pages and a
+    running sibling: the resident PTEs carry the new attributes, the
+    PTE cost is per range page, and every targeted core full-flushes
+    (512 INVLPGs cost more than one full flush)."""
+
+    PAGES = 512
+    RESIDENT = (0, 7, 300, 511)
+
+    def test_rewrites_resident_ptes_and_full_flushes(self, kernel, process,
+                                                     task):
+        sibling = process.spawn_task()
+        kernel.scheduler.schedule(sibling, charge=False)
+        addr = kernel.sys_mmap(task, self.PAGES * PAGE_SIZE, RW)
+        for i in self.RESIDENT:
+            task.write(addr + i * PAGE_SIZE, b"x")
+            sibling.read(addr + i * PAGE_SIZE, 1)  # warm both TLBs
+        pkey = kernel.sys_pkey_alloc(task)
+        clock, costs = kernel.clock, kernel.costs
+        pte, flush_full, flush_page = (
+            clock.site("kernel.mprotect.pte_update"),
+            clock.site("hw.tlb.flush_full"),
+            clock.site("hw.tlb.flush_page"))
+        targets = [kernel.machine.core(t.core_id).tlb
+                   for t in (task, sibling)]
+        before = (pte.cycles, flush_full.count, flush_page.count,
+                  [tlb.stats.full_flushes for tlb in targets])
+
+        kernel.sys_pkey_mprotect(task, addr, self.PAGES * PAGE_SIZE,
+                                 PROT_READ, pkey)
+
+        table = process.mm.page_table
+        first = page_number(addr)
+        for i in self.RESIDENT:
+            entry = table.lookup_populated(first + i)
+            assert (entry.prot, entry.pkey) == (PROT_READ, pkey)
+        assert table.lookup_populated(first + 1) is None
+        assert pte.cycles - before[0] == self.PAGES * costs.pte_update
+        assert flush_full.count - before[1] == len(targets)
+        assert flush_page.count == before[2]
+        assert [tlb.stats.full_flushes for tlb in targets] == [
+            n + 1 for n in before[3]]
+        assert all(len(tlb) == 0 for tlb in targets)
