@@ -142,7 +142,8 @@ class JsEngine:
                                         self.CODE_STUB)
         return addrs
 
-    def bulk_update(self, pages: int = 4, start_index: int = 0) -> None:
+    def multi_page_update(self, pages: int = 4,
+                          start_index: int = 0) -> None:
         """A multi-page rewrite event in the bulk area."""
         addrs = [self.bulk_page(start_index + i) for i in range(pages)]
         for addr in addrs:

@@ -69,7 +69,7 @@ class OctaneProgram:
                 engine.execute_native(addr, self.function_size,
                                       self.exec_iterations)
         for i in range(self.multi_page_updates):
-            engine.bulk_update(pages=4, start_index=4 * i)
+            engine.multi_page_update(pages=4, start_index=4 * i)
         if self.extra_compute:
             engine.kernel.clock.charge(self.extra_compute,
                                        site="apps.jit.compute")

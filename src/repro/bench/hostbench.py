@@ -82,8 +82,8 @@ def _table1_run(bed: TestBed, addr) -> None:
 
 
 def _fig14_memcached_setup(bed: TestBed):
-    """A Figure-14-like slab: one large mapping managed with
-    pkey_mprotect over big ranges (the bulk-overlay path)."""
+    """A Figure-14-like slab: one 2,048-page mapping managed with
+    pkey_mprotect over the whole range (full-flush shootdowns)."""
     slab_pages = 2048
     addr = bed.kernel.sys_mmap(bed.task, slab_pages * PAGE_SIZE, RW)
     key = bed.kernel.sys_pkey_alloc(bed.task)
@@ -97,7 +97,7 @@ def _fig14_memcached_run(bed: TestBed, state) -> None:
     # SET phase: touch items across the slab (demand paging + writes).
     for i in range(0, slab_pages, 4):
         task.write(addr + i * PAGE_SIZE, item)
-    # Epoch protection flips over the whole slab (bulk path).
+    # Epoch protection flips over the whole slab.
     for _ in range(4):
         kernel.sys_pkey_mprotect(task, addr, slab_pages * PAGE_SIZE,
                                  PROT_READ, key)

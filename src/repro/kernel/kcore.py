@@ -269,15 +269,11 @@ class Kernel:
         Small ranges get the precise flavour — per-core cost is one
         INVLPG per *range* page (Linux's flush_tlb_range walks the whole
         virtual range), dropping only the translations that can actually
-        be resident (``stats.vpns``).  The precise path requires
-        ``stats.vpns_populated``: the bulk-overlay path never enumerated
-        resident pages, so it must full-flush.  Ranges where the INVLPG
-        total exceeds a full flush also full-flush, as the kernel would.
+        be resident (``stats.vpns``).  Ranges where the INVLPG total
+        exceeds a full flush full-flush instead, as the kernel would.
         """
-        precise = (stats.vpns_populated
-                   and stats.pages_updated * self.costs.tlb_flush_page
-                   <= self.costs.tlb_flush_full)
-        if precise:
+        if (stats.pages_updated * self.costs.tlb_flush_page
+                <= self.costs.tlb_flush_full):
             self.scheduler.tlb_shootdown(process, task, full=False,
                                          vpns=stats.vpns,
                                          charge_pages=stats.pages_updated)

@@ -37,24 +37,13 @@ from repro.kernel.vma import VMA, VmaTree
 class ProtectStats:
     """What one mprotect-style operation touched (for cost accounting).
 
-    The contract, explicitly:
-
-    * ``pages_updated`` is **always** the page count of the range — it
-      is what the kernel's cost is proportional to, regardless of how
-      the PTE rewrite was carried out.
-    * ``vpns`` lists the populated pages whose PTEs were individually
-      rewritten, but **only when** ``vpns_populated`` is True.  The
-      bulk-overlay path (ranges of at least
-      :attr:`MM.BULK_PTE_THRESHOLD` pages) records a lazy overlay
-      instead of visiting PTEs, leaves ``vpns`` empty, and sets
-      ``vpns_populated=False`` — an empty-but-populated list ("zero
-      resident pages") and an unpopulated one ("we didn't look") are
-      different facts.  Consumers doing precise TLB invalidation must
-      fall back to a full flush when ``vpns_populated`` is False.
+    ``pages_updated`` is the page count of the range — what the
+    kernel's cost is proportional to.  ``vpns`` lists the populated
+    pages whose PTEs were rewritten (possibly none), the precise
+    shootdown's invalidation list.
     """
 
-    __slots__ = ("vmas_found", "splits", "merges", "pages_updated", "vpns",
-                 "vpns_populated")
+    __slots__ = ("vmas_found", "splits", "merges", "pages_updated", "vpns")
 
     def __init__(self) -> None:
         self.vmas_found = 0
@@ -62,7 +51,6 @@ class ProtectStats:
         self.merges = 0
         self.pages_updated = 0
         self.vpns: list[int] = []
-        self.vpns_populated = True
 
 
 @dataclass
@@ -81,10 +69,6 @@ class UnmapStats:
 
 class MM:
     """One process's address space: VMA tree + page table + frames."""
-
-    #: Ranges at least this many pages long use the page table's lazy
-    #: bulk-update path (simulated cost is identical; host cost is O(1)).
-    BULK_PTE_THRESHOLD = 512
 
     def __init__(self, machine: Machine) -> None:
         self.machine = machine
@@ -283,18 +267,8 @@ class MM:
         first = vma.start >> PAGE_SHIFT
         last = vma.end >> PAGE_SHIFT
         stats.pages_updated += last - first
-        if last - first >= self.BULK_PTE_THRESHOLD:
-            # Large range: record one overlay instead of touching
-            # every PTE.  The syscall layer still charges the
-            # per-page cost from pages_updated; only the host-side
-            # work is O(1).  We did not enumerate resident pages,
-            # so the vpns list is marked unpopulated.
-            self.page_table.bulk_update(first, last, prot=effective,
-                                        pkey=pkey)
-            stats.vpns_populated = False
-        else:
-            stats.vpns.extend(self.page_table.update_range(
-                first, last, effective, pkey))
+        stats.vpns.extend(self.page_table.update_range(
+            first, last, effective, pkey))
 
     def protect_cache_consistency(self) -> str | None:
         """Audit hook for the protect VMA cache: counters reconcile,

@@ -75,7 +75,7 @@ class TestCompilationAndExecution:
 
     def test_bulk_updates_stay_inside_bulk_area(self):
         engine = make_engine("mprotect", cache_pages=64)
-        engine.bulk_update(pages=4, start_index=0)
+        engine.multi_page_update(pages=4, start_index=0)
         lowest_bulk = engine.bulk_page(0)
         assert lowest_bulk >= engine.cache_base + \
             (64 - engine.BULK_PAGES) * PAGE_SIZE

@@ -125,7 +125,7 @@ class TestMmuCheck:
     def test_page_permission_checked_first(self, memory_setup):
         core, pt = memory_setup
         core.load_pkru(PKRU.allow_all())
-        pt.set_prot(0x10, PROT_READ)
+        pt.update_range(0x10, 0x11, PROT_READ)
         with pytest.raises(SegmentationFault) as exc_info:
             core.write(pt, 0x10000, b"x")
         assert not isinstance(exc_info.value, PkeyFault)
@@ -156,7 +156,7 @@ class TestMmuCheck:
         """Figure 1: ifetch is independent of the PKRU -> execute-only
         memory is possible."""
         core, pt = memory_setup
-        pt.set_pkey(0x20, 3)
+        pt.update_range(0x20, 0x21, PROT_READ | PROT_EXEC, pkey=3)
         core.load_pkru(PKRU.allow_all().with_rights(3, KEY_RIGHTS_NONE))
         # Data read denied by pkey...
         with pytest.raises(PkeyFault):

@@ -1,6 +1,5 @@
 """The MMU hot path: authoritative TLB hits, generation-stamp
-invalidation, the batched transfer's exact charges, and the
-overlay-pruning and stats-contract regressions it depends on."""
+invalidation, and the batched transfer's exact charges."""
 
 import pytest
 
@@ -85,8 +84,8 @@ class TestAuthoritativeHits:
 
     def test_map_and_attribute_rewrites_keep_hits_authoritative(self):
         """Only unmap moves the stamp: mapping another page (demand
-        paging) and rewriting this page's attributes, singly or in
-        ranges, leave the cached translation authoritative."""
+        paging) and rewriting this page's attributes, alone or in a
+        range, leave the cached translation authoritative."""
         machine = Machine(num_cores=1)
         pt = CountingPageTable()
         pt.map(0x10, machine.memory.alloc_frame(), RW, pkey=3)
@@ -96,10 +95,9 @@ class TestAuthoritativeHits:
         baseline = pt.lookups
         edits = [
             lambda: pt.map(0x30, machine.memory.alloc_frame(), RW),
-            lambda: pt.set_prot(0x10, PROT_READ),
-            lambda: pt.set_pkey(0x10, 5),
+            lambda: pt.update_range(0x10, 0x11, PROT_READ),
+            lambda: pt.update_range(0x10, 0x11, PROT_READ, pkey=5),
             lambda: pt.update_range(0x10, 0x31, RW, pkey=4),
-            lambda: pt.bulk_update(0x10, 0x31, prot=PROT_READ, pkey=6),
         ]
         for edit in edits:
             edit()
@@ -112,7 +110,7 @@ class TestAuthoritativeHits:
         without a TLB flush keeps serving the cached bits."""
         machine, core, pt = make_core_and_table()
         core.write(pt, 0x10000, b"x")   # TLB caches prot=RW
-        pt.set_prot(0x10, PROT_READ)    # no shootdown
+        pt.update_range(0x10, 0x11, PROT_READ)  # no shootdown
         core.write(pt, 0x10000, b"y")   # stale RW still honored
         core.tlb.flush()
         with pytest.raises(SegmentationFault):
@@ -248,48 +246,3 @@ class TestBatchedTransfer:
         assert core.tlb.stats.unmapped_misses == 1
         assert machine.obs.audit()[0]
 
-
-class TestOverlayPruning:
-    def test_pkey_only_bulk_updates_stay_bounded(self):
-        # Regression (headline bugfix): 10k repeated pkey-only bulk
-        # updates — the mpk_mprotect hot path — must leave O(1)
-        # overlays.  Pre-fix, pruning required prot AND pkey to be set,
-        # so this accumulated 10_000 overlays and every subsequent
-        # access paid O(overlays) in _materialize.
-        pt = PageTable()
-        for i in range(10_000):
-            pt.bulk_update(0x100, 0x300, pkey=(i % 14) + 1)
-        assert len(pt._overlays) <= PageTable.OVERLAY_FOLD_CAP
-        assert len(pt._overlays) <= 2
-
-    def test_prot_only_bulk_updates_stay_bounded(self):
-        pt = PageTable()
-        for i in range(10_000):
-            pt.bulk_update(0x100, 0x300,
-                           prot=PROT_READ if i % 2 else RW)
-        assert len(pt._overlays) <= 2
-
-    def test_partial_shadow_nulls_only_covered_field(self):
-        pt = PageTable()
-        frame_owner = Machine(num_cores=1)
-        f = frame_owner.memory.alloc_frame
-        pt.map(0x100, f(), RW, pkey=1)
-        pt.bulk_update(0x100, 0x200, prot=PROT_READ, pkey=5)
-        pt.bulk_update(0x100, 0x200, pkey=7)  # shadows pkey, not prot
-        entry = pt.lookup(0x100)
-        assert entry.prot == PROT_READ
-        assert entry.pkey == 7
-
-    def test_fold_cap_bounds_disjoint_overlay_churn(self):
-        pt = PageTable()
-        machine = Machine(num_cores=1)
-        pt.map(0x100, machine.memory.alloc_frame(), RW, pkey=1)
-        # Disjoint ranges never shadow each other; only the fold cap
-        # keeps the list bounded.
-        for i in range(1000):
-            base = 0x1000 + 2 * i
-            pt.bulk_update(base, base + 1, pkey=(i % 14) + 1)
-        assert len(pt._overlays) <= PageTable.OVERLAY_FOLD_CAP
-        # And folding preserved already-populated entries' pending state.
-        pt.bulk_update(0x100, 0x101, pkey=9)
-        assert pt.lookup(0x100).pkey == 9

@@ -105,7 +105,7 @@ class TestPageTable:
         with pytest.raises(ValueError):
             pt.map(4, self._frame(), PROT_READ, pkey=16)
         with pytest.raises(ValueError):
-            pt.set_pkey(3, -1)
+            pt.update_range(3, 4, PROT_READ, pkey=-1)
 
     def test_pages_with_pkey_finds_stale_keys(self):
         """The scan pkey_free() refuses to do — used by the
@@ -123,10 +123,9 @@ class TestPageTable:
         gen0 = pt.generation
         pt.map(1, self._frame(), PROT_READ)
         pt.map(2, self._frame(), PROT_READ)
-        pt.set_prot(1, PROT_WRITE)
-        pt.set_pkey(1, 3)
+        pt.update_range(1, 2, PROT_WRITE)
+        pt.update_range(1, 2, PROT_WRITE, pkey=3)
         pt.update_range(1, 3, PROT_READ, pkey=2)
-        pt.bulk_update(1, 3, prot=PROT_WRITE, pkey=4)
         assert pt.generation == gen0
         assert pt.map_generation == 2
         pt.unmap(1)

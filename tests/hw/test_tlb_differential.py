@@ -1,9 +1,9 @@
 """Authoritative TLB hits against a TLB that always validates.
 
-A seeded random mix of page-table edits (map, unmap, set_prot, set_pkey,
-update_range, bulk_update), TLB flushes (full, one page, a range), PKRU
-writes and reads, writes and fetches (half of them within one page, the
-rest over up to three) runs twice on identical machines.  The second
+A seeded random mix of page-table edits (map, unmap, and attribute
+rewrites of one page or a range), TLB flushes (full, one page, a
+range), PKRU writes and reads, writes and fetches (half of them within
+one page, the rest over up to three) runs twice on identical machines.  The second
 run uses a page table whose generation stamp never matches, so every
 TLB hit takes the validating path (re-read the mapping, keep the
 cached prot/pkey, re-stamp).  Whatever rule decides when a stamp moves,
@@ -108,10 +108,11 @@ def run(seed: int, table_cls) -> dict:
                            pkey=rng.randrange(PKEYS))
         elif op == 2:
             if vpn in pt:
-                pt.set_prot(vpn, rng.choice(PROTS))
+                pt.update_range(vpn, vpn + 1, rng.choice(PROTS))
         elif op == 3:
             if vpn in pt:
-                pt.set_pkey(vpn, rng.randrange(PKEYS))
+                pt.update_range(vpn, vpn + 1, pt.lookup_populated(vpn).prot,
+                                pkey=rng.randrange(PKEYS))
         elif op == 4:
             start, end = _range(rng)
             pkey = rng.choice([None, *range(PKEYS)])
@@ -119,9 +120,9 @@ def run(seed: int, table_cls) -> dict:
                                             pkey=pkey))
         elif op == 5:
             start, end = _range(rng)
-            prot = rng.choice([None, *PROTS])
+            prot = rng.choice(PROTS)
             pkey = rng.choice([None, *range(PKEYS)])
-            pt.bulk_update(start, end, prot=prot, pkey=pkey)
+            pt.update_range(start, end, prot, pkey=pkey)
         elif op == 6:
             flush = rng.randrange(3)
             if flush == 0:

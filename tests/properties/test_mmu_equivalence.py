@@ -2,8 +2,8 @@
 
 Random interleavings of mmap/munmap/mprotect/pkey_mprotect/pkey_set
 and data accesses across two cores run against a naive eager
-reference model (no TLB, no overlays, PTEs applied immediately, PKRU
-rights as a flat per-key map).  The model independently predicts
+reference model (no TLB, PTEs applied immediately, PKRU rights as a
+flat per-key map).  The model independently predicts
 every byte and fault class, including the bytes a partially-faulting
 write leaves behind, and the exact access ledger: how many pages the
 MMU translates, and so what ``hw.mem.access`` charges and how many

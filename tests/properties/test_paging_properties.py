@@ -1,6 +1,7 @@
-"""Overlay (bulk) PTE updates must be observationally identical to
-eager per-page updates — the correctness condition for the Figure-14
-fast path."""
+"""Range attribute rewrites (``PageTable.update_range``) must match a
+per-page reference model: every populated page in the range takes the
+new prot (and the new pkey when one is given), pages outside it and
+holes in it are left alone."""
 
 from hypothesis import given, settings, strategies as st
 
@@ -12,10 +13,9 @@ N_PAGES = 32
 PROTS = st.integers(min_value=0, max_value=7)
 PKEYS = st.one_of(st.none(), st.integers(0, 15))
 
-# An operation: (kind, start, end, prot, pkey)
+# An operation: (start, length, prot, pkey)
 ops = st.lists(
     st.tuples(
-        st.sampled_from(["bulk", "eager"]),
         st.integers(0, N_PAGES - 1),
         st.integers(1, N_PAGES),
         PROTS,
@@ -25,84 +25,49 @@ ops = st.lists(
 )
 
 
-def _build_tables():
+def _build():
+    """A table with every fifth page left unmapped, so ranges span
+    holes, and its reference model: vpn -> [prot, pkey]."""
     machine = Machine(num_cores=1, memory_bytes=1 << 24)
-    subject, reference = PageTable(), PageTable()
+    table, reference = PageTable(), {}
     for vpn in range(N_PAGES):
-        frame = machine.memory.alloc_frame()
-        subject.map(vpn, frame, PROT_READ | PROT_WRITE)
-        reference.map(vpn, machine.memory.alloc_frame(),
+        if vpn % 5:
+            table.map(vpn, machine.memory.alloc_frame(),
                       PROT_READ | PROT_WRITE)
-    return subject, reference
+            reference[vpn] = [PROT_READ | PROT_WRITE, 0]
+    return table, reference
+
+
+def _apply(table, reference, operations):
+    for start, length, prot, pkey in operations:
+        end = min(start + length, N_PAGES)
+        rewritten = table.update_range(start, end, prot, pkey)
+        assert rewritten == [vpn for vpn in range(start, end)
+                             if vpn in reference]
+        for vpn in rewritten:
+            reference[vpn][0] = prot
+            if pkey is not None:
+                reference[vpn][1] = pkey
 
 
 @settings(max_examples=60, deadline=None)
 @given(ops)
-def test_bulk_updates_equal_eager_updates(operations):
-    subject, reference = _build_tables()
-    for kind, start, length, prot, pkey in operations:
-        end = min(start + length, N_PAGES)
-        if kind == "bulk":
-            subject.bulk_update(start, end, prot=prot, pkey=pkey)
-        else:
-            for vpn in range(start, end):
-                subject.set_prot(vpn, prot)
-                if pkey is not None:
-                    subject.set_pkey(vpn, pkey)
-        # The reference model always applies eagerly.
-        for vpn in range(start, end):
-            reference.set_prot(vpn, prot)
-            if pkey is not None:
-                reference.set_pkey(vpn, pkey)
+def test_update_range_matches_per_page_reference(operations):
+    table, reference = _build()
+    _apply(table, reference, operations)
     for vpn in range(N_PAGES):
-        got = subject.lookup(vpn)
-        want = reference.lookup(vpn)
-        assert got.prot == want.prot, f"prot mismatch at vpn {vpn}"
-        assert got.pkey == want.pkey, f"pkey mismatch at vpn {vpn}"
-
-
-@settings(max_examples=40, deadline=None)
-@given(ops, st.integers(0, N_PAGES - 1))
-def test_unmap_after_overlays_sees_final_attributes(operations, victim):
-    subject, reference = _build_tables()
-    for kind, start, length, prot, pkey in operations:
-        end = min(start + length, N_PAGES)
-        subject.bulk_update(start, end, prot=prot, pkey=pkey)
-        for vpn in range(start, end):
-            reference.set_prot(vpn, prot)
-            if pkey is not None:
-                reference.set_pkey(vpn, pkey)
-    got = subject.unmap(victim)
-    want = reference.lookup(victim)
-    assert got.prot == want.prot
-    assert got.pkey == want.pkey
+        entry = table.lookup_populated(vpn)
+        if vpn not in reference:
+            assert entry is None
+            continue
+        assert [entry.prot, entry.pkey] == reference[vpn], vpn
 
 
 @settings(max_examples=40, deadline=None)
 @given(ops)
 def test_pages_with_pkey_agrees_with_reference(operations):
-    subject, reference = _build_tables()
-    for kind, start, length, prot, pkey in operations:
-        end = min(start + length, N_PAGES)
-        subject.bulk_update(start, end, prot=prot, pkey=pkey)
-        for vpn in range(start, end):
-            reference.set_prot(vpn, prot)
-            if pkey is not None:
-                reference.set_pkey(vpn, pkey)
+    table, reference = _build()
+    _apply(table, reference, operations)
     for pkey in range(16):
-        assert subject.pages_with_pkey(pkey) == \
-            reference.pages_with_pkey(pkey)
-
-
-def test_new_mappings_ignore_existing_overlays():
-    machine = Machine(num_cores=1, memory_bytes=1 << 24)
-    table = PageTable()
-    table.map(0, machine.memory.alloc_frame(), PROT_READ)
-    table.bulk_update(0, 100, prot=0, pkey=7)  # covers future vpn 50
-    table.map(50, machine.memory.alloc_frame(), PROT_READ | PROT_WRITE)
-    entry = table.lookup(50)
-    assert entry.prot == PROT_READ | PROT_WRITE
-    assert entry.pkey == 0
-    # The pre-existing page did absorb the overlay.
-    assert table.lookup(0).prot == 0
-    assert table.lookup(0).pkey == 7
+        assert table.pages_with_pkey(pkey) == sorted(
+            vpn for vpn, (_, key) in reference.items() if key == pkey)
