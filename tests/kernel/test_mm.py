@@ -202,6 +202,11 @@ class TestProtectStatsContract:
         stats = mm.protect(addr, 4 * PAGE_SIZE, PROT_READ)
         assert stats.vpns == [page_number(addr) + i for i in range(4)]
         assert stats.pages_updated == 4
+
+    def test_empty_resident_set_is_still_populated_flag_true(self, mm):
+        """An untouched range has no resident pages: ``vpns`` is
+        genuinely empty (every path enumerates), while
+        ``pages_updated`` still counts the range."""
         addr, _ = mm.mmap(2 * PAGE_SIZE, RW)  # demand-paged, untouched
         stats = mm.protect(addr, 2 * PAGE_SIZE, PROT_READ)
         assert stats.vpns == []
