@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.consts import PROT_READ, PROT_WRITE
-from repro.errors import MachineFault, MpkError
+from repro.consts import PAGE_SIZE, PROT_READ, PROT_WRITE
+from repro.errors import MachineFault, MpkError, MpkTimeout
 from repro import Kernel, Libmpk
 from repro.apps.kvstore import Memcached, Twemperf
 from repro.apps.kvstore.slab import SLAB_BYTES, SlabAllocator
@@ -13,7 +13,7 @@ SMALL_SLAB = 4 * SLAB_BYTES  # keep tests fast; benches use 1 GB
 
 
 def build_store(mode, *, workers=0, slab_bytes=SMALL_SLAB,
-                hash_buckets=1 << 12):
+                hash_buckets=1 << 12, begin_timeout=None):
     kernel = Kernel()
     process = kernel.create_process()
     task = process.main_task
@@ -24,7 +24,8 @@ def build_store(mode, *, workers=0, slab_bytes=SMALL_SLAB,
         lib = Libmpk(process)
         lib.mpk_init(task)
     store = Memcached(kernel, process, task, mode=mode, lib=lib,
-                      slab_bytes=slab_bytes, hash_buckets=hash_buckets)
+                      slab_bytes=slab_bytes, hash_buckets=hash_buckets,
+                      begin_timeout=begin_timeout)
     return store, task
 
 
@@ -151,6 +152,35 @@ class TestProtection:
         with pytest.raises(ValueError):
             Memcached(kernel, process, process.main_task,
                       mode="mpk_begin", slab_bytes=SMALL_SLAB)
+
+
+class TestBeginTimeout:
+    def test_hash_timeout_rolls_back_the_slab(self):
+        """With ``begin_timeout``, a request whose hash ``mpk_begin``
+        finds every hardware key pinned (by another thread) fails with
+        ETIMEDOUT; ``_open`` ends the slab domain it already opened and
+        the wait leaves nothing behind."""
+        store, task = build_store("mpk_begin", workers=1,
+                                  begin_timeout=50_000.0)
+        lib = store.lib
+        sibling = store.kernel.scheduler.running_tasks(
+            store.process)[-1]
+        assert sibling is not task
+        for i in range(lib.cache.capacity - 1):
+            lib.mpk_mmap(task, 100 + i, PAGE_SIZE, RW)
+            lib.mpk_begin(sibling, 100 + i, RW)
+        aggregator = store.kernel.machine.obs.aggregator
+        assert "libmpk.keycache.wait_timeout" not in aggregator.counts
+        with pytest.raises(MpkTimeout) as excinfo:
+            store.get(task, b"k")
+        assert excinfo.value.vkey == store.HASH_VKEY
+        assert aggregator.counts["libmpk.keycache.wait_timeout"] == 1
+        assert not lib.group(store.SLAB_VKEY).pinned
+        assert not lib.group(store.HASH_VKEY).pinned
+        assert len(lib.key_waiters) == 0
+        assert task.wanted_vkey is None
+        report = lib.audit()
+        assert report.ok, report.violations
 
 
 class TestTwemperf:
