@@ -139,7 +139,7 @@ class HttpServer:
 
         A generator that yields after the connection setup and after
         every request — the engine's preemption points (and where a
-        blocked ``mpk_begin_wait`` would park).  ``task`` is the
+        ``yield from lib.begin_blocking(...)`` would park).  ``task`` is the
         *worker* task serving the connection, so all SSL/libmpk work
         runs with that thread's PKRU, exactly as a multi-worker httpd
         would.

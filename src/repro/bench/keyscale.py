@@ -8,8 +8,8 @@ and every registered eviction policy:
 
 * **serving** — a multi-tenant key-value plane in the memcached shape:
   each tenant's data lives in its own page group, 24 workers over 3
-  cores serve a skewed tenant mix through a blocking ``mpk_begin``
-  loop with a *total* per-connection wait SLO (so more in-flight pins
+  cores serve a skewed tenant mix through ``Libmpk.begin_blocking``
+  with a *total* per-connection wait SLO (so more in-flight pins
   than hardware keys park workers on ``key_waiters``, and a connection
   that cannot get a key inside the SLO expires), and ``MpkTimeout``
   expiries count against the policy.  This is where the cost-aware
@@ -34,10 +34,9 @@ import random
 
 from repro.consts import CLOCK_HZ, PAGE_SIZE, PROT_READ, PROT_WRITE
 from repro.core.keycache import EVICTION_POLICIES
-from repro.errors import MpkKeyExhaustion
 from repro.bench.harness import run_twice
 from repro.bench.report import ascii_curves
-from repro.bench.serving import PoissonArrivals, ServingEngine, WaitSpec
+from repro.bench.serving import PoissonArrivals, ServingEngine
 
 #: Domain-count axis (virtual keys per run): 100 → 10k, log-spaced.
 DOMAIN_SWEEP = (100, 300, 1_000, 3_000, 10_000)
@@ -145,26 +144,10 @@ def _run_serving_cell(policy: str, domains: int, seed: int,
         tenant = tenants[conn_id]
         vkey = TENANT_VKEY_BASE + tenant
         yield
-        # blocking_begin with a *total* wait budget: each re-park
-        # carries the remaining SLO rather than a fresh timeout, so a
-        # connection that cannot get a key within WAIT_TIMEOUT_CYCLES
-        # genuinely expires (MpkTimeout via the engine) instead of
-        # resetting its deadline on every futile wake.
-        deadline = kernel.clock.now + WAIT_TIMEOUT_CYCLES
-        task.wanted_vkey = vkey
-        try:
-            while True:
-                try:
-                    lib.mpk_begin(task, vkey, PROT_READ | PROT_WRITE)
-                    break
-                except MpkKeyExhaustion:
-                    kernel.clock.charge(kernel.costs.futex_block,
-                                        site="libmpk.keycache.wait")
-                    remaining = max(deadline - kernel.clock.now, 1.0)
-                    yield WaitSpec(lib.key_waiters, remaining,
-                                   on_expire=lib.key_wait_timeout)
-        finally:
-            task.wanted_vkey = None
+        # One total wait budget: a connection that cannot get a key
+        # within WAIT_TIMEOUT_CYCLES expires (MpkTimeout via the engine).
+        yield from lib.begin_blocking(task, vkey, PROT_READ | PROT_WRITE,
+                                      timeout=WAIT_TIMEOUT_CYCLES)
         try:
             task.write(bases[tenant], payload)
             for _ in range(SERVICE_SLICES):

@@ -21,12 +21,12 @@ blocks in ``epoll_wait``.
 Jobs are *generators*: each ``yield`` is a preemption point (a charge
 boundary where the kernel would check ``need_resched``), and yielding
 a :class:`~repro.kernel.task.WaitQueue` blocks the worker until a
-waker fires (``mpk_end`` waking ``mpk_begin_wait`` sleepers, for
-example).  At each yield the engine compares the clock against the
-slice's start cycle: the quantum decides *when* preemption happens;
-the run-queue rotation decides who runs next.  Nothing consults wall
-time or unseeded randomness, so two runs with the same arrival
-schedule are bit-identical.
+waker fires (``mpk_end`` waking a worker parked in ``yield from
+lib.begin_blocking(...)``, for example).  At each yield the engine
+compares the clock against the slice's start cycle: the quantum
+decides *when* preemption happens; the run-queue rotation decides who
+runs next.  Nothing consults wall time or unseeded randomness, so two
+runs with the same arrival schedule are bit-identical.
 
 Scaling
 -------
@@ -69,8 +69,8 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.consts import CLOCK_HZ
-from repro.errors import MpkKeyExhaustion, MpkTimeout, TaskKilled
-from repro.kernel.task import WaitQueue
+from repro.errors import MpkTimeout, TaskKilled
+from repro.kernel.task import WaitQueue, WaitSpec
 from repro.apps.sslserver.workers import RequestAborted
 from repro.bench.digest import LatencyDigest
 from repro.bench.harness import run_twice
@@ -175,25 +175,6 @@ def percentile(values: typing.Sequence[float], p: float) -> float:
 # ---------------------------------------------------------------------------
 # Engine plumbing.
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WaitSpec:
-    """What a job yields to block with a deadline.
-
-    ``yield WaitSpec(queue, timeout)`` parks the worker on ``queue``
-    for at most ``timeout`` cycles of its core's virtual time; when the
-    deadline passes first, the engine expires the wait (via
-    ``on_expire(task)`` when given — e.g. ``Libmpk.key_wait_timeout``,
-    which charges and counts the expiry — else the queue's plain
-    ``timeout``) and resumes the job by throwing
-    :class:`~repro.errors.MpkTimeout` at the yield point.  A bare
-    ``yield queue`` still means "wait forever".
-    """
-
-    queue: "WaitQueue"
-    timeout: float | None = None
-    on_expire: typing.Callable | None = None
-
 
 @dataclass
 class Connection:
@@ -1002,44 +983,6 @@ class ServingEngine:
             latency_digest=self.latency_digest,
             queue_wait_digest=self.queue_wait_digest,
         )
-
-
-def blocking_begin(lib, task: "Task", vkey: int, prot: int,
-                   max_spins: int = 64, timeout: float | None = None):
-    """Generator fragment for engine jobs: ``mpk_begin`` that *blocks*
-    the worker on key exhaustion instead of raising.
-
-    Use as ``yield from blocking_begin(lib, task, vkey, prot)`` inside
-    a job; the worker parks on ``lib.key_waiters`` and is woken by
-    ``mpk_end``/``mpk_munmap``/``mpk_disown`` on another worker.
-
-    ``timeout`` bounds each individual park (core-time cycles): if the
-    deadline passes before a wake, the engine expires the wait through
-    ``lib.key_wait_timeout`` (charged as ``libmpk.keycache.
-    wait_timeout``) and :class:`~repro.errors.MpkTimeout` is raised
-    here, at the yield point, for the job to handle or propagate.
-    """
-    # Tag the wanted vkey while (potentially) parked: the watchdog's
-    # key_demand() contention export reads it off the wait queue, and
-    # the cost-aware eviction policy uses it to spare demanded keys.
-    task.wanted_vkey = vkey
-    try:
-        for _ in range(max_spins):
-            try:
-                lib.mpk_begin(task, vkey, prot)
-                return
-            except MpkKeyExhaustion:
-                task.kernel.clock.charge(task.kernel.costs.futex_block,
-                                         site="libmpk.keycache.wait")
-                if timeout is None:
-                    yield lib.key_waiters
-                else:
-                    yield WaitSpec(lib.key_waiters, timeout,
-                                   on_expire=lib.key_wait_timeout)
-        raise MpkKeyExhaustion(
-            f"blocking_begin: no key after {max_spins} wakes")
-    finally:
-        task.wanted_vkey = None
 
 
 # ---------------------------------------------------------------------------

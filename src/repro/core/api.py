@@ -54,7 +54,7 @@ from repro.core.heap import GroupHeap
 from repro.core.keycache import EvictionPolicy, KeyCache
 from repro.core.metadata import CallSiteRegistry, MetadataRegion
 from repro.core.sync import do_pkey_sync
-from repro.kernel.task import WaitQueue
+from repro.kernel.task import WaitQueue, WaitSpec
 from repro.kernel.watchdog import key_demand
 
 if typing.TYPE_CHECKING:
@@ -88,13 +88,9 @@ class Libmpk:
         self._registry = CallSiteRegistry(None)
         self._xo_pkey: int | None = None
         self._xo_groups: set[int] = set()
-        # mpk_begin_wait telemetry (surfaced via stats()).
-        self._begin_wait_calls = 0
-        self._begin_wait_attempts = 0
-        self._begin_wait_waits = 0
-        self._begin_wait_cycles = 0.0
+        # Expired key waits (surfaced via stats()).
         self._wait_timeouts = 0
-        # Threads blocked in mpk_begin_wait park here; any call that
+        # Threads blocked in begin_blocking park here; any call that
         # can free or unpin a hardware key wakes them.
         self.key_waiters = WaitQueue("libmpk.key_waiters")
         # A thread killed by a signal implicitly ends its open domains.
@@ -352,130 +348,86 @@ class Libmpk:
             self._repair_record(group)
             raise
 
-    @traced("libmpk.mpk_begin_wait")
-    def mpk_begin_wait(self, task: "Task", vkey: int, prot: int,
-                       on_wait=None, max_attempts: int = 64,
-                       timeout: float | None = None) -> int:
-        """mpk_begin that handles key exhaustion by genuinely blocking.
+    def begin_blocking(self, task: "Task", vkey: int, prot: int,
+                       timeout: float | None = None):
+        """``mpk_begin`` that parks until a hardware key frees.
 
         The paper leaves exhaustion to the caller ("mpk_begin() raises
         an exception and lets the calling thread handle it (e.g.,
-        sleeps until a key is available)"); this helper parks the
-        thread on :attr:`key_waiters` — a futex-style wait queue woken
-        by ``mpk_end``/``mpk_munmap``/``mpk_disown`` whenever a pin
-        drops or a key frees — instead of the scripted exponential
-        backoff it used to burn.  The futex-wait entry is charged as
-        ``libmpk.keycache.wait``; cycles that elapse while parked land
-        in :meth:`stats` as ``begin_wait_cycles``.
+        sleeps until a key is available)"); this generator is that
+        sleep.  Drive it with ``yield from lib.begin_blocking(...)``
+        inside a serving-engine job.  On each
+        :class:`~repro.errors.MpkKeyExhaustion` it charges the futex
+        wait entry as ``libmpk.keycache.wait`` and yields
+        :attr:`key_waiters`, which ``mpk_end``/``mpk_munmap``/
+        ``mpk_disown`` wake whenever a pin drops or a key frees.
 
-        ``on_wait(attempt)``, when given, is the serial-mode progress
-        hook: it runs while the thread is parked and must make progress
-        (e.g. complete other work that ends a domain).  Without it, an
-        unwoken wait would deadlock — a single-threaded caller with no
-        waker — so the call raises immediately rather than spinning.
-
-        ``timeout`` (cycles) bounds the *total* wait: once the deadline
-        passes without a key, the waiter is cleanly removed from
-        :attr:`key_waiters`, the expiry is charged as
-        ``libmpk.keycache.wait_timeout``, and
-        :class:`~repro.errors.MpkTimeout` (ETIMEDOUT) is raised.  A
-        wake always beats a pending timeout: a thread woken at its
-        deadline still retries once.
-
-        Returns the number of attempts taken; raises after
-        ``max_attempts``.
+        ``timeout`` (cycles) bounds the *total* wait: the deadline is
+        fixed once, and each park yields a
+        :class:`~repro.kernel.task.WaitSpec` carrying only what is
+        left of it, expired through :meth:`key_wait_timeout`.  The
+        driver throws :class:`~repro.errors.MpkTimeout` at the yield
+        when it passes.
         """
-        self._begin_wait_calls += 1
-        started = self._kernel.clock.now
-        deadline = None
-        if timeout is not None:
-            if timeout <= 0:
-                raise MpkError(
-                    f"mpk_begin_wait: timeout must be positive cycles, "
-                    f"got {timeout!r}")
-            deadline = started + timeout
-        # Tag the task with the vkey it is about to sleep for, so the
-        # watchdog's key_demand() contention export (and through it the
-        # cost-aware eviction policy) can see *what* each parked waiter
-        # wants, not just that it waits.  Host-side bookkeeping only.
+        clock = self._kernel.clock
+        deadline = None if timeout is None else clock.now + timeout
+        # The watchdog's key_demand() export (and through it the
+        # cost-aware eviction policy) reads what each parked waiter
+        # wants off this tag.
         task.wanted_vkey = vkey
         try:
-            for attempt in range(1, max_attempts + 1):
+            while True:
                 try:
                     self.mpk_begin(task, vkey, prot)
-                    self._begin_wait_attempts += attempt
-                    return attempt
+                    return
                 except MpkKeyExhaustion:
-                    outcome = self._wait_for_key(task, attempt, on_wait,
-                                                 deadline)
-                    if outcome == "timeout":
-                        self._begin_wait_attempts += attempt
-                        waited = self._kernel.clock.now - started
-                        raise MpkTimeout(
-                            f"mpk_begin_wait: no hardware key for vkey "
-                            f"{vkey} within the deadline ({waited:.0f} "
-                            f"cycles waited)", vkey=vkey,
-                            waited_cycles=waited) from None
-                    if outcome == "stuck":
-                        self._begin_wait_attempts += attempt
-                        raise MpkKeyExhaustion(
-                            "mpk_begin_wait: all hardware keys pinned "
-                            "and no waker (no on_wait hook and no "
-                            "concurrent thread to free a key) — would "
-                            "deadlock"
-                        ) from None
-            self._begin_wait_attempts += max_attempts
-            raise MpkKeyExhaustion(
-                f"mpk_begin_wait: no hardware key freed after "
-                f"{max_attempts} attempts")
+                    self._charge(self._kernel.costs.futex_block,
+                                 site="libmpk.keycache.wait")
+                if deadline is None:
+                    yield self.key_waiters
+                else:
+                    yield WaitSpec(self.key_waiters,
+                                   max(deadline - clock.now, 1.0),
+                                   on_expire=self.key_wait_timeout)
         finally:
             task.wanted_vkey = None
 
-    def _wait_for_key(self, task: "Task", attempt: int, on_wait,
-                      deadline: float | None = None) -> str:
-        """Park ``task`` on the key wait queue until a waker fires, the
-        ``on_wait`` progress hook returns, or ``deadline`` passes.
+    @traced("libmpk.mpk_begin_wait")
+    def mpk_begin_wait(self, task: "Task", vkey: int, prot: int,
+                       timeout: float | None = None) -> None:
+        """Drive :meth:`begin_blocking` for a synchronous caller.
 
-        Returns ``"woken"`` / ``"progress"`` (retry), ``"timeout"``
-        (deadline expired — the waiter is already removed and the
-        expiry charged), or ``"stuck"`` (nothing can ever wake us).
+        A synchronous caller has no other thread to wake it, so a park
+        never ends in a wake.  With ``timeout`` the thread sleeps out
+        the rest of its deadline (charged as ``libmpk.keycache.wait``),
+        the expiry is charged as ``libmpk.keycache.wait_timeout``, and
+        :class:`~repro.errors.MpkTimeout` (ETIMEDOUT) is raised.
+        Without one the wait would deadlock, so
+        :class:`~repro.errors.MpkKeyExhaustion` is raised at once.
+        Returns once the group is pinned, as ``mpk_begin`` does.
         """
-        costs = self._kernel.costs
-        self._charge(costs.futex_block, site="libmpk.keycache.wait")
-        self._begin_wait_waits += 1
-        parked_at = self._kernel.clock.now
-        woken: list["Task"] = []
-        self.key_waiters.add(task, on_wake=woken.append, now=parked_at)
-        # An already-expired deadline (a previous on_wait overshot it)
-        # skips the progress hook: the wait is over before it starts.
-        expired_on_entry = deadline is not None and parked_at >= deadline
-        try:
-            if on_wait is not None and not expired_on_entry:
-                on_wait(attempt)
-        except BaseException:
-            if not woken:
-                self.key_waiters.remove(task)
-            raise
-        finally:
-            self._begin_wait_cycles += self._kernel.clock.now - parked_at
-        if woken:
-            return "woken"
-        if deadline is not None:
-            now = self._kernel.clock.now
-            if on_wait is None and now < deadline:
-                # No waker and no progress hook: the thread simply
-                # sleeps out the rest of its timeout (a futex wait
-                # whose hrtimer fires).  The slept cycles are charged
-                # as wait time so the ledger still sums to the clock.
-                self._charge(deadline - now, site="libmpk.keycache.wait")
-                self._begin_wait_cycles += deadline - now
-                now = deadline
-            if now >= deadline and self.key_wait_timeout(task):
-                return "timeout"
-        self.key_waiters.remove(task)
-        # A progress hook justifies a retry; with neither a wake nor a
-        # hook, nothing can ever free a key and the caller must not spin.
-        return "progress" if on_wait is not None else "stuck"
+        clock = self._kernel.clock
+        if timeout is not None and timeout <= 0:
+            raise MpkError(
+                f"mpk_begin_wait: timeout must be positive cycles, "
+                f"got {timeout!r}")
+        started = clock.now
+        waits = self.begin_blocking(task, vkey, prot, timeout)
+        # The generator catches neither throw, so each raises out of
+        # it (clearing its wanted_vkey tag) and out of this call.
+        for spec in waits:
+            if not isinstance(spec, WaitSpec):
+                waits.throw(MpkKeyExhaustion(
+                    f"mpk_begin_wait: all hardware keys pinned and no "
+                    f"waker for vkey {vkey} (would deadlock)"))
+            self.key_waiters.add(task, now=clock.now)
+            self._charge(spec.timeout, site="libmpk.keycache.wait")
+            spec.on_expire(task)
+            waited = clock.now - started
+            waits.throw(MpkTimeout(
+                f"mpk_begin_wait: no hardware key for vkey {vkey} "
+                f"within the deadline ({waited:.0f} cycles waited)",
+                vkey=vkey, waited_cycles=waited))
 
     def key_wait_timeout(self, task: "Task") -> bool:
         """Expire ``task``'s parked key wait (the deadline path, also
@@ -499,7 +451,7 @@ class Libmpk:
         return None
 
     def _wake_key_waiters(self) -> None:
-        """Wake every thread blocked in :meth:`mpk_begin_wait` (a key
+        """Wake every thread blocked in :meth:`begin_blocking` (a key
         freed or a pin dropped).  Callers call it only when
         ``key_waiters.parked`` is non-empty, so workloads that never
         block see identical cycle totals."""
@@ -703,10 +655,6 @@ class Libmpk:
             "eviction_policy": cache.policy,
             "memory_overhead_bytes": self.memory_overhead_bytes(),
             "protected_bytes": sum(g.length for g in groups),
-            "begin_wait_calls": self._begin_wait_calls,
-            "begin_wait_attempts": self._begin_wait_attempts,
-            "begin_wait_waits": self._begin_wait_waits,
-            "begin_wait_cycles": self._begin_wait_cycles,
             "wait_timeouts": self._wait_timeouts,
         }
 

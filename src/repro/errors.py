@@ -106,8 +106,9 @@ class MpkKeyExhaustion(MpkError):
 class MpkTimeout(MpkError):
     """A bounded key wait expired before a hardware key freed.
 
-    ``mpk_begin_wait(timeout=...)`` raises this (the ETIMEDOUT analogue
-    of a ``futex(FUTEX_WAIT, ..., timeout)`` expiry) after cleanly
+    A timed ``Libmpk.begin_blocking`` wait raises this (the ETIMEDOUT
+    analogue of a ``futex(FUTEX_WAIT, ..., timeout)`` expiry), thrown
+    by its driver (the serving engine or ``mpk_begin_wait``) after
     removing the waiter from the key wait queue; the caller decides
     whether to shed the request, retry, or escalate.
     """

@@ -118,7 +118,7 @@ class CostModel:
     sigreturn: float = 380.0        # sigcontext (incl. PKRU) restore
     signal_kill: float = 2400.0     # unhandled signal: task teardown
 
-    # ---- Futex-style wait queues (mpk_begin_wait blocking) and the
+    # ---- Futex-style wait queues (Libmpk.begin_blocking) and the
     # serving engine's time-sliced cores (repro.bench.serving). ----
     futex_block: float = 450.0      # enter the kernel and park on a queue
     futex_wake: float = 250.0       # pop + make one waiter runnable

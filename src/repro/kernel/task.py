@@ -53,18 +53,17 @@ class WaitQueue:
     waker pops them in arrival order.  The queue itself never touches
     core placement — blocking a *running* task off its core is the
     scheduler's (or the serving engine's) job — it only tracks who is
-    waiting and notifies them, so the same primitive backs both the
-    synchronous ``mpk_begin_wait`` retry path and the serving engine's
-    genuinely-blocking workers.
+    waiting and notifies them.  ``Libmpk.begin_blocking`` parks on
+    one; the serving engine (or ``mpk_begin_wait``'s synchronous
+    driver) decides what parking means for the task.
 
     Deadlines belong to the waiter, not the queue: whoever parked a
-    task with a deadline (``mpk_begin_wait``'s ``timeout``, the serving
-    engine's timed ``WaitSpec``) keeps it and, once it passes, expires
-    the wait with :meth:`timeout`.  A wake always beats a pending
-    timeout: once :meth:`wake_one`/:meth:`wake_all` pops a waiter,
-    :meth:`timeout` finds nothing to expire, so the wake-vs-timeout
-    race is resolved by whichever the (deterministic) caller drives
-    first.
+    task with a deadline (a timed :class:`WaitSpec`) keeps it and,
+    once it passes, expires the wait with :meth:`timeout`.  A wake
+    always beats a pending timeout: once :meth:`wake_one` or
+    :meth:`wake_all` pops a waiter, :meth:`timeout` finds nothing to
+    expire, so the wake-vs-timeout race is resolved by whichever the
+    (deterministic) caller drives first.
 
     Dead tasks never come back from a wake: a task killed while parked
     is normally detached by the kill path, and as defense in depth the
@@ -178,6 +177,24 @@ class WaitQueue:
         return f"<WaitQueue {self.name!r} waiters={len(self.parked)}>"
 
 
+@dataclasses.dataclass(frozen=True)
+class WaitSpec:
+    """What a blocking generator yields to park with a deadline.
+
+    ``yield WaitSpec(queue, timeout)`` parks the task on ``queue`` for
+    at most ``timeout`` cycles; when the deadline passes first, the
+    driver expires the wait (via ``on_expire(task)`` when given, e.g.
+    ``Libmpk.key_wait_timeout``, which charges and counts the expiry,
+    else the queue's plain ``timeout``) and throws
+    :class:`~repro.errors.MpkTimeout` at the yield point.  A bare
+    ``yield queue`` means "wait until woken".
+    """
+
+    queue: WaitQueue
+    timeout: float | None = None
+    on_expire: typing.Callable | None = None
+
+
 class Task:
     """One thread of a simulated process."""
 
@@ -203,8 +220,7 @@ class Task:
         self.state = "runnable"
         # The WaitQueue this task is currently parked on, if any.
         self.waiting_on: WaitQueue | None = None
-        # While blocked for a hardware key (mpk_begin_wait / the
-        # serving engine's blocking_begin): the vkey this task wants.
+        # While inside Libmpk.begin_blocking: the vkey this task wants.
         # Read back by the watchdog's key_demand() contention export;
         # None when the task is not waiting for a key.
         self.wanted_vkey: int | None = None

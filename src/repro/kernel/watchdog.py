@@ -1,8 +1,7 @@
 """Deadlock and starvation watchdog for key waits.
 
-libmpk's blocking path (``mpk_begin_wait`` / the serving engine's
-blocked workers) parks threads on ``Libmpk.key_waiters`` until a
-hardware key frees.  Keys free when pins drop — and pins only drop when
+libmpk's blocking path (``Libmpk.begin_blocking``) parks threads on
+``Libmpk.key_waiters`` until a hardware key frees.  Keys free when pins drop — and pins only drop when
 the pin-*holder* runs.  That closes a classic wait-for loop: if every
 thread holding a pinned page group is itself parked waiting for a key,
 no thread can ever run ``mpk_end``, no key can ever free, and the whole
@@ -92,8 +91,7 @@ def key_demand(lib: "Libmpk") -> dict[int, int]:
     """Contention export: vkey -> number of live parked waiters that
     are sleeping for that virtual key.
 
-    Each blocking entry point (``mpk_begin_wait``, the serving
-    engine's ``blocking_begin``) tags its task with the vkey it wants
+    ``Libmpk.begin_blocking`` tags its task with the vkey it wants
     (``task.wanted_vkey``) before parking on ``lib.key_waiters``; this
     reads those tags back off the queue.  The cost-aware eviction
     policy treats a demanded vkey as infinitely expensive to evict —

@@ -15,7 +15,7 @@ The robustness machinery:
 
 * **RPC state machine** (:class:`FleetClient`) — per-request timeout,
   capped-exponential retry/backoff (the same ``min(base * 2**n, cap)``
-  schedule as ``mpk_begin_wait``/:class:`Supervisor`, the
+  schedule as :class:`Supervisor`, the
   :class:`~repro.errors.MpkTimeout` semantics transplanted to the
   wire), failover to the next replica in the shard map, and
   shed-with-accounting at ``net.cluster.shed`` when every attempt is

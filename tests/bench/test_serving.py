@@ -11,12 +11,10 @@ from repro.bench.serving import (
     ServingEngine,
     _run_httpd_scenario,
     _run_memcached_scenario,
-    blocking_begin,
     percentile,
     run_servebench,
 )
 from repro.consts import PROT_READ, PROT_WRITE
-from repro.errors import MpkKeyExhaustion
 from repro.kernel.task import WaitQueue
 
 RW = PROT_READ | PROT_WRITE
@@ -395,7 +393,7 @@ class TestBlockingBegin:
         Both workers share one core with a small quantum.  The hog
         dispatches first and pins every hardware key *within one slice*
         (no yields), then hits its first preemption point; the
-        contender's ``blocking_begin`` then finds all keys pinned and
+        contender's ``begin_blocking`` then finds all keys pinned and
         parks on ``lib.key_waiters`` until the hog's ``mpk_end`` drops
         a pin and wakes it."""
         main = process.main_task
@@ -414,7 +412,7 @@ class TestBlockingBegin:
                 yield
 
         def contender(task, conn_id):
-            yield from blocking_begin(lib, task, extra, RW)
+            yield from lib.begin_blocking(task, extra, RW)
             lib.mpk_end(task, extra)
             yield
 
@@ -428,10 +426,30 @@ class TestBlockingBegin:
         assert report.blocked_waits >= 1
         assert lib.key_waiters.stats_wakes >= 1
 
-    def test_gives_up_after_max_spins(self, kernel, process, lib, task):
-        with pytest.raises(MpkKeyExhaustion):
-            gen = blocking_begin(lib, task, 999, RW, max_spins=0)
-            next(gen)
+    def test_gives_up_after_max_spins(self, kernel, process, lib):
+        """An unwoken timed park expires: the engine throws MpkTimeout
+        at the yield, drops the connection and counts the timeout."""
+        main = process.main_task
+        for vkey in range(100, 100 + lib.cache.capacity):
+            lib.mpk_mmap(main, vkey, 4096, RW)
+            lib.mpk_begin(main, vkey, RW)
+        lib.mpk_mmap(main, 999, 4096, RW)
+
+        def contender(task, conn_id):
+            yield from lib.begin_blocking(task, 999, RW, timeout=5_000.0)
+            lib.mpk_end(task, 999)
+
+        engine = ServingEngine(kernel, cores=[1])
+        worker = process.spawn_task()
+        engine.add_worker(worker, core_id=1)
+        engine.offer(ArrivalSchedule((0.0,)), contender)
+        report = engine.run()
+        assert report.completed == 0
+        assert report.wait_timeouts == report.aborted == 1
+        assert lib.stats()["wait_timeouts"] == 1
+        assert len(lib.key_waiters) == 0
+        assert worker.wanted_vkey is None
+        assert not lib.group(999).pinned
 
 
 class TestScenarioDeterminism:

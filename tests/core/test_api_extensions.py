@@ -4,7 +4,9 @@ transitions, and eager sync."""
 import pytest
 
 from repro.consts import PAGE_SIZE, PROT_EXEC, PROT_READ, PROT_WRITE
-from repro.errors import MpkVkeyInUse
+from repro.bench.serving import ArrivalSchedule, ServingEngine
+from repro.errors import MpkKeyExhaustion, MpkTimeout, MpkVkeyInUse
+from repro.kernel.task import WaitQueue, WaitSpec
 from repro.hw.pkru import KEY_RIGHTS_READ
 from repro.core.sync import do_pkey_sync
 from repro import Libmpk
@@ -152,43 +154,113 @@ class TestEagerSync:
         assert eager > lazy
 
 
-class TestBeginWait:
-    def _exhaust(self, lib, task):
+def _exhaust(lib, task):
+    """Pin every hardware key from ``task`` (vkeys 100..114)."""
+    for i in range(15):
+        lib.mpk_mmap(task, 100 + i, PAGE_SIZE, RW)
+        lib.mpk_begin(task, 100 + i, RW)
+
+
+#: Cycles a contention hog naps between its rounds.
+NAP = 10_000.0
+
+
+def _contend(kernel, process, lib, *, churn, timeout=None):
+    """Serve a hog and a contender for vkey 50 on one core.
+
+    The hog pins every hardware key, then ``churn`` times naps for
+    ``NAP`` cycles and runs ``mpk_end`` then ``mpk_begin`` on one of
+    its keys: each ``mpk_end`` wakes the contender, whose retry finds
+    the key taken again.  The hog then naps once more and ends every
+    pin.  The contender runs ``begin_blocking(..., timeout=timeout)``.
+    Returns the report and the contender's record: the clock when it
+    started, each park's clock, and its outcome with the clock then.
+    """
+    main = process.main_task
+    for i in range(15):
+        lib.mpk_mmap(main, 100 + i, PAGE_SIZE, RW)
+    lib.mpk_mmap(main, 50, PAGE_SIZE, RW)
+    naps = WaitQueue("nap")
+    seen = {"parks": []}
+
+    def nap():
+        try:
+            yield WaitSpec(naps, NAP)
+        except MpkTimeout:
+            pass
+
+    def hog(task, conn_id):
         for i in range(15):
-            lib.mpk_mmap(task, 100 + i, PAGE_SIZE, RW)
             lib.mpk_begin(task, 100 + i, RW)
-
-    def test_succeeds_immediately_when_keys_free(self, lib, task):
-        lib.mpk_mmap(task, 50, PAGE_SIZE, RW)
-        attempts = lib.mpk_begin_wait(task, 50, RW,
-                                      on_wait=lambda n: None)
-        assert attempts == 1
-        lib.mpk_end(task, 50)
-
-    def test_waits_until_a_key_frees(self, lib, task):
-        self._exhaust(lib, task)
-        lib.mpk_mmap(task, 50, PAGE_SIZE, RW)
-        waits = []
-
-        def release_one(attempt):
-            waits.append(attempt)
-            if attempt == 2:
-                lib.mpk_end(task, 100)  # progress on the 2nd wait
-
-        attempts = lib.mpk_begin_wait(task, 50, RW, on_wait=release_one)
-        assert attempts == 3
-        assert waits == [1, 2]
-        lib.mpk_end(task, 50)
-        for i in range(1, 15):
+        for i in range(churn):
+            yield from nap()
+            lib.mpk_end(task, 100 + i % 15)
+            lib.mpk_begin(task, 100 + i % 15, RW)
+        yield from nap()
+        for i in range(15):
             lib.mpk_end(task, 100 + i)
 
-    def test_gives_up_after_max_attempts(self, lib, task):
-        from repro.errors import MpkKeyExhaustion
-        self._exhaust(lib, task)
+    def contender(task, conn_id):
+        seen["started"] = kernel.clock.now
+        try:
+            yield from lib.begin_blocking(task, 50, RW, timeout=timeout)
+        except MpkTimeout:
+            seen["outcome"] = ("timeout", kernel.clock.now)
+            raise
+        seen["outcome"] = ("pinned", kernel.clock.now)
+        assert task.wanted_vkey is None
+        lib.mpk_end(task, 50)
+
+    add = lib.key_waiters.add
+
+    def recording_add(task, on_wake=None, now=0.0):
+        seen["parks"].append(now)
+        return add(task, on_wake=on_wake, now=now)
+
+    lib.key_waiters.add = recording_add
+    engine = ServingEngine(kernel, cores=[1])
+    for _ in range(2):
+        engine.add_worker(process.spawn_task(), core_id=1)
+    engine.offer(ArrivalSchedule((0.0,)), hog)
+    engine.offer(ArrivalSchedule((0.0,)), contender)
+    report = engine.run()
+    assert len(lib.key_waiters) == 0
+    audit = lib.audit()
+    assert audit.ok, audit.violations
+    return report, seen
+
+
+class TestBeginWait:
+    def test_succeeds_immediately_when_keys_free(self, lib, kernel,
+                                                 task):
+        lib.mpk_mmap(task, 50, PAGE_SIZE, RW)
+        assert lib.mpk_begin_wait(task, 50, RW) is None
+        assert lib.group(50).pinned_by == {task.tid}
+        assert "libmpk.keycache.wait" not in \
+            kernel.machine.obs.aggregator.counts
+        lib.mpk_end(task, 50)
+
+    def test_waits_until_a_key_frees(self, kernel, process, lib):
+        """An engine job parks once and gets the key after the hog's
+        ``mpk_end``."""
+        report, seen = _contend(kernel, process, lib, churn=0)
+        assert report.completed == 2
+        assert len(seen["parks"]) == 1
+        assert seen["outcome"][0] == "pinned"
+        assert lib.key_waiters.stats_wakes == 1
+
+    def test_gives_up_after_max_attempts(self, lib, kernel, task):
+        """A synchronous caller has no waker: with no timeout the
+        driver raises at the first exhaustion instead of deadlocking,
+        and never parks."""
+        _exhaust(lib, task)
         lib.mpk_mmap(task, 50, PAGE_SIZE, RW)
         with pytest.raises(MpkKeyExhaustion):
-            lib.mpk_begin_wait(task, 50, RW, on_wait=lambda n: None,
-                               max_attempts=3)
+            lib.mpk_begin_wait(task, 50, RW)
+        assert len(lib.key_waiters) == 0
+        assert lib.key_waiters.stats_waits == 0
+        assert task.wanted_vkey is None
+        assert not lib.group(50).pinned
         for i in range(15):
             lib.mpk_end(task, 100 + i)
 
@@ -197,16 +269,10 @@ class TestBeginWaitTimeout:
     """The deadline path: bounded waits surface ETIMEDOUT instead of
     blocking forever."""
 
-    def _exhaust(self, lib, task):
-        for i in range(15):
-            lib.mpk_mmap(task, 100 + i, PAGE_SIZE, RW)
-            lib.mpk_begin(task, 100 + i, RW)
-
     def test_sync_wait_sleeps_out_the_deadline(self, lib, kernel, task):
         """With no waker, the thread sleeps the timeout away, the wait
         is charged on the clock, and MpkTimeout (ETIMEDOUT) surfaces."""
-        from repro.errors import MpkTimeout
-        self._exhaust(lib, task)
+        _exhaust(lib, task)
         lib.mpk_mmap(task, 50, PAGE_SIZE, RW)
         before = kernel.clock.now
         with pytest.raises(MpkTimeout) as excinfo:
@@ -221,45 +287,50 @@ class TestBeginWaitTimeout:
         assert lib.stats()["wait_timeouts"] == 1
 
     def test_timeout_leaves_no_queue_residue(self, lib, kernel, task):
-        from repro.errors import MpkTimeout
-        self._exhaust(lib, task)
+        _exhaust(lib, task)
         lib.mpk_mmap(task, 50, PAGE_SIZE, RW)
         with pytest.raises(MpkTimeout):
             lib.mpk_begin_wait(task, 50, RW, timeout=10_000.0)
         assert len(lib.key_waiters) == 0
         assert task.waiting_on is None
+        assert task.wanted_vkey is None
         report = lib.audit()
         assert report.ok, report.violations
         # The wait is retryable: free a key and the same call succeeds.
         lib.mpk_end(task, 100)
-        assert lib.mpk_begin_wait(task, 50, RW, timeout=10_000.0) == 1
+        lib.mpk_begin_wait(task, 50, RW, timeout=10_000.0)
+        assert lib.group(50).pinned_by == {task.tid}
         lib.mpk_end(task, 50)
 
-    def test_spinning_waiter_times_out(self, lib, task):
-        """An on_wait waker that never frees a key trips the deadline
-        (each futex round advances the clock) rather than spinning to
-        max_attempts."""
-        from repro.errors import MpkTimeout
-        self._exhaust(lib, task)
-        lib.mpk_mmap(task, 50, PAGE_SIZE, RW)
-        with pytest.raises(MpkTimeout):
-            lib.mpk_begin_wait(task, 50, RW, on_wait=lambda n: None,
-                               timeout=1_000.0, max_attempts=10_000)
+    def test_spinning_waiter_times_out(self, kernel, process, lib):
+        """The timeout bounds the *total* wait.  The hog wakes the
+        contender every ``NAP`` cycles, well inside its timeout, but
+        never leaves it a key: each re-park carries only what is left
+        of the deadline, so the wait expires no later than the first
+        park plus the timeout.  A fresh timeout per park would never
+        expire here, and the contender would get its key once the hog
+        ends its pins."""
+        timeout = 5 * NAP
+        report, seen = _contend(kernel, process, lib, churn=20,
+                                timeout=timeout)
+        outcome, at = seen["outcome"]
+        assert outcome == "timeout"
+        assert report.wait_timeouts == 1
+        assert lib.stats()["wait_timeouts"] == 1
+        assert len(seen["parks"]) >= 3          # woken again and again
+        assert at <= seen["parks"][0] + timeout
+        assert at >= seen["started"] + timeout - NAP
 
-    def test_wake_in_time_beats_the_deadline(self, lib, task):
-        self._exhaust(lib, task)
-        lib.mpk_mmap(task, 50, PAGE_SIZE, RW)
-
-        def release_one(attempt):
-            if attempt == 1:
-                lib.mpk_end(task, 100)
-
-        attempts = lib.mpk_begin_wait(task, 50, RW,
-                                      on_wait=release_one,
-                                      timeout=1e12)
-        assert attempts == 2
+    def test_wake_in_time_beats_the_deadline(self, kernel, process,
+                                             lib):
+        """A wake that frees a key before the deadline wins: the
+        contender gets its key and nothing expires."""
+        report, seen = _contend(kernel, process, lib, churn=2,
+                                timeout=1e12)
+        assert report.completed == 2
+        assert seen["outcome"][0] == "pinned"
+        assert len(seen["parks"]) == 3
         assert lib.stats()["wait_timeouts"] == 0
-        lib.mpk_end(task, 50)
 
     def test_timeout_validated(self, lib, task):
         from repro.errors import MpkError

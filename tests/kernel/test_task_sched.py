@@ -172,7 +172,7 @@ class TestWaitQueue:
 class TestDeadlineWakeTiesUnderDelay:
     """The exact-tie corner: an injected delay stretches the waker's
     operation so the clock lands *precisely on* the waiter's deadline
-    (which its owner keeps, as ``mpk_begin_wait`` does).  The wake
+    (which its owner keeps, as the serving engine does).  The wake
     still wins — ``timeout`` only claims waiters nothing has woken yet
     — and the loser path (timeout first) is just as deterministic."""
 

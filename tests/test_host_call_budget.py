@@ -19,7 +19,7 @@ cached paths when last measured): a cached ``mpk_begin`` +
 a page walk) makes 12.  An evicting ``mpk_begin`` + ``mpk_end`` pair
 with 3 running siblings makes 148, an ``mpk_mprotect`` that misses and
 evicts makes 145, and a one-page ``pkey_mprotect`` makes 23.  A healthy 3-node, 2-replica cluster
-(``_build_cluster``, seed 5, 48 connections) makes 1,645.8 calls per
+(``_build_cluster``, seed 5, 48 connections) makes 1,658.1 calls per
 connection, and a served ``mpk_begin`` Memcached connection
 (``_serving``: 48 connections of 2 requests) makes 245.9.  Each budget
 sits about 3% above its count.  The counters live in

@@ -141,6 +141,63 @@ class TestAttribution:
         assert all(seen.values()), f"no literal labels found: {seen}"
 
 
+class TestOneBlockingBegin:
+    """``Libmpk.begin_blocking`` is the one way to wait for a hardware
+    key: it alone tags ``task.wanted_vkey`` (besides ``Task.__init__``
+    setting it to None) and charges the ``libmpk.keycache.wait`` entry,
+    always from core/api.py."""
+
+    @staticmethod
+    def _functions():
+        """(path, qualified function name, node) for every function in
+        src/repro, class methods named ``Class.method``."""
+        for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            rel = path.relative_to(REPO).as_posix()
+            stack = [(tree, "")]
+            while stack:
+                node, prefix = stack.pop()
+                for child in ast.iter_child_nodes(node):
+                    if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                          ast.AsyncFunctionDef)):
+                        name = prefix + child.name
+                        if not isinstance(child, ast.ClassDef):
+                            yield rel, name, child
+                        stack.append((child, name + "."))
+
+    def test_only_begin_blocking_tags_wanted_vkey(self):
+        taggers = set()
+        for rel, name, func in self._functions():
+            for node in ast.walk(func):
+                targets = []
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                    targets = [node.target]
+                if any(isinstance(t, ast.Attribute)
+                       and t.attr == "wanted_vkey" for t in targets):
+                    taggers.add(f"{rel}:{name}")
+        assert taggers == {"src/repro/kernel/task.py:Task.__init__",
+                           "src/repro/core/api.py:Libmpk.begin_blocking"}
+
+    def test_key_wait_is_charged_only_in_libmpk(self):
+        sites = []
+        for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                labels = [kw.value for kw in node.keywords
+                          if kw.arg == "site"]
+                if TestAttribution._is_site_call(node):
+                    labels += node.args[:1]
+                if any(isinstance(label, ast.Constant)
+                       and label.value == "libmpk.keycache.wait"
+                       for label in labels):
+                    sites.append(path.relative_to(REPO).as_posix())
+        assert sites, "nothing charges libmpk.keycache.wait"
+        assert set(sites) == {"src/repro/core/api.py"}, sites
+
+
 class TestPackaging:
     def test_every_package_directory_has_init(self):
         for directory in (REPO / "src" / "repro").rglob("*"):

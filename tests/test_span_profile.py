@@ -1,9 +1,10 @@
 """Pinned span profile: what ``@traced`` and ``obs.span()`` record.
 
-A fixed scenario nests the span kinds the simulator produces:
-``libmpk.mpk_begin_wait`` around a ``libmpk.mpk_begin`` that raises key
-exhaustion, an ``mpk_end`` run from the wait's progress hook and the
-retried ``mpk_begin`` that evicts; ``libmpk.mpk_mprotect`` around the
+A fixed scenario nests the span kinds the simulator produces: a
+timed-out ``libmpk.mpk_begin_wait`` around a ``libmpk.mpk_begin`` that
+raises key exhaustion; an ``obs.span()`` around a failing
+``mpk_begin``, the ``mpk_end`` that frees a key and the retried
+``mpk_begin`` that evicts; ``libmpk.mpk_mprotect`` around the
 ``kernel.do_pkey_sync`` span that ``obs.span()`` opens; and the
 kernel's syscall spans under ``mpk_mmap``/``mpk_mprotect``.  The test
 compares, with ``span_profile.json``:
@@ -26,7 +27,7 @@ from dataclasses import astuple
 from pathlib import Path
 
 from repro import PAGE_SIZE, PROT_READ, PROT_WRITE, Kernel, Libmpk, Machine
-from repro.errors import MpkKeyExhaustion
+from repro.errors import MpkKeyExhaustion, MpkTimeout
 
 GOLDEN_PATH = Path(__file__).with_name("span_profile.json")
 RW = PROT_READ | PROT_WRITE
@@ -34,6 +35,8 @@ FIRST_VKEY = 200
 #: One more group than libmpk has hardware keys, so the last
 #: ``mpk_begin`` finds every key pinned.
 GROUPS = 16
+#: Cycles the synchronous wait sleeps before it expires.
+WAIT_TIMEOUT = 5_000.0
 
 
 def run_scenario() -> dict:
@@ -69,10 +72,18 @@ def run_scenario() -> dict:
     else:
         raise AssertionError("every hardware key should be pinned")
 
-    def on_wait(_attempt):
-        lib.mpk_end(task, vkeys[0])
-
-    assert lib.mpk_begin_wait(task, vkeys[-1], RW, on_wait=on_wait) == 2
+    try:
+        lib.mpk_begin_wait(task, vkeys[-1], RW, timeout=WAIT_TIMEOUT)
+    except MpkTimeout:
+        pass
+    else:
+        raise AssertionError("a synchronous wait with no waker expires")
+    with obs.span("apps.golden.retry", ((vkeys[-1],), {})):
+        try:
+            lib.mpk_begin(task, vkeys[-1], RW)
+        except MpkKeyExhaustion:
+            lib.mpk_end(task, vkeys[0])
+            lib.mpk_begin(task, vkeys[-1], RW)
     task.write(bases[-1], b"golden")
     lib.mpk_end(task, vkeys[-1])
     lib.mpk_mprotect(task, vkeys[1], PROT_READ)
@@ -97,14 +108,15 @@ def test_span_profile_matches_golden():
 
 
 def test_scenario_covers_the_nested_span_kinds():
-    """The golden is only as good as its scenario: the wait wraps the
-    failing and the retried begin, and do_pkey_sync nests under
-    mpk_mprotect."""
-    paths = set(run_scenario()["profile"])
-    assert "libmpk.mpk_begin_wait / libmpk.mpk_begin" in paths
-    assert "libmpk.mpk_begin_wait / libmpk.mpk_end" in paths
-    assert "libmpk.mpk_mprotect / kernel.do_pkey_sync" in paths
-    assert "apps.golden.outer / libmpk.mpk_end" in paths
+    """The golden is only as good as its scenario: the timed-out wait
+    wraps a failing begin, one span wraps a failing and a retried
+    begin, and do_pkey_sync nests under mpk_mprotect."""
+    profile = run_scenario()["profile"]
+    assert profile["libmpk.mpk_begin_wait / libmpk.mpk_begin"][0] == 1
+    assert profile["apps.golden.retry / libmpk.mpk_begin"][0] == 2
+    assert "apps.golden.retry / libmpk.mpk_end" in profile
+    assert "libmpk.mpk_mprotect / kernel.do_pkey_sync" in profile
+    assert "apps.golden.outer / libmpk.mpk_end" in profile
 
 
 if __name__ == "__main__":
