@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import typing
 
-from repro.hw.pkru import PKRU, with_key_rights
+from repro.hw.pkru import with_key_rights
 
 if typing.TYPE_CHECKING:
     from repro.kernel.kcore import Kernel
@@ -60,17 +60,8 @@ def do_pkey_sync(kernel: "Kernel", caller: "Task", pkey: int,
     with kernel.machine.obs.span("kernel.do_pkey_sync"):
         kernel._sync_entry_exit_site.charge(kernel._syscall_overhead)
 
-        # Siblings usually share one PKRU value, so each distinct old
-        # value is encoded once.
-        encoded: dict[int, PKRU] = {}
-
         def update_pkru(task: "Task") -> None:
-            old = task.pkru.value
-            pkru = encoded.get(old)
-            if pkru is None:
-                pkru = encoded[old] = PKRU(with_key_rights(old, pkey,
-                                                           rights))
-            task.pkru = pkru
+            task.pkru = with_key_rights(task.pkru, pkey, rights)
 
         for sibling in siblings:
             sibling.task_work_add(update_pkru)

@@ -26,13 +26,9 @@ Faithful details worth knowing:
 
 from __future__ import annotations
 
-import typing
 from dataclasses import dataclass
 
 from repro.errors import MachineFault, PkeyFault, SegmentationFault
-
-if typing.TYPE_CHECKING:
-    from repro.hw.pkru import PKRU
 
 # Signal numbers (the subset the simulator delivers).  SIGKILL is only
 # synthesized for machine power-off teardown (no handler may catch it).
@@ -49,11 +45,13 @@ SEGV_PKUERR = 4   # failed protection-key check
 class Siginfo:
     """The simulated ``siginfo_t`` handed to a signal handler.
 
-    ``saved_pkru`` is the PKRU value the kernel saved in the sigframe;
-    handlers may *reassign* it (``info.saved_pkru =
-    info.saved_pkru.with_rights(...)``) to change the rights the task
-    resumes with — the user-space analogue of patching
-    ``uc_mcontext``.
+    ``saved_pkru`` is the 32-bit PKRU value the kernel saved in the
+    sigframe; handlers may *reassign* it (``info.saved_pkru =
+    with_key_rights(info.saved_pkru, key, rights)``) to change the
+    rights the task resumes with — the user-space analogue of patching
+    ``uc_mcontext``.  Sigreturn rejects a value outside [0, 2**32) with
+    ``ValueError`` and resumes the task with the PKRU it was delivered
+    with.
     """
 
     signo: int
@@ -61,7 +59,7 @@ class Siginfo:
     si_addr: int | None = None
     si_pkey: int | None = None
     fault: MachineFault | None = None
-    saved_pkru: "PKRU | None" = None
+    saved_pkru: int | None = None
 
     @property
     def is_pkey_fault(self) -> bool:

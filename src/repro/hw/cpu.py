@@ -46,11 +46,6 @@ WRITE = "write"
 FETCH = "fetch"
 _ACCESS_KINDS = (READ, WRITE, FETCH)
 
-#: Bound on each core's WRPKRU intern table (see :meth:`Core.wrpkru`):
-#: the table is cleared when full, so a thread that churns through many
-#: key assignments keeps at most this many PKRU objects per core.
-_PKRU_INTERN_LIMIT = 64
-
 
 class Core:
     """One logical core (hyperthread)."""
@@ -60,10 +55,8 @@ class Core:
         self.core_id = core_id
         self.clock = clock
         self.costs = costs
-        self.pkru = PKRU.deny_all_but_default()
-        # WRPKRU's value -> PKRU intern table, at most
-        # _PKRU_INTERN_LIMIT entries (cleared when full).
-        self._pkru_interned: dict[int, PKRU] = {}
+        # The 32-bit register value.
+        self.pkru = PKRU.deny_all_but_default().value
         self.tlb = TLB(clock, costs)
         # Ledger slots of the hot charges (bound once, charged
         # positionally).
@@ -103,19 +96,7 @@ class Core:
         # *following* instructions (Figure 2's W2 > W1).
         self._wrpkru_site.charge(self.costs.wrpkru)
         self.wrpkru_count += 1
-        value &= 0xFFFF_FFFF
-        if value != self.pkru.value:
-            # PKRU values are immutable, so a value this core installed
-            # recently is shared instead of rebuilt.  A libmpk thread
-            # cycles through few values: its base PKRU plus one per
-            # domain it opens (mpk_begin/mpk_end switch between them).
-            interned = self._pkru_interned
-            pkru = interned.get(value)
-            if pkru is None:
-                if len(interned) >= _PKRU_INTERN_LIMIT:
-                    interned.clear()
-                pkru = interned[value] = PKRU(value)
-            self.pkru = pkru
+        self.pkru = value & 0xFFFF_FFFF
         self._serial_shadow = self.costs.serialization_window
         self._stall_pending = True
 
@@ -127,9 +108,9 @@ class Core:
         self._consume_serial_slot(self.costs.rdpkru,
                                   site="hw.cpu.rdpkru")
         self.rdpkru_count += 1
-        return self.pkru.value
+        return self.pkru
 
-    def load_pkru(self, pkru: PKRU) -> None:
+    def load_pkru(self, pkru: int) -> None:
         """Context-switch-in PKRU restore (XRSTOR path, not WRPKRU).
 
         Costs are attributed to the scheduler's context-switch charge, so
@@ -302,7 +283,7 @@ class Core:
             raise SegmentationFault(
                 f"{kind} denied by page permission at {addr:#x}",
                 addr=addr, access=kind)
-        if self.pkru.value >> 2 * pkey & denied:
+        if self.pkru >> 2 * pkey & denied:
             raise PkeyFault(
                 f"{kind} denied by PKRU for pkey {pkey} at {addr:#x}",
                 addr=addr, access=kind, pkey=pkey)
@@ -329,7 +310,7 @@ class Core:
             self._hit_site.charge(self.costs.tlb_hit)
             self._mem_site.charge(self.costs.mem_access)
             if (not prot & 0x1
-                    or self.pkru.value >> 2 * pkey & PKEY_DISABLE_ACCESS):
+                    or self.pkru >> 2 * pkey & PKEY_DISABLE_ACCESS):
                 self._enforce(prot, pkey, addr, READ)
             fdata = frame._data
             # bytes(), not a bare bytearray slice — read() promises
@@ -354,7 +335,7 @@ class Core:
             frame, prot, pkey = cached.frame, cached.prot, cached.pkey
             self._hit_site.charge(self.costs.tlb_hit)
             self._mem_site.charge(self.costs.mem_access)
-            if (not prot & 0x2 or self.pkru.value >> 2 * pkey
+            if (not prot & 0x2 or self.pkru >> 2 * pkey
                     & (PKEY_DISABLE_ACCESS | PKEY_DISABLE_WRITE)):
                 self._enforce(prot, pkey, addr, WRITE)
             if frame._data is None:

@@ -50,24 +50,12 @@ class Process:
         # one to unpin the dead thread's page groups.
         self.task_death_hooks: list = []
         self.main_task = self.spawn_task()
-        # The syscall-side caches (the mprotect VMA cache, each task's
-        # PKRU-encode memo) ride the audit: a stale hit on either would
-        # be a silent isolation bug, so their counters and cached
-        # contents are re-derived on every ``audit()``.
-        obs = kernel.machine.obs
-        obs.register_invariant(f"mm_protect_cache.pid{self.pid}",
-                               self.mm.protect_cache_consistency)
-        obs.register_invariant(f"pkru_encode_memo.pid{self.pid}",
-                               self._pkru_memo_consistency)
-
-    def _pkru_memo_consistency(self) -> str | None:
-        """Audit hook: every live task's PKRU-encode memo must
-        reconcile its counters and re-derive its cached encodes."""
-        for task in self.tasks:
-            failure = task._pkru_memo.check_consistency()
-            if failure is not None:
-                return f"task {task.tid}: {failure}"
-        return None
+        # The syscall-side mprotect VMA cache rides the audit: a stale
+        # hit would be a silent isolation bug, so its counters and
+        # cached contents are re-derived on every ``audit()``.
+        kernel.machine.obs.register_invariant(
+            f"mm_protect_cache.pid{self.pid}",
+            self.mm.protect_cache_consistency)
 
     @property
     def page_table(self):
@@ -392,8 +380,10 @@ class Kernel:
                 self._execute_kill(task, info)
                 return
             # Sigframe setup: snapshot PKRU into the saved context the
-            # handler may patch; sigreturn installs whatever it holds.
-            info.saved_pkru = task.pkru
+            # handler may patch; sigreturn installs whatever it holds,
+            # or keeps the snapshot and raises if that is no 32-bit
+            # value.
+            info.saved_pkru = saved = task.pkru
             task._in_signal_handler = True
             try:
                 with task.trusted_gate():
@@ -401,12 +391,19 @@ class Kernel:
             finally:
                 task._in_signal_handler = False
                 if task.state != "dead":
-                    task.pkru = info.saved_pkru
+                    pkru = info.saved_pkru
+                    valid = (isinstance(pkru, int)
+                             and 0 <= pkru <= 0xFFFF_FFFF)
+                    task.pkru = pkru if valid else saved
                     if task.running:
                         self.machine.core(task.core_id).load_pkru(
                             task.pkru)
                     self.clock.charge(self.costs.sigreturn,
                                       site="kernel.signal.sigreturn")
+                    if not valid:
+                        raise ValueError(
+                            f"sigreturn: saved PKRU {pkru!r} is not a "
+                            "32-bit value")
             outcome["retry"] = bool(result)
         return work
 

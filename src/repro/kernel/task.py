@@ -14,7 +14,7 @@ import typing
 from collections import deque
 
 from repro.errors import MachineFault, SandboxViolation
-from repro.hw.pkru import PKRU, PkruEncodeMemo, with_key_rights
+from repro.hw.pkru import PKRU, check_key, with_key_rights
 
 
 class _TrustedGate:
@@ -208,13 +208,8 @@ class Task:
         # resolved once: loads, stores and WRPKRU index straight in.
         self._cores = process.kernel.machine.cores
         self._page_table = process.mm.page_table
-        self.pkru = PKRU.deny_all_but_default()
-        # Memoized PKRU encode for the kernel-side right-insertion path
-        # (set_pkru_rights_from_kernel: pkey_alloc's initial-rights
-        # install).  Invalidated eagerly by every userspace WRPKRU and
-        # lazily whenever the base value diverges from the stamp (task
-        # switch, signal restore, sync).
-        self._pkru_memo = PkruEncodeMemo()
+        # The 32-bit PKRU value this thread runs with.
+        self.pkru = PKRU.deny_all_but_default().value
         self.core_id: int | None = None
         self._task_works: deque[typing.Callable[["Task"], None]] = deque()
         self.state = "runnable"
@@ -299,8 +294,7 @@ class Task:
                 f"task {self.tid}: WRPKRU outside a trusted call gate")
         core = self._core()
         core.wrpkru(value)
-        self.pkru = pkru = core.pkru
-        self._pkru_memo.note_pkru_write(pkru.value)
+        self.pkru = core.pkru
 
     def rdpkru(self) -> int:
         return self._core().rdpkru()
@@ -309,7 +303,7 @@ class Task:
         """Kernel-side PKRU edit (xstate write, no WRPKRU charge): used
         by pkey_alloc's initial-rights install and execute-only setup;
         the cost is part of the syscall body."""
-        self.pkru = self._pkru_memo.encode(self.pkru, pkey, rights)
+        self.pkru = with_key_rights(self.pkru, pkey, rights)
         if self.running:
             self._core().load_pkru(self.pkru)
 
@@ -317,13 +311,10 @@ class Task:
         """glibc pkey_set(): read-modify-write of this thread's PKRU.
 
         The new value comes from :func:`with_key_rights` on the core's
-        register value (the :class:`PkruEncodeMemo` serves only the
-        kernel-side :meth:`set_pkru_rights_from_kernel`: the WRPKRU that
-        follows every ``pkey_set`` would invalidate it each time).  A
-        bad key or bad rights bits raise ``ValueError``, as
-        :meth:`PKRU.with_rights` does.
+        register value; a bad key or bad rights bits raise
+        ``ValueError``.
         """
-        self.wrpkru(with_key_rights(self._core().pkru.value, pkey, rights))
+        self.wrpkru(with_key_rights(self._core().pkru, pkey, rights))
 
     def trusted_pkey_set(self, pkey: int, rights: int) -> None:
         """:meth:`pkey_set` inside the trusted call gate: the WRPKRU
@@ -334,20 +325,20 @@ class Task:
         if core_id is None:
             self._core()  # raises: not on a core
         core = self._cores[core_id]
-        value = with_key_rights(core.pkru.value, pkey, rights)
+        value = with_key_rights(core.pkru, pkey, rights)
         self._gate_depth += 1
         try:
             core.wrpkru(value)
         finally:
             self._gate_depth -= 1
-        self.pkru = pkru = core.pkru
-        self._pkru_memo.note_pkru_write(pkru.value)
+        self.pkru = core.pkru
 
     def pkey_get(self, pkey: int) -> int:
-        """glibc pkey_get(): RDPKRU and extract one key's rights."""
-        core = self._core()
-        value = core.rdpkru()
-        return (value >> (2 * pkey)) & 0x3
+        """glibc pkey_get(): check the key, then RDPKRU and extract its
+        rights.  A key outside 0..15 raises ``ValueError`` (glibc's
+        EINVAL) before any RDPKRU."""
+        check_key(pkey)
+        return self._core().rdpkru() >> 2 * pkey & 0x3
 
     def set_fault_handler(self, handler) -> None:
         """Install a SIGSEGV-handler analogue.

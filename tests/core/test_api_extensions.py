@@ -7,7 +7,7 @@ from repro.consts import PAGE_SIZE, PROT_EXEC, PROT_READ, PROT_WRITE
 from repro.bench.serving import ArrivalSchedule, ServingEngine
 from repro.errors import MpkKeyExhaustion, MpkTimeout, MpkVkeyInUse
 from repro.kernel.task import WaitQueue, WaitSpec
-from repro.hw.pkru import KEY_RIGHTS_READ
+from repro.hw.pkru import KEY_RIGHTS_READ, PKRU
 from repro.core.sync import do_pkey_sync
 from repro import Libmpk
 
@@ -137,9 +137,9 @@ class TestEagerSync:
         kernel.scheduler.schedule(running, charge=False)
         sleeping = process.spawn_task()
         do_pkey_sync(kernel, task, 5, KEY_RIGHTS_READ, eager=True)
-        assert running.pkru.rights(5) == KEY_RIGHTS_READ
+        assert PKRU(running.pkru).rights(5) == KEY_RIGHTS_READ
         # Eager mode waits for sleeping threads too (wakes them).
-        assert sleeping.pkru.rights(5) == KEY_RIGHTS_READ
+        assert PKRU(sleeping.pkru).rights(5) == KEY_RIGHTS_READ
 
     def test_eager_sync_costs_more(self, kernel, process, task,
                                    measure):

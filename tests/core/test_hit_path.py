@@ -118,17 +118,17 @@ BAD_KEY_OR_RIGHTS = [(16, 0), (-1, 0), (1, 5), (1, 4)]
 
 @pytest.mark.parametrize("pkey, rights", BAD_KEY_OR_RIGHTS)
 def test_pkey_set_rejects_bad_key_or_rights(lib, task, pkey, rights):
-    before = task.pkru.value
+    before = task.pkru
     with pytest.raises(ValueError):
         task.pkey_set(pkey, rights)
-    assert task.pkru.value == before
+    assert task.pkru == before
 
 
 @pytest.mark.parametrize("pkey, rights", BAD_KEY_OR_RIGHTS)
 def test_trusted_pkey_set_rejects_bad_key_or_rights(lib, task, pkey,
                                                     rights):
     """libmpk's gated WRPKRU validates before it charges anything."""
-    before = task.pkru.value
+    before = task.pkru
     core = lib._kernel.machine.core(task.core_id)
 
     def call():
@@ -137,7 +137,7 @@ def test_trusted_pkey_set_rejects_bad_key_or_rights(lib, task, pkey,
 
     charges, _ = _measure(lib, call)
     assert charges == []
-    assert task.pkru.value == core.pkru.value == before
+    assert task.pkru == core.pkru == before
     assert task._gate_depth == 0
 
 
@@ -149,10 +149,10 @@ def test_sandboxed_task_switches_only_through_libmpk(lib, task):
     task.wrpkru_sandboxed = True
     _check_cached_pair(lib, task, G)
     pkey = lib.group(G).pkey
-    before = task.pkru.value
+    before = task.pkru
     with pytest.raises(SandboxViolation):
         task.wrpkru(0)
     with pytest.raises(SandboxViolation):
         task.pkey_set(pkey, 0)
-    assert task.pkru.value == before
+    assert task.pkru == before
     assert task._gate_depth == 0

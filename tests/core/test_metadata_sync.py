@@ -6,7 +6,7 @@ from repro.consts import PAGE_SIZE, PROT_READ, PROT_WRITE
 from repro.core.metadata import RECORD_SIZE
 from repro.core.sync import do_pkey_sync
 from repro.errors import MpkMetadataTampering, SegmentationFault
-from repro.hw.pkru import KEY_RIGHTS_NONE, KEY_RIGHTS_READ
+from repro.hw.pkru import KEY_RIGHTS_NONE, KEY_RIGHTS_READ, PKRU
 from repro import Libmpk
 
 RW = PROT_READ | PROT_WRITE
@@ -98,10 +98,10 @@ class TestDoPkeySync:
         sleeping = process.spawn_task()
         count = do_pkey_sync(kernel, task, 3, KEY_RIGHTS_READ)
         assert count == 2
-        assert running.pkru.rights(3) == KEY_RIGHTS_READ  # IPI'd now
+        assert PKRU(running.pkru).rights(3) == KEY_RIGHTS_READ  # IPI'd now
         assert sleeping.has_pending_task_work()            # lazy
         kernel.scheduler.schedule(sleeping, charge=False)
-        assert sleeping.pkru.rights(3) == KEY_RIGHTS_READ
+        assert PKRU(sleeping.pkru).rights(3) == KEY_RIGHTS_READ
 
     def test_cost_scales_with_running_siblings(self, kernel, process,
                                                task, measure):

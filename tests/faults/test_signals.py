@@ -10,7 +10,7 @@ from repro.faults.signals import (
     SIGSEGV,
     Siginfo,
 )
-from repro.hw.pkru import rights_for_prot
+from repro.hw.pkru import rights_for_prot, with_key_rights
 
 RW = PROT_READ | PROT_WRITE
 
@@ -94,8 +94,8 @@ class TestSigreturn:
         pkey = lib.group(100).pkey
 
         def handler(t, info):
-            info.saved_pkru = info.saved_pkru.with_rights(
-                pkey, rights_for_prot(PROT_READ))
+            info.saved_pkru = with_key_rights(
+                info.saved_pkru, pkey, rights_for_prot(PROT_READ))
             return True
 
         task.sigaction(SIGSEGV, handler)
@@ -133,6 +133,29 @@ class TestSigreturn:
         with pytest.raises(Abort):
             task.read(protected, 1)
         assert task.pkru == before
+
+    @pytest.mark.parametrize("bad", [1 << 32, -1, None])
+    def test_out_of_range_saved_pkru_is_rejected(self, kernel, lib, task,
+                                                  protected, bad):
+        """A handler that stores something other than a 32-bit value
+        in the sigframe: sigreturn raises ``ValueError`` and the task
+        resumes with the PKRU it was delivered with, even after a
+        handler WRPKRU."""
+        pkey = lib.group(100).pkey
+
+        def handler(t, info):
+            t.pkey_set(pkey, rights_for_prot(RW))
+            info.saved_pkru = bad
+            return True
+
+        task.sigaction(SIGSEGV, handler)
+        before = task.pkru
+        with pytest.raises(ValueError, match="sigreturn"):
+            task.read(protected, 1)
+        assert task.pkru == before
+        assert kernel.machine.core(task.core_id).pkru == before
+        ok, delta = kernel.machine.obs.audit()
+        assert ok, delta
 
 
 class TestKill:

@@ -40,7 +40,7 @@ def memory_setup():
 class TestPkruInstructions:
     def test_wrpkru_updates_register(self, core):
         core.wrpkru(0xDEAD_BEEF & 0xFFFF_FFFF)
-        assert core.pkru.value == 0xDEADBEEF
+        assert core.pkru == 0xDEADBEEF
 
     def test_wrpkru_requires_zero_ecx_edx(self, core):
         with pytest.raises(GeneralProtectionFault):
@@ -113,7 +113,7 @@ class TestSerialization:
 class TestMmuCheck:
     def test_read_write_allowed_with_rights(self, memory_setup):
         core, pt = memory_setup
-        core.load_pkru(PKRU.allow_all())
+        core.load_pkru(PKRU.allow_all().value)
         core.write(pt, 0x10000, b"data")
         assert core.read(pt, 0x10000, 4) == b"data"
 
@@ -124,7 +124,7 @@ class TestMmuCheck:
 
     def test_page_permission_checked_first(self, memory_setup):
         core, pt = memory_setup
-        core.load_pkru(PKRU.allow_all())
+        core.load_pkru(PKRU.allow_all().value)
         pt.update_range(0x10, 0x11, PROT_READ)
         with pytest.raises(SegmentationFault) as exc_info:
             core.write(pt, 0x10000, b"x")
@@ -132,14 +132,14 @@ class TestMmuCheck:
 
     def test_pkey_denies_read(self, memory_setup):
         core, pt = memory_setup
-        core.load_pkru(PKRU.allow_all().with_rights(3, KEY_RIGHTS_NONE))
+        core.load_pkru(PKRU.allow_all().with_rights(3, KEY_RIGHTS_NONE).value)
         with pytest.raises(PkeyFault) as exc_info:
             core.read(pt, 0x10000, 1)
         assert exc_info.value.pkey == 3
 
     def test_pkey_read_only_denies_write(self, memory_setup):
         core, pt = memory_setup
-        core.load_pkru(PKRU.allow_all().with_rights(3, KEY_RIGHTS_READ))
+        core.load_pkru(PKRU.allow_all().with_rights(3, KEY_RIGHTS_READ).value)
         assert core.read(pt, 0x10000, 1) == b"\x00"
         with pytest.raises(PkeyFault):
             core.write(pt, 0x10000, b"x")
@@ -147,7 +147,7 @@ class TestMmuCheck:
     def test_effective_permission_is_intersection(self, memory_setup):
         """Figure 1: page says rw, PKRU says read-only -> read-only."""
         core, pt = memory_setup
-        core.load_pkru(PKRU.allow_all().with_rights(3, KEY_RIGHTS_READ))
+        core.load_pkru(PKRU.allow_all().with_rights(3, KEY_RIGHTS_READ).value)
         core.read(pt, 0x10000, 1)
         with pytest.raises(PkeyFault):
             core.write(pt, 0x10000, b"y")
@@ -157,7 +157,7 @@ class TestMmuCheck:
         memory is possible."""
         core, pt = memory_setup
         pt.update_range(0x20, 0x21, PROT_READ | PROT_EXEC, pkey=3)
-        core.load_pkru(PKRU.allow_all().with_rights(3, KEY_RIGHTS_NONE))
+        core.load_pkru(PKRU.allow_all().with_rights(3, KEY_RIGHTS_NONE).value)
         # Data read denied by pkey...
         with pytest.raises(PkeyFault):
             core.read(pt, 0x20000, 1)
@@ -166,13 +166,13 @@ class TestMmuCheck:
 
     def test_fetch_from_non_executable_page_faults(self, memory_setup):
         core, pt = memory_setup
-        core.load_pkru(PKRU.allow_all())
+        core.load_pkru(PKRU.allow_all().value)
         with pytest.raises(SegmentationFault):
             core.fetch(pt, 0x10000, 1)
 
     def test_access_crossing_pages_checks_both(self, memory_setup):
         core, pt = memory_setup
-        core.load_pkru(PKRU.allow_all())
+        core.load_pkru(PKRU.allow_all().value)
         addr = 0x10000 + PAGE_SIZE - 2
         with pytest.raises(SegmentationFault):
             core.read(pt, addr, 8)  # crosses into unmapped 0x11
@@ -183,7 +183,7 @@ class TestMmuCheck:
         pt.map(0x10, machine.memory.alloc_frame(), PROT_READ | PROT_WRITE)
         pt.map(0x11, machine.memory.alloc_frame(), PROT_READ | PROT_WRITE)
         core = machine.core(0)
-        core.load_pkru(PKRU.allow_all())
+        core.load_pkru(PKRU.allow_all().value)
         addr = 0x10000 + PAGE_SIZE - 3
         core.write(pt, addr, b"abcdef")
         assert core.read(pt, addr, 6) == b"abcdef"
@@ -197,7 +197,7 @@ class TestMmuCheck:
 class TestTlbIntegration:
     def test_first_access_misses_then_hits(self, memory_setup):
         core, pt = memory_setup
-        core.load_pkru(PKRU.allow_all())
+        core.load_pkru(PKRU.allow_all().value)
         core.read(pt, 0x10000, 1)
         assert core.tlb.stats.misses == 1
         core.read(pt, 0x10000, 1)
@@ -205,7 +205,7 @@ class TestTlbIntegration:
 
     def test_tlb_miss_charges_page_walk(self, memory_setup):
         core, pt = memory_setup
-        core.load_pkru(PKRU.allow_all())
+        core.load_pkru(PKRU.allow_all().value)
         t0 = core.clock.now
         core.read(pt, 0x10000, 1)
         cold = core.clock.now - t0
@@ -219,9 +219,9 @@ class TestTlbIntegration:
         """PKRU is consulted at access time: no TLB flush needed after a
         WRPKRU — the paper's core performance claim."""
         core, pt = memory_setup
-        core.load_pkru(PKRU.allow_all())
+        core.load_pkru(PKRU.allow_all().value)
         core.read(pt, 0x10000, 1)  # TLB now warm with pkey=3
-        core.load_pkru(PKRU.allow_all().with_rights(3, KEY_RIGHTS_NONE))
+        core.load_pkru(PKRU.allow_all().with_rights(3, KEY_RIGHTS_NONE).value)
         with pytest.raises(PkeyFault):
             core.read(pt, 0x10000, 1)
         assert core.tlb.stats.full_flushes == 0

@@ -19,7 +19,7 @@ def make_core_and_table(pages=4):
     for i in range(pages):
         pt.map(0x10 + i, machine.memory.alloc_frame(), RW, pkey=3)
     core = machine.core(0)
-    core.load_pkru(PKRU.allow_all())
+    core.load_pkru(PKRU.allow_all().value)
     return machine, core, pt
 
 
@@ -41,7 +41,7 @@ class TestAuthoritativeHits:
         pt = CountingPageTable()
         pt.map(0x10, machine.memory.alloc_frame(), RW, pkey=3)
         core = machine.core(0)
-        core.load_pkru(PKRU.allow_all())
+        core.load_pkru(PKRU.allow_all().value)
         core.read(pt, 0x10000, 1)           # cold: walk + fill
         walked = pt.lookups
         assert walked == 1
@@ -59,7 +59,7 @@ class TestAuthoritativeHits:
         for i in range(5):
             pt.map(0x30 + i, machine.memory.alloc_frame(), RW)
         core = machine.core(0)
-        core.load_pkru(PKRU.allow_all())
+        core.load_pkru(PKRU.allow_all().value)
         for i in range(5):
             pt.unmap(0x30 + i)                  # bump
             core.read(pt, 0x10000, 1)
@@ -73,7 +73,7 @@ class TestAuthoritativeHits:
         pt.map(0x10, machine.memory.alloc_frame(), RW, pkey=3)
         pt.map(0x30, machine.memory.alloc_frame(), RW)
         core = machine.core(0)
-        core.load_pkru(PKRU.allow_all())
+        core.load_pkru(PKRU.allow_all().value)
         core.read(pt, 0x10000, 1)
         baseline = pt.lookups
         pt.unmap(0x30)                      # bumps generation
@@ -90,7 +90,7 @@ class TestAuthoritativeHits:
         pt = CountingPageTable()
         pt.map(0x10, machine.memory.alloc_frame(), RW, pkey=3)
         core = machine.core(0)
-        core.load_pkru(PKRU.allow_all())
+        core.load_pkru(PKRU.allow_all().value)
         core.read(pt, 0x10000, 1)
         baseline = pt.lookups
         edits = [
@@ -130,7 +130,7 @@ class TestAuthoritativeHits:
         frame just because the generation numbers coincide."""
         machine = Machine(num_cores=1)
         core = machine.core(0)
-        core.load_pkru(PKRU.allow_all())
+        core.load_pkru(PKRU.allow_all().value)
         pt_a, pt_b = PageTable(), PageTable()
         frame_a = machine.memory.alloc_frame()
         frame_b = machine.memory.alloc_frame()
@@ -193,7 +193,7 @@ class TestBatchedTransfer:
 
     def test_perm_fault_charges_faulting_page_too(self):
         machine, core, pt = make_core_and_table(pages=2)
-        core.load_pkru(PKRU.allow_all().with_rights(3, KEY_RIGHTS_NONE))
+        core.load_pkru(PKRU.allow_all().with_rights(3, KEY_RIGHTS_NONE).value)
         with pytest.raises(PkeyFault):
             core.read(pt, 0x10000, 1)
         assert machine.obs.aggregator.cycles.get(

@@ -1,7 +1,7 @@
 """Exhaustive check of the MMU's single-page permission test.
 
 ``Core._enforce`` reads the page key's AD/WD bits straight out of
-``core.pkru.value``.  Every page ``prot`` (0-7) x PKRU rights (0-3) x
+``core.pkru``.  Every page ``prot`` (0-7) x PKRU rights (0-3) x
 access kind on a single-page access is checked against the Figure-1
 rule written out here: the fault class and fields (or no fault), and
 the same ledger and counter deltas as an access the page and PKRU both
@@ -92,7 +92,7 @@ def _access(prot: int, rights: int, kind: str, warm: bool):
         # denied read fills the TLB.
         with suppress(MachineFault):
             core.read(table, ADDR, 8)
-    core.load_pkru(PKRU(DENY_EVERY_KEY).with_rights(PKEY, rights))
+    core.load_pkru(PKRU(DENY_EVERY_KEY).with_rights(PKEY, rights).value)
     before = _snapshot(machine, core)
     fault = None
     try:

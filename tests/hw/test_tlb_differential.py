@@ -161,7 +161,7 @@ def run(seed: int, table_cls) -> dict:
                 if authoritative:
                     pkey = core.tlb._entries[vpn].pkey
                     auth_faults.append((kind, type(fault).__name__,
-                                        core.pkru.value >> 2 * pkey & 3))
+                                        core.pkru >> 2 * pkey & 3))
             sink.targets = []
     memory = {vpn: pt.lookup_populated(vpn).frame.read(0, PAGE_SIZE)
               for vpn in range(FIRST_VPN, FIRST_VPN + PAGES) if vpn in pt}

@@ -94,6 +94,6 @@ class TestPkruContextSwitch:
         kernel = single_core_kernel
         process = kernel.create_process(schedule_main=False)
         task = process.main_task
-        task.pkru = PKRU.allow_all()
+        task.pkru = PKRU.allow_all().value
         kernel.scheduler.schedule(task, core_id=0)
-        assert kernel.machine.core(0).pkru == PKRU.allow_all()
+        assert kernel.machine.core(0).pkru == PKRU.allow_all().value

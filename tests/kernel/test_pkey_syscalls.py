@@ -11,6 +11,7 @@ from repro.consts import (
     page_number,
 )
 from repro.errors import InvalidArgument, NoSpace
+from repro.hw.pkru import PKRU
 from repro.kernel.pkey import PkeyAllocator
 
 RW = PROT_READ | PROT_WRITE
@@ -61,7 +62,7 @@ class TestPkeyAllocator:
 class TestPkeySyscalls:
     def test_alloc_installs_initial_rights(self, kernel, process, task):
         key = kernel.sys_pkey_alloc(task, 0, PKEY_DISABLE_ACCESS)
-        assert not task.pkru.can_read(key)
+        assert not PKRU(task.pkru).can_read(key)
 
     def test_alloc_costs_match_table1(self, kernel, task, measure):
         elapsed = measure(lambda: kernel.sys_pkey_alloc(task), task=task)

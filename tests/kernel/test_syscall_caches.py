@@ -1,13 +1,13 @@
 """Invalidation regressions for the syscall-side caches.
 
-The mprotect fast path keeps two host-side caches: the per-process
+The mprotect fast path keeps one host-side cache: the per-process
 protect-VMA cache (exact-fit range -> VMA, validated by the VMA tree's
-structural version) and the per-task PKRU-encode memo (``(key,
-rights) -> PKRU`` against a stamped base value).  Each test here
-encodes a way either cache could serve a stale hit; every one fails
-against a cache that skips the corresponding invalidation.  Both
-caches also register their counters as ``obs.audit()`` invariants —
-the tamper tests prove the audit actually trips.
+structural version).  Each test here encodes a way it could serve a
+stale hit; every one fails against a cache that skips the
+corresponding invalidation.  The cache also registers its counters as
+an ``obs.audit()`` invariant — the tamper tests prove the audit
+actually trips.  The kernel-side PKRU encode keeps no cache; its tests
+pin the register values a stale cache would get wrong.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from repro.consts import (
     PROT_READ,
     PROT_WRITE,
 )
-from repro.hw.pkru import PKRU, PkruEncodeMemo
+from repro.hw.pkru import PKRU, with_key_rights
 
 RW = PROT_READ | PROT_WRITE
 
@@ -111,93 +111,65 @@ class TestProtectVmaCache:
 
 
 class TestPkruEncodeMemo:
+    """The kernel-side PKRU encode (``set_pkru_rights_from_kernel``)
+    keeps no cache: each encode derives from the task's current
+    register value, so no write to it can leave a stale result behind.
+    The class keeps its name; it pins register values only."""
+
     def test_repeat_kernel_encodes_hit(self, kernel, task):
-        """pkey_alloc's initial-rights install is the hot caller: with
-        a stable base PKRU the memo must hit from the second alloc of
-        the same (key, rights) on."""
-        # Two warmup rounds: the first alloc populates the memo, the
-        # second restamps it against the post-grant base value (which
-        # pkey_free leaves in place — it never touches PKRU).
-        for _ in range(2):
-            key = kernel.sys_pkey_alloc(task)
-            kernel.sys_pkey_free(task, key)
-        memo = task._pkru_memo
-        hits_before = memo.hits
+        """pkey_alloc's initial-rights install, repeated: the task's
+        PKRU and its core's register agree and stay stable."""
+        core = kernel.machine.core(task.core_id)
+        key = kernel.sys_pkey_alloc(task)
+        kernel.sys_pkey_free(task, key)
+        stable = task.pkru
         for _ in range(3):
             key = kernel.sys_pkey_alloc(task)
             kernel.sys_pkey_free(task, key)
-        assert memo.hits >= hits_before + 3
-        assert memo.hits + memo.misses == memo.encodes
+            assert task.pkru == core.pkru == stable
+        assert isinstance(task.pkru, int)
 
     def test_wrpkru_invalidates(self, kernel, task):
-        """A userspace WRPKRU changes the base value: a cached encode
-        against the old base must not be served afterwards."""
+        """A userspace WRPKRU changes the base value: a later kernel
+        encode and ``pkey_set`` must build on the new value."""
         key = kernel.sys_pkey_alloc(task)
-        memo = task._pkru_memo
-        # Populate through the kernel-side path (no WRPKRU of its own;
-        # pkey_set would immediately self-invalidate via wrpkru).
         task.set_pkru_rights_from_kernel(key, PKEY_DISABLE_WRITE)
-        assert memo._results, "kernel encode should populate the memo"
-        invalidations_before = memo.invalidations
         # Direct WRPKRU to a different value (deny the key entirely).
-        new = task.pkru.with_rights(key,
-                                    PKEY_DISABLE_ACCESS
-                                    | PKEY_DISABLE_WRITE)
-        task.wrpkru(new.value)
-        assert memo.invalidations > invalidations_before
-        assert not memo._results
-        # Re-encoding against the new base must reflect it, not the
-        # stale cached result.
+        new = with_key_rights(task.pkru, key,
+                              PKEY_DISABLE_ACCESS | PKEY_DISABLE_WRITE)
+        task.wrpkru(new)
+        assert task.pkru == new
+        task.set_pkru_rights_from_kernel(key, PKEY_DISABLE_WRITE)
+        assert task.pkru == with_key_rights(new, key, PKEY_DISABLE_WRITE)
         task.pkey_set(key, 0)
-        assert task.pkru.rights(key) == 0
-        assert task.pkru.value == new.with_rights(key, 0).value
+        assert PKRU(task.pkru).rights(key) == 0
+        assert task.pkru == with_key_rights(new, key, 0)
+        assert kernel.machine.core(task.core_id).pkru == task.pkru
         ok, _ = kernel.machine.obs.audit()
         assert ok, kernel.machine.obs.invariant_failures()
 
     def test_external_pkru_swap_is_caught_lazily(self, kernel, task):
         """The signal-restore / context-switch path replaces
-        ``task.pkru`` without telling the memo; the next encode must
-        detect the base mismatch instead of serving a stale value."""
+        ``task.pkru`` directly; the next encode must build on the new
+        value."""
         key = kernel.sys_pkey_alloc(task)
         task.pkey_set(key, PKEY_DISABLE_WRITE)
-        # Swap the base behind the memo's back (what sigreturn does).
-        task.pkru = PKRU.allow_all()
+        # Swap the base directly (what sigreturn does).
+        task.pkru = PKRU.allow_all().value
         task.set_pkru_rights_from_kernel(key, PKEY_DISABLE_ACCESS)
-        expected = PKRU.allow_all().with_rights(key,
-                                                PKEY_DISABLE_ACCESS)
-        assert task.pkru.value == expected.value
+        assert task.pkru == with_key_rights(0, key, PKEY_DISABLE_ACCESS)
+        assert kernel.machine.core(task.core_id).pkru == task.pkru
         ok, _ = kernel.machine.obs.audit()
         assert ok, kernel.machine.obs.invariant_failures()
 
-    def test_invalid_rights_never_served_from_cache(self):
-        """Bogus rights must raise on every call — a packed-int memo
-        key could alias an invalid request onto a cached valid one."""
-        memo = PkruEncodeMemo()
-        base = PKRU.allow_all()
-        memo.encode(base, 1, PKEY_DISABLE_WRITE)
-        with pytest.raises(ValueError):
-            memo.encode(base, 1, 5)
-        with pytest.raises(ValueError):
-            memo.encode(base, 1, 5)  # and again, post-populate
-
-    def test_audit_trips_on_counter_leak(self, kernel, task):
-        key = kernel.sys_pkey_alloc(task)
-        task.pkey_set(key, PKEY_DISABLE_WRITE)
-        task._pkru_memo.hits += 1
-        ok, _ = kernel.machine.obs.audit()
-        assert not ok
-        failures = kernel.machine.obs.invariant_failures()
-        assert any("pkru_encode_memo" in name for name in failures)
-
-    def test_audit_trips_on_stale_cached_result(self, kernel, task):
-        """A cached encode that no longer re-derives from the stamped
-        base is exactly the stale-hit bug class; plant one and make
-        sure the audit finds it."""
+    def test_invalid_rights_never_served_from_cache(self, kernel, task):
+        """Bogus rights raise on every call, before and after a valid
+        encode of the same key, and leave the register unchanged."""
         key = kernel.sys_pkey_alloc(task)
         task.set_pkru_rights_from_kernel(key, PKEY_DISABLE_WRITE)
-        memo = task._pkru_memo
-        assert memo._results, "memo should hold at least one encode"
-        k = next(iter(memo._results))
-        memo._results[k] = PKRU.allow_all()
-        ok, _ = kernel.machine.obs.audit()
-        assert not ok
+        before = task.pkru
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                task.set_pkru_rights_from_kernel(key, 5)
+            assert task.pkru == before
+        assert kernel.machine.core(task.core_id).pkru == before

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.consts import PAGE_SIZE, PROT_READ, PROT_WRITE
-from repro.hw.pkru import KEY_RIGHTS_NONE, KEY_RIGHTS_READ, PKRU
+from repro.core.sync import do_pkey_sync
+from repro.hw.pkru import KEY_RIGHTS_NONE, KEY_RIGHTS_READ, PKRU, with_key_rights
 from repro.kernel.task import WaitQueue
 
 RW = PROT_READ | PROT_WRITE
@@ -12,18 +13,55 @@ RW = PROT_READ | PROT_WRITE
 class TestTaskPkru:
     def test_tasks_start_with_default_deny(self, process):
         task = process.spawn_task()
-        assert task.pkru.value == PKRU.deny_all_but_default().value
+        assert task.pkru == PKRU.deny_all_but_default().value
 
     def test_wrpkru_updates_task_and_core(self, kernel, task):
         task.wrpkru(0)
-        assert task.pkru.value == 0
-        assert kernel.machine.core(task.core_id).pkru.value == 0
+        assert task.pkru == 0
+        assert kernel.machine.core(task.core_id).pkru == 0
 
     def test_pkey_set_get_roundtrip(self, kernel, task):
         task.pkey_set(4, KEY_RIGHTS_READ)
         assert task.pkey_get(4) == KEY_RIGHTS_READ
         task.pkey_set(4, KEY_RIGHTS_NONE)
         assert task.pkey_get(4) == KEY_RIGHTS_NONE
+
+    @pytest.mark.parametrize("pkey", [16, -1])
+    def test_pkey_get_checks_the_key_before_rdpkru(self, kernel, task,
+                                                   pkey):
+        """glibc's pkey_get returns EINVAL for a key outside 0..15
+        without reading PKRU: no RDPKRU, no cycles."""
+        core = kernel.machine.core(task.core_id)
+        rdpkrus, now = core.rdpkru_count, kernel.clock.now
+        with pytest.raises(ValueError, match="out of range"):
+            task.pkey_get(pkey)
+        assert core.rdpkru_count == rdpkrus
+        assert kernel.clock.now == now
+
+    def test_registers_hold_ints_on_every_path(self, kernel, process,
+                                               task):
+        """WRPKRU, the kernel encode, a context switch and lazy and
+        eager sync all leave plain 32-bit ints in the task and the
+        core."""
+        sibling = process.spawn_task()
+        kernel.scheduler.schedule(sibling, charge=False)
+        sleeper = process.spawn_task()
+        cores = kernel.machine.cores
+        task.wrpkru(0x1_2345_6789)
+        assert task.pkru == cores[task.core_id].pkru == 0x2345_6789
+        task.pkey_set(3, KEY_RIGHTS_READ)
+        kernel.sys_pkey_alloc(task)
+        do_pkey_sync(kernel, task, 3, KEY_RIGHTS_READ)
+        do_pkey_sync(kernel, task, 4, KEY_RIGHTS_NONE, eager=True)
+        values = [task.pkru, sibling.pkru, sleeper.pkru,
+                  cores[task.core_id].pkru, cores[sibling.core_id].pkru]
+        kernel.scheduler.unschedule(sibling)
+        kernel.scheduler.schedule(sleeper, charge=False)
+        values.append(cores[sleeper.core_id].pkru)
+        assert all(type(value) is int for value in values)
+        assert PKRU(sleeper.pkru).rights(3) == KEY_RIGHTS_READ
+        assert PKRU(sleeper.pkru).rights(4) == KEY_RIGHTS_NONE
+        assert cores[sleeper.core_id].pkru == sleeper.pkru
 
     def test_memory_ops_require_a_core(self, process):
         parked = process.spawn_task()
@@ -37,9 +75,9 @@ class TestTaskPkru:
 class TestScheduler:
     def test_schedule_loads_task_pkru_into_core(self, kernel, process):
         task = process.spawn_task()
-        task.pkru = PKRU.allow_all()
+        task.pkru = PKRU.allow_all().value
         kernel.scheduler.schedule(task)
-        assert kernel.machine.core(task.core_id).pkru.value == 0
+        assert kernel.machine.core(task.core_id).pkru == 0
 
     def test_unschedule_frees_the_core(self, kernel, process):
         task = process.spawn_task()
@@ -97,11 +135,11 @@ class TestTaskWork:
         kernel.scheduler.schedule(sibling, charge=False)
 
         def grant(task):
-            task.pkru = task.pkru.with_rights(5, KEY_RIGHTS_READ)
+            task.pkru = with_key_rights(task.pkru, 5, KEY_RIGHTS_READ)
 
         sibling.task_work_add(grant)
         kernel.scheduler.send_resched_ipi(sibling)
-        assert kernel.machine.core(sibling.core_id).pkru.can_read(5)
+        assert PKRU(kernel.machine.core(sibling.core_id).pkru).can_read(5)
 
     def test_works_run_in_fifo_order(self, kernel, process):
         sleeper = process.spawn_task()

@@ -12,19 +12,10 @@ functions count: frames whose ``co_name`` starts with ``<``
 skipped, so the counts agree across 3.11 and 3.12.  A budget failure
 prints the calls split by layer (``repro.<layer>``).
 
-Measured on Python 3.11.7 (3.12.1 gave the same counts for the
-cached paths when last measured): a cached ``mpk_begin`` +
-``mpk_end`` pair makes 23 calls, and a cached 8-byte ``Task.read`` or
-``Task.write`` makes 4; the same load after a TLB flush (a miss and
-a page walk) makes 12.  An evicting ``mpk_begin`` + ``mpk_end`` pair
-with 3 running siblings makes 148, an ``mpk_mprotect`` that misses and
-evicts makes 145, and a one-page ``pkey_mprotect`` makes 23.  A healthy 3-node, 2-replica cluster
-(``_build_cluster``, seed 5, 48 connections) makes 1,658.1 calls per
-connection, and a served ``mpk_begin`` Memcached connection
-(``_serving``: 48 connections of 2 requests) makes 245.9.  Each budget
-sits about 3% above its count.  The counters live in
-:mod:`repro.bench.harness`, so an interpreter without pytest can take
-the same counts.
+Each budget constant below carries, in its comment, the count it was
+set from (Python 3.11.7), and sits at most about 5% above it.  The
+counters live in :mod:`repro.bench.harness`, so an interpreter without
+pytest can take the same counts.
 """
 
 from __future__ import annotations
@@ -42,19 +33,29 @@ RW = PROT_READ | PROT_WRITE
 VKEY = 100
 
 #: Budgets: named Python calls per operation.
-PAIR_BUDGET = 24
+#: A cached ``mpk_begin`` + ``mpk_end`` pair: 21.
+PAIR_BUDGET = 22
+#: A cached 8-byte ``Task.read`` or ``Task.write``: 4.
 LOAD_BUDGET = 4
 STORE_BUDGET = 4
-#: The measured count: the next integer, 13, is 8% above it.
+#: The same load after a TLB flush (a miss and a page walk): 12; the
+#: next integer, 13, is 8% above it.
 TLB_MISS_LOAD_BUDGET = 12
-EVICT_PAIR_BUDGET = 150
-MISS_MPROTECT_BUDGET = 148
+#: An evicting ``mpk_begin`` + ``mpk_end`` pair with 3 running
+#: siblings: 145.
+EVICT_PAIR_BUDGET = 147
+#: An ``mpk_mprotect`` that misses and evicts: 142.
+MISS_MPROTECT_BUDGET = 144
+#: A one-page ``pkey_mprotect``: 23.
 PKEY_MPROTECT_BUDGET = 24
-#: Named Python calls per client connection of a cluster run.
-CLUSTER_BUDGET = 1_695
+#: Named Python calls per client connection of a healthy 3-node,
+#: 2-replica cluster run (``_build_cluster``, seed 5, 48
+#: connections): 1,616.9.
+CLUSTER_BUDGET = 1_655
 #: Named Python calls per connection served by Memcached in
-#: ``mpk_begin`` mode.
-SERVE_BUDGET = 253
+#: ``mpk_begin`` mode (``_serving``: 48 connections of 2 requests):
+#: 236.1.
+SERVE_BUDGET = 243
 
 
 def within_budget(fn, budget: int, per: int = 1) -> None:

@@ -198,6 +198,88 @@ class TestOneBlockingBegin:
         assert set(sites) == {"src/repro/core/api.py"}, sites
 
 
+class TestDocMembers:
+    """Every backticked ``Class.member`` in docs/ARCHITECTURE.md and
+    docs/API.md, where ``Class`` is a class defined under src/repro,
+    names a member that exists: a ``def``, a class attribute, a
+    ``__slots__`` entry, a ``self.x`` assignment, or one of these on a
+    base class defined under src/repro.  ``prefix_*`` wildcards (such
+    as ``MM._protect_cache_*``) are skipped."""
+
+    DOCS = ("docs/ARCHITECTURE.md", "docs/API.md")
+    REF = re.compile(r"(?<!\w)([A-Z]\w*)\.([A-Za-z_]\w*)(\*?)")
+
+    @staticmethod
+    def _members(cls: ast.ClassDef) -> set[str]:
+        names = set()
+        for stmt in cls.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names.add(stmt.name)
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = getattr(stmt, "targets", None) or [stmt.target]
+                names.update(t.id for t in targets
+                             if isinstance(t, ast.Name))
+                if "__slots__" in names and stmt.value is not None:
+                    names.update(node.value
+                                 for node in ast.walk(stmt.value)
+                                 if isinstance(node, ast.Constant)
+                                 and isinstance(node.value, str))
+        for node in ast.walk(cls):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for sub in ast.walk(target):
+                    if (isinstance(sub, ast.Attribute)
+                            and isinstance(sub.value, ast.Name)
+                            and sub.value.id == "self"):
+                        names.add(sub.attr)
+        return names
+
+    @classmethod
+    def _classes(cls) -> dict[str, list[tuple[set[str], list[str]]]]:
+        """Class name -> (members, base names) of each class of that
+        name under src/repro."""
+        classes: dict = {}
+        for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ClassDef):
+                    bases = [TestAttribution._name(base)
+                             for base in node.bases]
+                    classes.setdefault(node.name, []).append(
+                        (cls._members(node), bases))
+        return classes
+
+    def test_docs_name_only_existing_members(self):
+        classes = self._classes()
+
+        def has(name: str, member: str, seen: set[str]) -> bool:
+            seen.add(name)
+            return any(member in members
+                       or any(base in classes and base not in seen
+                              and has(base, member, seen)
+                              for base in bases)
+                       for members, bases in classes[name])
+
+        stale, checked = [], 0
+        for doc in self.DOCS:
+            text = re.sub(r"```.*?```", "", (REPO / doc).read_text(),
+                          flags=re.S)
+            for span in re.findall(r"`([^`]+)`", text):
+                for name, member, star in self.REF.findall(span):
+                    if star or name not in classes:
+                        continue
+                    checked += 1
+                    if not has(name, member, set()):
+                        stale.append(f"{doc}: `{name}.{member}`")
+        assert checked, "no Class.member reference found in the docs"
+        assert not stale, stale
+
+
 class TestPackaging:
     def test_every_package_directory_has_init(self):
         for directory in (REPO / "src" / "repro").rglob("*"):
