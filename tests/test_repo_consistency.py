@@ -217,10 +217,10 @@ class TestDocMembers:
                                  ast.ClassDef)):
                 names.add(stmt.name)
             elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-                targets = getattr(stmt, "targets", None) or [stmt.target]
-                names.update(t.id for t in targets
-                             if isinstance(t, ast.Name))
-                if "__slots__" in names and stmt.value is not None:
+                targets = {t.id for t in getattr(stmt, "targets", None)
+                           or [stmt.target] if isinstance(t, ast.Name)}
+                names |= targets
+                if "__slots__" in targets and stmt.value is not None:
                     names.update(node.value
                                  for node in ast.walk(stmt.value)
                                  if isinstance(node, ast.Constant)
